@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .fitting import (
     ACCEPT_SLACK,
@@ -25,6 +25,7 @@ from .fitting import (
     interior_feasible,
 )
 from .mining import ParameterDomain
+from .model import logsumexp
 from .patterns import Pattern, TransactionDataset, sort_key, support_counts
 
 FULL_BM_MAX_VARIABLES = 25
@@ -131,7 +132,7 @@ def fit_full_bm(
         if len(theta):
             np.add.at(dense, masks[: len(theta)], theta)
         raw = subset_sums(dense, n)
-        psi = float(logsumexp(raw))
+        psi = logsumexp(raw)
         return raw - psi, psi
 
     def etas_of(log_probs):

@@ -7,6 +7,11 @@ expectations.  The average log-likelihood is concave in the parameters, so a
 sweep that lowers it is rolled back and retried with a smaller step, and
 accepted sweeps grow the step again.
 
+One sweep costs two sparse matrix-vector products (through the incidence
+matrix and through its transpose, built once per fit), one exp and one
+log-sum-exp over the sample space.  ``model.logsumexp`` matches scipy's bit for
+bit, without the per-call dispatch that outweighs the products on small fits.
+
 Targets on the boundary of the achievable moment set have no maximizer: some
 parameter drifts without bound while the moment gap only decays harmonically.
 The guard handles this in three layers: targets of exactly 0 or 1 are removed
@@ -25,10 +30,11 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .mining import ParameterDomain, mine_parameter_domain
-from .model import GibbsModel, SampleSpace, build_sample_space, incidence_matrix
+from .model import (
+    GibbsModel, SampleSpace, build_sample_space, incidence_matrix, logsumexp
+)
 from .patterns import Pattern, TransactionDataset, sort_key
 
 STALL_RATIO = 0.5
@@ -175,6 +181,7 @@ def fit_to_moments(
     pats = [p for p, ok in zip(pats, keep) if ok]
     targets = targets[keep]
     incidence = incidence[keep]
+    transposed = incidence.T
 
     n_outcomes = len(space)
     m = len(pats)
@@ -198,19 +205,20 @@ def fit_to_moments(
     next_check = cfg.stall_window
 
     def remove_parameter(j: int) -> None:
-        nonlocal incidence, pats, targets, theta, m
+        nonlocal incidence, transposed, pats, targets, theta, m
         nonlocal log_probs, psi, etas, avg_loglik, gap, err2, step, evaluations
         nonlocal feasibility_settled, accelerate, cached_direction, checkpoint_gap
         removed.append(pats[j])
         row = incidence.getrow(j)
         log_probs = log_probs.copy()
         log_probs[row.indices] -= theta[j]
-        shift = float(logsumexp(log_probs))
+        shift = logsumexp(log_probs)
         log_probs -= shift
         psi += shift
         mask = np.ones(m, dtype=bool)
         mask[j] = False
         incidence = incidence[mask]
+        transposed = incidence.T
         pats = [p for p, ok in zip(pats, mask) if ok]
         targets = targets[mask]
         theta = theta[mask]
@@ -239,8 +247,8 @@ def fit_to_moments(
             direction = targets - etas
         mu = step * direction
         theta_new = theta + mu
-        log_new = log_probs + incidence.T.dot(mu)
-        shift = float(logsumexp(log_new))
+        log_new = log_probs + transposed.dot(mu)
+        shift = logsumexp(log_new)
         log_new -= shift
         psi_new = psi + shift
         loglik_new = float(targets @ theta_new) - psi_new

@@ -14,13 +14,13 @@ divergences shifted by one constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .model import GibbsModel
+from .model import GibbsModel, logsumexp
 from .patterns import EmpiricalDistribution, Pattern, TransactionDataset
 
 
@@ -65,8 +65,9 @@ def kl_divergence(
 def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution) -> float:
     """Shannon entropy in nats, with 0 log 0 taken as 0."""
     values = np.array(list(_prob_items(p).values()), dtype=np.float64)
-    if abs(values.sum() - 1.0) > 1e-10:
-        raise ValueError(f"probabilities sum to {values.sum()}, expected 1")
+    total = math.fsum(values)
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"probabilities sum to {total}, expected 1")
     nonzero = values[values > 0]
     return float(-np.dot(nonzero, np.log(nonzero)))
 

@@ -8,12 +8,12 @@ negative log-probability of the empty pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.special import logsumexp
 
 from .mining import ParameterDomain
 from .patterns import BOTTOM, Pattern, TransactionDataset, is_subpattern, sort_key
@@ -49,6 +49,23 @@ def build_sample_space(
 ) -> SampleSpace:
     """Union of parameter domain, distinct transactions, and the empty pattern."""
     return SampleSpace.from_patterns(list(domain) + list(dataset.entries))
+
+
+def logsumexp(x: np.ndarray) -> float:
+    """``scipy.special.logsumexp`` of a 1-D float array, bit for bit, but faster.
+
+    Same arithmetic, without scipy's array-API dispatch.  A non-finite maximum
+    (nan or an infinity) is the result itself, as it is in scipy.
+    """
+    top = x.max()
+    if not math.isfinite(top):
+        return float(top)
+    at_top = x == top
+    count = np.count_nonzero(at_top)
+    shifted = x - top
+    shifted[at_top] = -np.inf
+    s = np.exp(shifted).sum() / count
+    return float(np.log1p(s) + np.log(count) + top)
 
 
 def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.csr_matrix:
@@ -112,7 +129,7 @@ class GibbsModel:
         self.incidence = incidence
         self._domain_index = {p: j for j, p in enumerate(domain)}
         raw = incidence.T.dot(theta) if len(domain) else np.zeros(len(space))
-        self.log_partition = float(logsumexp(raw))
+        self.log_partition = logsumexp(raw)
         self.log_probs = raw - self.log_partition
         self._etas: np.ndarray | None = None
 

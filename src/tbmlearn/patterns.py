@@ -9,6 +9,7 @@ exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -129,7 +130,7 @@ class EmpiricalDistribution:
     support: frozenset[Pattern]
 
     def __post_init__(self):
-        total = sum(self.probs.values())
+        total = math.fsum(self.probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         if any(p <= 0 for p in self.probs.values()):

@@ -8,13 +8,17 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .baselines import FullBMModel, RBMModel, pattern_bitmask, subset_sums
 from .fitting import FitReport
-from .model import GibbsModel, SampleSpace
+from .model import GibbsModel, SampleSpace, logsumexp
 
 SCHEMA_VERSION = 1
+_REQUIRED_KEYS = {
+    "tbm": ("sample_space", "domain", "theta"),
+    "bm": ("n_variables", "domain", "theta"),
+    "rbm": ("visible_bias", "hidden_bias", "weights"),
+}
 
 
 def _report_dict(report: FitReport | None) -> dict | None:
@@ -29,10 +33,13 @@ def _report_from(obj: dict | None) -> FitReport | None:
     if obj is None:
         return None
     kwargs = dict(obj)
-    kwargs["removed_parameters"] = tuple(
-        tuple(p) for p in kwargs["removed_parameters"]
-    )
-    return FitReport(**kwargs)
+    try:
+        kwargs["removed_parameters"] = tuple(
+            tuple(p) for p in kwargs["removed_parameters"]
+        )
+        return FitReport(**kwargs)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed fit_report: {exc!r}") from None
 
 
 def model_to_dict(
@@ -67,36 +74,17 @@ def model_to_dict(
 
 
 def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
+    """Rebuild a model, raising ``ValueError`` on any schema violation."""
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema {obj.get('schema')!r}")
     kind = obj.get("kind")
+    if kind not in _REQUIRED_KEYS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    missing = [key for key in _REQUIRED_KEYS[kind] if key not in obj]
+    if missing:
+        raise ValueError(f"{kind} model lacks {', '.join(missing)}")
     report = _report_from(obj.get("fit_report"))
     meta = obj.get("meta", {})
-    if kind == "tbm":
-        space = SampleSpace.from_patterns(tuple(x) for x in obj["sample_space"])
-        model = GibbsModel(
-            space,
-            [tuple(p) for p in obj["domain"]],
-            np.array(obj["theta"], dtype=np.float64),
-        )
-        return model, report, meta
-    if kind == "bm":
-        n = int(obj["n_variables"])
-        domain = tuple(tuple(p) for p in obj["domain"])
-        theta = np.array(obj["theta"], dtype=np.float64)
-        dense = np.zeros(1 << n)
-        for pattern, value in zip(domain, theta):
-            dense[pattern_bitmask(pattern)] += value
-        raw = subset_sums(dense, n)
-        psi = float(logsumexp(raw))
-        model = FullBMModel(
-            n_variables=n,
-            domain=domain,
-            theta=theta,
-            log_partition=psi,
-            log_probs=raw - psi,
-        )
-        return model, report, meta
     if kind == "rbm":
         model = RBMModel(
             visible_bias=np.array(obj["visible_bias"], dtype=np.float64),
@@ -104,7 +92,32 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
             weights=np.array(obj["weights"], dtype=np.float64),
         )
         return model, report, meta
-    raise ValueError(f"unknown model kind {kind!r}")
+    domain = tuple(tuple(p) for p in obj["domain"])
+    theta = np.array(obj["theta"], dtype=np.float64)
+    if theta.shape != (len(domain),):
+        raise ValueError(f"theta has {theta.size} values for {len(domain)} patterns")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta values must be finite")
+    if kind == "tbm":
+        space = SampleSpace.from_patterns(tuple(x) for x in obj["sample_space"])
+        outside = [p for p in domain if p not in space]
+        if outside:
+            raise ValueError(f"domain pattern {outside[0]} is outside the sample space")
+        return GibbsModel(space, domain, theta), report, meta
+    n = int(obj["n_variables"])
+    dense = np.zeros(1 << n)
+    for pattern, value in zip(domain, theta):
+        dense[pattern_bitmask(pattern)] += value
+    raw = subset_sums(dense, n)
+    psi = logsumexp(raw)
+    model = FullBMModel(
+        n_variables=n,
+        domain=domain,
+        theta=theta,
+        log_partition=psi,
+        log_probs=raw - psi,
+    )
+    return model, report, meta
 
 
 def dumps_model(model, report=None, meta=None) -> str:

@@ -197,6 +197,32 @@ class TestEval:
         capsys.readouterr()
         assert run("eval", "--model", model_path, "--input", other) == 3
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda obj: obj.pop("theta"), "lacks theta"),
+            (lambda obj: obj["theta"].pop(), "theta has 1 values for 2 patterns"),
+        ],
+        ids=["theta_missing", "theta_short"],
+    )
+    def test_malformed_model_is_data_error(
+        self, worked_file, tmp_path, capsys, damage, message
+    ):
+        model_path = tmp_path / "m.json"
+        run(
+            "fit-tbm",
+            "--input", worked_file,
+            "--sigma", "0.45",
+            "--k", "2",
+            "--out", model_path,
+        )
+        obj = json.loads(model_path.read_text())
+        damage(obj)
+        model_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("eval", "--model", model_path, "--input", worked_file) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestSynthAndBiasvar:
     def test_synth_outputs(self, tmp_path):

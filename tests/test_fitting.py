@@ -14,6 +14,7 @@ from tbmlearn import (
 )
 from tbmlearn.fitting import empirical_targets, interior_feasible
 from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix
+from tbmlearn.patterns import sort_key
 
 from conftest import WORKED_PROBS, WORKED_PSI, WORKED_THETA1
 from oracles import random_dataset
@@ -178,6 +179,48 @@ class TestDivergenceGuard:
         cfg = FitConfig(theta_max=0.5, tol=1e-10, max_sweeps=20_000)
         model, report = fit(worked_dataset, [(1,), (2,)], cfg)
         assert (1,) in report.removed_parameters
+
+
+class TestInputOrder:
+    """Pattern order and a precomputed incidence leave every output bit alone."""
+
+    @staticmethod
+    def fits(space, patterns, targets, cfg):
+        rng = np.random.default_rng(4)
+        order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
+        shuffled = list(rng.permutation(len(patterns)))
+        for perm in (order, shuffled):
+            pats = [patterns[j] for j in perm]
+            tgts = np.asarray(targets)[perm]
+            yield fit_to_moments(space, pats, tgts, cfg)
+            z = incidence_matrix(space, pats)
+            yield fit_to_moments(space, pats, tgts, cfg, incidence=z)
+
+    def assert_identical(self, space, patterns, targets, cfg):
+        (model, report), *others = self.fits(space, patterns, targets, cfg)
+        for other, other_report in others:
+            assert other.domain == model.domain
+            assert other.theta.tobytes() == model.theta.tobytes()
+            assert other.log_probs.tobytes() == model.log_probs.tobytes()
+            assert other_report == report
+        return report
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            n = int(rng.integers(3, 7))
+            d = TransactionDataset(entries=random_dataset(rng, n, 300), n_variables=n)
+            patterns = list(mine_parameter_domain(d, 0.0, 2))
+            space = build_sample_space(patterns, d)
+            targets = empirical_targets(d, space, incidence_matrix(space, patterns))
+            self.assert_identical(space, patterns, targets, TIGHT)
+
+    def test_boundary_removal_path(self):
+        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
+        report = self.assert_identical(
+            space, [(1, 2), (2,), (1,)], [0.4, 0.5, 0.4], FitConfig()
+        )
+        assert len(report.removed_parameters) == 1
 
 
 class TestInteriorFeasibility:

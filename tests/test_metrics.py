@@ -70,6 +70,18 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy({(1,): 0.4})
 
+    def test_many_distinct_transactions_pass_the_sum_checks(self):
+        # 2e5 distinct transactions seen once or twice: a plain float sum of
+        # their frequencies drifts past the 1e-12 normalization tolerance.
+        n_distinct = 200_000
+        entries = {(i,): 1 + i % 2 for i in range(n_distinct)}
+        dataset = TransactionDataset(entries=entries, n_variables=n_distinct)
+        n = dataset.n_samples
+        assert abs(sum(m / n for m in entries.values()) - 1.0) > 1e-12
+        p_hat = EmpiricalDistribution.from_dataset(dataset)
+        expected = np.log(n) - (n_distinct // 2) * 2 * np.log(2) / n
+        assert entropy(p_hat) == pytest.approx(expected, rel=1e-12)
+
 
 class TestReconstructionErrorProxy:
     def test_constant_energies_reduce_to_entropy_defect(self, worked_dataset):

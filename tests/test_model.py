@@ -1,7 +1,12 @@
 """Sample-space construction and Gibbs-model bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbmlearn import (
     GibbsModel,
@@ -12,6 +17,7 @@ from tbmlearn import (
     mine_parameter_domain,
     uniform_model,
 )
+from tbmlearn.model import logsumexp
 from tbmlearn.patterns import is_subpattern
 
 from conftest import WORKED_PHI, WORKED_PROBS, WORKED_PSI, WORKED_THETA1
@@ -144,3 +150,55 @@ class TestGibbsModel:
     def test_positive_probabilities(self):
         m = worked_mle_model()
         assert all(p > 0 for p in m.probabilities.values())
+
+
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan])
+MAGNITUDE = st.builds(
+    lambda m, sign: sign * m,
+    st.floats(min_value=1e-3, max_value=700.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+def same_bits(got: float, want: float) -> bool:
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+class TestLogSumExp:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(MAGNITUDE, min_size=1, max_size=300),
+        st.integers(min_value=0, max_value=40),
+        st.lists(SPECIAL, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_scipy_bit_for_bit(self, values, ties, specials, rnd):
+        values = values + [max(values)] * ties + specials
+        rnd.shuffle(values)
+        x = np.array(values, dtype=np.float64)
+        want = float(scipy.special.logsumexp(x))
+        assert same_bits(logsumexp(x), want)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0],
+            [-700.0],
+            [700.0] * 7,
+            [1e-3, -1e-3, 1e-3],
+            [-math.inf, -math.inf],
+            [-math.inf, 2.5],
+            [math.inf, 1.0, math.inf],
+            [math.nan, 1.0],
+            [math.inf, math.nan],
+        ],
+    )
+    def test_edge_cases_equal_scipy(self, values):
+        x = np.array(values, dtype=np.float64)
+        want = float(scipy.special.logsumexp(x))
+        assert same_bits(logsumexp(x), want)
+
+    def test_input_is_not_modified(self):
+        x = np.array([1.0, 3.0, 3.0, -2.0])
+        logsumexp(x)
+        np.testing.assert_array_equal(x, [1.0, 3.0, 3.0, -2.0])

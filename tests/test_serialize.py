@@ -66,6 +66,35 @@ class TestSchemaGuards:
         with pytest.raises(ValueError, match="kind"):
             model_from_dict({"schema": 1, "kind": "dbm"})
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sample_space", None, "lacks sample_space"),
+            ("fit_report", {"converged": True}, "fit_report"),
+            ("theta", [0.5], "theta has 1 values for 2 patterns"),
+            ("theta", [0.5, float("nan")], "finite"),
+            ("domain", [[1], [7]], r"\(7,\) is outside the sample space"),
+        ],
+    )
+    def test_malformed_tbm_rejected(self, worked_dataset, key, value, message):
+        model, report = fit(worked_dataset, [(1,), (2,)], None)
+        obj = json.loads(dumps_model(model, report))
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(obj)
+
+    def test_malformed_bm_rejected(self, worked_dataset01):
+        model, report = fit_full_bm(worked_dataset01, [(0,), (1,)], None)
+        obj = json.loads(dumps_model(model, report))
+        with pytest.raises(ValueError, match="lacks n_variables"):
+            model_from_dict({k: v for k, v in obj.items() if k != "n_variables"})
+        obj["theta"] = obj["theta"][:1]
+        with pytest.raises(ValueError, match="theta has 1 values for 2 patterns"):
+            model_from_dict(obj)
+
     def test_json_is_valid(self, worked_dataset):
         model, report = fit(worked_dataset, [(1,), (2,)], None)
         obj = json.loads(dumps_model(model, report))
