@@ -85,10 +85,28 @@ def _add_input_options(parser) -> None:
     )
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def _add_fit_options(parser) -> None:
-    parser.add_argument("--epsilon", type=float, default=1.0, help="initial step size")
+    parser.add_argument(
+        "--epsilon", type=_positive_float, default=1.0, help="initial step size"
+    )
     parser.add_argument("--tol", type=float, default=1e-6, help="moment-gap tolerance")
-    parser.add_argument("--max-iters", type=int, default=10_000, help="sweep budget")
+    parser.add_argument(
+        "--max-iters", type=_non_negative_int, default=10_000, help="sweep budget"
+    )
     parser.add_argument(
         "--theta-max", type=float, default=30.0, help="divergence threshold on parameters"
     )

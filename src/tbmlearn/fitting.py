@@ -12,6 +12,18 @@ matrix and through its transpose, built once per fit), one exp and one
 log-sum-exp over the sample space.  ``model.logsumexp`` matches scipy's bit for
 bit, without the per-call dispatch that outweighs the products on small fits.
 
+When the gap stalls in the interior, sweeps switch to Fisher-preconditioned
+(natural-gradient) steps.  One such step costs one sparse product
+``Z diag(p) Z^T``, built in blocks of rows on a thread pool with one worker per
+usable core, plus one dense solve.  Every row of the Fisher matrix is the same
+sum, in the same order, as in the serial product, so fits do not depend on the
+core count.  The solve stays dense: implication-rule targets leave the
+matrix nearly singular, and on the 12 Fisher systems of one fit of the bench's
+``basket`` workload (|B| = 2048) matrix-free Jacobi-preconditioned conjugate
+gradients took 163 to 2524 iterations and 44 s in all at rtol 1e-4, and 2411
+to the 5000 cap and 244 s at rtol 1e-8, against 11-12 s for the dense builds
+and solves.
+
 Targets on the boundary of the achievable moment set have no maximizer: some
 parameter drifts without bound while the moment gap only decays harmonically.
 The guard handles this in three layers: targets of exactly 0 or 1 are removed
@@ -24,6 +36,9 @@ from the current state.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +56,36 @@ STALL_RATIO = 0.5
 LP_MIN_PROBABILITY = 1e-11
 DRIFT_GATE = 5.0
 ACCEPT_SLACK = 1e-14
+FISHER_BLOCK_ROWS = 64
+
+_fisher_pool: ThreadPoolExecutor | None = None
+_fisher_pool_lock = threading.Lock()
+
+
+def _forget_fisher_pool() -> None:
+    global _fisher_pool, _fisher_pool_lock
+    _fisher_pool = None
+    _fisher_pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the pool object but none of its threads.
+    os.register_at_fork(after_in_child=_forget_fisher_pool)
+
+
+def _fisher_executor() -> ThreadPoolExecutor:
+    """The pool that builds Fisher matrices, created on first use."""
+    global _fisher_pool
+    with _fisher_pool_lock:
+        if _fisher_pool is None:
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            _fisher_pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="tbmlearn-fisher"
+            )
+        return _fisher_pool
 
 
 @dataclass
@@ -87,8 +132,42 @@ class FitReport:
     evaluations: int = 0
 
 
+def fisher_matrix(
+    incidence: sparse.csr_matrix,
+    rows_of: sparse.csr_matrix,
+    p: np.ndarray,
+    etas: np.ndarray,
+) -> np.ndarray:
+    """Covariance of the containment indicators under the probabilities ``p``.
+
+    Entry (s, u) is ``sum_x Z[s, x] p[x] Z[u, x] - etas[s] etas[u]``, with
+    ``rows_of`` the transpose of ``incidence`` in CSR form.  Blocks of
+    ``FISHER_BLOCK_ROWS`` rows are filled concurrently; scipy's sparse product
+    releases the interpreter lock.  Each row is the same sum, in the same
+    order, as in the one-piece product, so the result does not depend on the
+    number of workers.
+    """
+    scaled = sparse.csr_matrix(
+        (incidence.data * p[incidence.indices], incidence.indices, incidence.indptr),
+        shape=incidence.shape,
+    )
+    m = incidence.shape[0]
+    g = np.empty((m, m))
+
+    def fill(start: int) -> None:
+        stop = min(start + FISHER_BLOCK_ROWS, m)
+        (scaled[start:stop] @ rows_of).toarray(out=g[start:stop])
+        g[start:stop] -= np.outer(etas[start:stop], etas)
+
+    # Reading every result re-raises a worker's exception here.
+    for _ in _fisher_executor().map(fill, range(0, m, FISHER_BLOCK_ROWS)):
+        pass
+    return 0.5 * (g + g.T)
+
+
 def natural_direction(
     incidence: sparse.csr_matrix,
+    rows_of: sparse.csr_matrix,
     log_probs: np.ndarray,
     etas: np.ndarray,
     residual: np.ndarray,
@@ -96,13 +175,10 @@ def natural_direction(
     """Fisher-preconditioned ascent direction.
 
     Solves ``G d = residual`` with G the covariance of the containment
-    indicators under the current distribution, lightly regularized so that
-    collinear parameters cannot blow the solve up.
+    indicators under the current distribution (see :func:`fisher_matrix`),
+    lightly regularized so that collinear parameters cannot blow the solve up.
     """
-    p = np.exp(log_probs)
-    joint = (incidence.multiply(p)).dot(incidence.T).toarray()
-    g = joint - np.outer(etas, etas)
-    g = 0.5 * (g + g.T)
+    g = fisher_matrix(incidence, rows_of, np.exp(log_probs), etas)
     g[np.diag_indices_from(g)] += 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
     try:
         return np.linalg.solve(g, residual)
@@ -182,6 +258,7 @@ def fit_to_moments(
     targets = targets[keep]
     incidence = incidence[keep]
     transposed = incidence.T
+    rows_of = None  # transposed as CSR, built at the first Fisher step
 
     n_outcomes = len(space)
     m = len(pats)
@@ -205,7 +282,7 @@ def fit_to_moments(
     next_check = cfg.stall_window
 
     def remove_parameter(j: int) -> None:
-        nonlocal incidence, transposed, pats, targets, theta, m
+        nonlocal incidence, transposed, rows_of, pats, targets, theta, m
         nonlocal log_probs, psi, etas, avg_loglik, gap, err2, step, evaluations
         nonlocal feasibility_settled, accelerate, cached_direction, checkpoint_gap
         removed.append(pats[j])
@@ -219,6 +296,7 @@ def fit_to_moments(
         mask[j] = False
         incidence = incidence[mask]
         transposed = incidence.T
+        rows_of = None
         pats = [p for p, ok in zip(pats, mask) if ok]
         targets = targets[mask]
         theta = theta[mask]
@@ -238,8 +316,10 @@ def fit_to_moments(
         sweeps += 1
         if accelerate:
             if cached_direction is None:
+                if rows_of is None:
+                    rows_of = transposed.tocsr()
                 cached_direction = natural_direction(
-                    incidence, log_probs, etas, targets - etas
+                    incidence, rows_of, log_probs, etas, targets - etas
                 )
                 evaluations += incidence.nnz
             direction = cached_direction

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fitting import FitConfig, FitReport, fit_to_moments
+from .fitting import FitConfig, FitReport, fisher_matrix, fit_to_moments
 from .metrics import kl_divergence
 from .model import GibbsModel, SampleSpace, incidence_matrix
 from .patterns import BOTTOM, Pattern, sort_key
@@ -38,12 +38,8 @@ def fisher_information(model: GibbsModel) -> FisherMatrix:
     that an outcome contains both patterns exactly when it contains their
     union.
     """
-    p = np.exp(model.log_probs)
     z = model.incidence
-    joint = (z.multiply(p)).dot(z.T).toarray()
-    etas = model.etas()
-    g = joint - np.outer(etas, etas)
-    g = 0.5 * (g + g.T)
+    g = fisher_matrix(z, z.T.tocsr(), np.exp(model.log_probs), model.etas())
     return FisherMatrix(entries=g, basis=tuple(model.domain))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +58,12 @@ class ParameterDomain:
     def __iter__(self):
         return iter(self.patterns)
 
+    @cached_property
+    def _members(self) -> frozenset[Pattern]:
+        return frozenset(self.patterns)
+
     def __contains__(self, pattern: Pattern) -> bool:
-        return pattern in set(self.patterns)
+        return pattern in self._members
 
 
 def _max_domain_size(n_variables: int, k: int) -> int:

@@ -9,7 +9,9 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import FullBMModel, RBMModel, pattern_bitmask, subset_sums
+from .baselines import (
+    FULL_BM_MAX_VARIABLES, FullBMModel, RBMModel, pattern_bitmask, subset_sums
+)
 from .fitting import FitReport
 from .model import GibbsModel, SampleSpace, logsumexp
 
@@ -75,6 +77,8 @@ def model_to_dict(
 
 def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     """Rebuild a model, raising ``ValueError`` on any schema violation."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model must be a JSON object, not {type(obj).__name__}")
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema {obj.get('schema')!r}")
     kind = obj.get("kind")
@@ -104,7 +108,14 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
         if outside:
             raise ValueError(f"domain pattern {outside[0]} is outside the sample space")
         return GibbsModel(space, domain, theta), report, meta
-    n = int(obj["n_variables"])
+    n = obj["n_variables"]
+    if not isinstance(n, int) or not 0 <= n <= FULL_BM_MAX_VARIABLES:
+        raise ValueError(
+            f"n_variables must be an integer in 0..{FULL_BM_MAX_VARIABLES}, got {n!r}"
+        )
+    outside = [p for p in domain if not all(isinstance(i, int) and 0 <= i < n for i in p)]
+    if outside:
+        raise ValueError(f"domain pattern {outside[0]} has an item outside 0..{n - 1}")
     dense = np.zeros(1 << n)
     for pattern, value in zip(domain, theta):
         dense[pattern_bitmask(pattern)] += value

@@ -223,6 +223,24 @@ class TestEval:
         assert run("eval", "--model", model_path, "--input", worked_file) == 3
         assert message in capsys.readouterr().err
 
+    def test_model_not_an_object_is_data_error(self, worked_file, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text("[]\n")
+        assert run("eval", "--model", model_path, "--input", worked_file) == 3
+        assert "must be a JSON object, not list" in capsys.readouterr().err
+
+    def test_bm_pattern_beyond_variables_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.fimi"
+        data.write_text("0\n0 1\n1\n0\n")
+        model_path = tmp_path / "bm.json"
+        run("fit-bm", "--input", data, "--sigma", "0.2", "--k", "2", "--out", model_path)
+        obj = json.loads(model_path.read_text())
+        obj["domain"][0] = [9]
+        model_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("eval", "--model", model_path, "--input", data) == 3
+        assert "(9,) has an item outside 0..1" in capsys.readouterr().err
+
 
 class TestSynthAndBiasvar:
     def test_synth_outputs(self, tmp_path):
@@ -354,6 +372,19 @@ class TestPlumbing:
         assert run("mine", "--input", worked_file, "--sigma", "0.5") == 2
         assert run("mine", "--definitely-not-a-flag") == 2
         assert run("no-such-command") == 2
+
+    @pytest.mark.parametrize("command", ["fit-tbm", "fit-bm", "compare"])
+    @pytest.mark.parametrize(
+        "option, value", [("--max-iters", "-1"), ("--epsilon", "0"), ("--epsilon", "-0.5")]
+    )
+    def test_invalid_fit_option_is_usage_error(
+        self, worked_file, capsys, command, option, value
+    ):
+        code = run(
+            command, "--input", worked_file, "--sigma", "0.45", "--k", "2", option, value
+        )
+        assert code == 2
+        assert f"argument {option}: must be" in capsys.readouterr().err
 
     def test_missing_file_is_3(self):
         assert run("mine", "--input", "/nonexistent.fimi", "--sigma", "0.5", "--k", "1") == 3

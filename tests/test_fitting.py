@@ -1,7 +1,15 @@
 """Moment-matching gradient ascent: convergence, guards, instrumentation."""
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from tbmlearn import (
     FitConfig,
@@ -12,7 +20,8 @@ from tbmlearn import (
     fit_to_moments,
     mine_parameter_domain,
 )
-from tbmlearn.fitting import empirical_targets, interior_feasible
+from tbmlearn import fitting
+from tbmlearn.fitting import empirical_targets, fisher_matrix, interior_feasible
 from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix
 from tbmlearn.patterns import sort_key
 
@@ -221,6 +230,109 @@ class TestInputOrder:
             space, [(1, 2), (2,), (1,)], [0.4, 0.5, 0.4], FitConfig()
         )
         assert len(report.removed_parameters) == 1
+
+
+class TestFisherMatrix:
+    """The row-blocked Fisher build equals the one-piece product, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 200),
+        n=st.integers(1, 150),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, n=5, density=0.5, seed=0)
+    @example(m=64, n=90, density=0.3, seed=1)
+    @example(m=129, n=150, density=0.2, seed=2)
+    def test_equals_serial_product(self, m, n, density, seed):
+        rng = np.random.default_rng(seed)
+        z = sparse.csr_matrix((rng.random((m, n)) < density).astype(np.float64))
+        p = rng.dirichlet(np.ones(n))
+        etas = z.dot(p)
+        g = (z.multiply(p)).dot(z.T).toarray() - np.outer(etas, etas)
+        expected = 0.5 * (g + g.T)
+        got = fisher_matrix(z, z.T.tocsr(), p, etas)
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(got, got.T)
+
+
+class TestFisherSteps:
+    """Fits that take Fisher steps do not depend on the pool's worker count."""
+
+    @staticmethod
+    def counted_fit(monkeypatch, dataset, cfg):
+        calls = []
+        original = fitting.natural_direction
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "natural_direction", counting)
+            model, report, _ = fit_tbm(dataset, 0.0, 2, cfg)
+        return model, report, calls
+
+    def fit_by_worker_count(self, monkeypatch, dataset, cfg):
+        fits = []
+        for workers in (1, 4):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                monkeypatch.setattr(fitting, "_fisher_pool", pool)
+                fits.append(self.counted_fit(monkeypatch, dataset, cfg))
+        (model, report, calls), (other, other_report, other_calls) = fits
+        assert report.converged
+        assert calls and calls == other_calls
+        assert other.theta.tobytes() == model.theta.tobytes()
+        assert other.log_probs.tobytes() == model.log_probs.tobytes()
+        assert other_report == report
+        return report, calls
+
+    def test_worker_count_leaves_fit_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        d = TransactionDataset(entries=random_dataset(rng, 16, 300), n_variables=16)
+        _, calls = self.fit_by_worker_count(
+            monkeypatch, d, FitConfig(tol=1e-9, stall_window=5)
+        )
+        assert calls[0] > 2 * fitting.FISHER_BLOCK_ROWS
+
+    def test_fisher_steps_after_a_removal(self, monkeypatch):
+        # Item 4 occurs only with item 0, so the (4,) target is on the boundary.
+        rng = np.random.default_rng(0)
+        entries = {}
+        for x, c in random_dataset(rng, 5, 500).items():
+            if 4 in x and 0 not in x:
+                x = (0,) + x
+            entries[x] = entries.get(x, 0) + c
+        d = TransactionDataset(entries=entries, n_variables=5)
+        report, calls = self.fit_by_worker_count(
+            monkeypatch, d, FitConfig(stall_window=3)
+        )
+        assert len(report.removed_parameters) == 1
+        assert sorted(set(calls)) == [14, 15]
+
+    def test_fit_without_fisher_steps_starts_no_pool(self, monkeypatch, worked_dataset):
+        monkeypatch.setattr(fitting, "_fisher_pool", None)
+        before = threading.active_count()
+        _, report, calls = self.counted_fit(monkeypatch, worked_dataset, TIGHT)
+        assert report.converged and not calls
+        assert threading.active_count() == before
+        assert fitting._fisher_pool is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_builds_with_a_fresh_pool(self):
+        z = sparse.csr_matrix(np.eye(3))
+        p = np.full(3, 1.0 / 3.0)
+        args = (z, z.T.tocsr(), p, z.dot(p))
+        fisher_matrix(*args)
+        child = multiprocessing.get_context("fork").Process(target=fisher_matrix, args=args)
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join(timeout=30)
+        assert not hung and child.exitcode == 0
 
 
 class TestInteriorFeasibility:

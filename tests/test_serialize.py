@@ -95,6 +95,29 @@ class TestSchemaGuards:
         with pytest.raises(ValueError, match="theta has 1 values for 2 patterns"):
             model_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("domain", [[0], [9]], r"\(9,\) has an item outside 0..1"),
+            ("domain", [[0], [-1]], r"\(-1,\) has an item outside 0..1"),
+            ("domain", [[0], [0.5]], r"\(0.5,\) has an item outside 0..1"),
+            ("n_variables", 26, "n_variables must be an integer in 0..25, got 26"),
+            ("n_variables", -1, "got -1"),
+            ("n_variables", "2", "got '2'"),
+        ],
+    )
+    def test_bm_bounds_rejected(self, worked_dataset01, key, value, message):
+        model, report = fit_full_bm(worked_dataset01, [(0,), (1,)], None)
+        obj = json.loads(dumps_model(model, report))
+        obj[key] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(obj)
+
+    @pytest.mark.parametrize("obj", [[], "tbm", 1, None])
+    def test_not_an_object(self, obj):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            model_from_dict(obj)
+
     def test_json_is_valid(self, worked_dataset):
         model, report = fit(worked_dataset, [(1,), (2,)], None)
         obj = json.loads(dumps_model(model, report))
