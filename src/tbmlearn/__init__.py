@@ -13,7 +13,6 @@ from .baselines import (
     fit_full_bm,
     fit_rbm_pcd1,
     matched_hidden_units,
-    rbm_free_energy,
 )
 from .experiments import (
     BiasVarianceConfig,
@@ -41,7 +40,6 @@ from .metrics import (
 from .mining import (
     DomainSizeError,
     ParameterDomain,
-    brute_force_domain,
     mine_parameter_domain,
     support_threshold,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "SyntheticTruth",
     "TransactionDataset",
     "bias_variance_experiment",
-    "brute_force_domain",
     "build_sample_space",
     "canonicalize",
     "dumps_model",
@@ -114,7 +111,6 @@ __all__ = [
     "model_to_dict",
     "parse_fimi",
     "pythagorean_residual",
-    "rbm_free_energy",
     "reconstruction_error_proxy",
     "save_model",
     "support_threshold",

@@ -1,10 +1,12 @@
 """Comparison learners: exact fully visible Boltzmann machine and PCD-1 RBM.
 
-The fully visible machine runs the same moment-matching ascent as the
-transductive fitter but normalizes over the complete binary cube, using
-fast subset/superset sum transforms, so it is limited to small variable
-counts.  The RBM is trained with persistent contrastive divergence using a
-single alternating Gibbs sweep per update.
+The fully visible machine runs the transductive fitter's engine,
+``fitting.ascend``, over :class:`FullCube`: a normalizer over the complete
+binary cube, through fast subset/superset sum transforms, so it is limited
+to small variable counts.  Only the normalizer differs, so the guard and the
+switch to Fisher steps behave the same in both learners by construction.
+The RBM is trained with persistent contrastive divergence using a single
+alternating Gibbs sweep per update.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .fitting import (
-    ACCEPT_SLACK,
-    DRIFT_GATE,
-    STALL_RATIO,
-    FitConfig,
-    FitReport,
-    interior_feasible,
-)
+from .fitting import FitConfig, FitReport, ascend, interior_feasible, solve_fisher
 from .mining import ParameterDomain
 from .model import logsumexp
 from .patterns import Pattern, TransactionDataset, sort_key, support_counts
@@ -76,6 +71,11 @@ class FullBMModel:
     log_partition: float
     log_probs: np.ndarray
 
+    @classmethod
+    def from_theta(cls, n_variables: int, domain, theta: np.ndarray) -> "FullBMModel":
+        log_probs, psi = FullCube(n_variables, domain).state(theta)
+        return cls(n_variables, tuple(domain), theta, psi, log_probs)
+
     def log_prob(self, x: Pattern) -> float:
         if x and x[-1] >= self.n_variables:
             raise ValueError(f"pattern {x} exceeds {self.n_variables} variables")
@@ -88,12 +88,53 @@ class FullBMModel:
         return -(self.log_prob(x) + self.log_partition)
 
     def etas(self) -> np.ndarray:
-        sup = superset_sums(np.exp(self.log_probs), self.n_variables)
-        return np.array([sup[pattern_bitmask(p)] for p in self.domain])
+        return FullCube(self.n_variables, self.domain).etas(self.log_probs)
 
     def eta(self, x: Pattern) -> float:
         sup = superset_sums(np.exp(self.log_probs), self.n_variables)
         return float(sup[pattern_bitmask(x)])
+
+
+class FullCube:
+    """Normalizer over all ``2^n`` configurations, for :func:`fitting.ascend`.
+
+    The log-probabilities are recomputed from θ at every step: subset sums
+    give the energies and superset sums the expectations.  The feasibility
+    LP runs only up to ``FEASIBILITY_CHECK_MAX_OUTCOMES`` configurations.
+    """
+
+    def __init__(self, n_variables: int, patterns):
+        self.n_variables = n_variables
+        self.masks = np.array([pattern_bitmask(p) for p in patterns], dtype=np.int64)
+        self.sweep_cost = 4 << n_variables
+        self.fisher_cost = 1 << n_variables
+
+    def state(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
+        dense = np.zeros(1 << self.n_variables)
+        np.add.at(dense, self.masks, theta)
+        raw = subset_sums(dense, self.n_variables)
+        psi = logsumexp(raw)
+        return raw - psi, psi
+
+    def advance(self, log_probs, psi, theta_new, mu) -> tuple[np.ndarray, float]:
+        return self.state(theta_new)
+
+    def etas(self, log_probs: np.ndarray) -> np.ndarray:
+        return superset_sums(np.exp(log_probs), self.n_variables)[self.masks]
+
+    def direction(self, log_probs, etas, residual) -> np.ndarray:
+        sup = superset_sums(np.exp(log_probs), self.n_variables)
+        g = sup[self.masks[:, None] | self.masks[None, :]] - np.outer(etas, etas)
+        return solve_fisher(0.5 * (g + g.T), residual)
+
+    def feasible(self, targets: np.ndarray) -> bool | None:
+        if 1 << self.n_variables > FEASIBILITY_CHECK_MAX_OUTCOMES:
+            return None
+        return interior_feasible(_cube_incidence(self.masks, self.n_variables), targets)
+
+    def drop(self, j, theta, log_probs, psi) -> tuple[tuple[np.ndarray, float], int]:
+        self.masks = np.delete(self.masks, j)
+        return self.state(np.delete(theta, j)), 0
 
 
 def fit_full_bm(
@@ -103,10 +144,10 @@ def fit_full_bm(
 ) -> tuple[FullBMModel, FitReport]:
     """Exact maximum-likelihood fit over all binary configurations.
 
-    Moment matching and the divergence guard behave exactly as in the
-    transductive fitter; only the normalization space differs.  Refuses more
-    than 25 variables, where exact enumeration stops being practical; use
-    the transductive model instead at that scale.
+    Runs :func:`fitting.ascend` over the full cube, so moment matching and
+    the divergence guard behave exactly as in the transductive fitter.
+    Refuses more than 25 variables, where exact enumeration stops being
+    practical; use the transductive model instead at that scale.
     """
     cfg = config or FitConfig()
     n = dataset.n_variables
@@ -118,165 +159,12 @@ def fit_full_bm(
     pats = sorted(domain, key=sort_key)
     targets = support_counts(dataset, pats) / dataset.n_samples
 
-    removed = [p for p, t in zip(pats, targets) if t <= 0.0 or t >= 1.0]
     keep = (targets > 0.0) & (targets < 1.0)
+    removed = [p for p, ok in zip(pats, keep) if not ok]
     pats = [p for p, ok in zip(pats, keep) if ok]
-    targets = targets[keep]
-    m = len(pats)
-    started_nonempty = len(list(domain)) > 0
-    masks = np.array([pattern_bitmask(p) for p in pats], dtype=np.int64)
-    size = 1 << n
-
-    def state_from(theta):
-        dense = np.zeros(size)
-        if len(theta):
-            np.add.at(dense, masks[: len(theta)], theta)
-        raw = subset_sums(dense, n)
-        psi = logsumexp(raw)
-        return raw - psi, psi
-
-    def etas_of(log_probs):
-        sup = superset_sums(np.exp(log_probs), n)
-        return sup[masks[:m]] if m else np.zeros(0)
-
-    def natural_dir(log_probs, etas, residual):
-        sup = superset_sums(np.exp(log_probs), n)
-        joint = sup[masks[:, None] | masks[None, :]]
-        g = joint - np.outer(etas, etas)
-        g = 0.5 * (g + g.T)
-        g[np.diag_indices_from(g)] += 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
-        try:
-            return np.linalg.solve(g, residual)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(g, residual, rcond=None)[0]
-
-    theta = np.zeros(m)
-    log_probs, psi = state_from(theta)
-    etas = etas_of(log_probs)
-    avg_loglik = float(targets @ theta) - psi
-    gap = float(np.max(np.abs(targets - etas))) if m else 0.0
-    err2 = float(np.sum((targets - etas) ** 2))
-
-    step = cfg.step_size
-    sweeps = 0
-    evaluations = 0
-    feasibility_settled = False
-    accelerate = False
-    cached_direction = None
-    checkpoint_gap = gap
-    next_check = cfg.stall_window
-
-    def remove_parameter(j: int) -> None:
-        nonlocal pats, targets, theta, masks, m, log_probs, psi, etas
-        nonlocal avg_loglik, gap, err2, step, feasibility_settled
-        nonlocal accelerate, cached_direction, checkpoint_gap
-        removed.append(pats[j])
-        pats.pop(j)
-        targets = np.delete(targets, j)
-        theta = np.delete(theta, j)
-        masks = np.array([pattern_bitmask(p) for p in pats], dtype=np.int64)
-        m -= 1
-        log_probs, psi = state_from(theta)
-        etas = etas_of(log_probs)
-        avg_loglik = float(targets @ theta) - psi
-        gap = float(np.max(np.abs(targets - etas))) if m else 0.0
-        err2 = float(np.sum((targets - etas) ** 2))
-        step = cfg.step_size
-        feasibility_settled = False
-        accelerate = False
-        cached_direction = None
-        checkpoint_gap = gap
-
-    while m > 0 and gap > cfg.tol and sweeps < cfg.max_sweeps:
-        sweeps += 1
-        if accelerate:
-            if cached_direction is None:
-                cached_direction = natural_dir(log_probs, etas, targets - etas)
-                evaluations += size
-            direction = cached_direction
-        else:
-            direction = targets - etas
-        theta_new = theta + step * direction
-        log_new, psi_new = state_from(theta_new)
-        loglik_new = float(targets @ theta_new) - psi_new
-        etas_new = etas_of(log_new)
-        residual = targets - etas_new
-        gap_new = float(np.max(np.abs(residual)))
-        err2_new = float(np.dot(residual, residual))
-        evaluations += 4 * size
-
-        # Same plateau rule as the transductive fitter: rounding-level
-        # likelihood changes still count while the squared moment error shrinks.
-        slack = ACCEPT_SLACK * (1.0 + abs(avg_loglik))
-        improved = np.isfinite(loglik_new) and loglik_new > avg_loglik + slack
-        plateau = (
-            np.isfinite(loglik_new)
-            and loglik_new >= avg_loglik - slack
-            and err2_new < err2
-        )
-        if not (improved or plateau):
-            step *= cfg.step_shrink
-            if step < cfg.min_step_size:
-                break
-        else:
-            theta, log_probs, psi = theta_new, log_new, psi_new
-            avg_loglik, etas = max(avg_loglik, loglik_new), etas_new
-            gap, err2 = gap_new, err2_new
-            cached_direction = None
-            if improved:
-                step = min(step * cfg.step_growth, cfg.max_step_size)
-
-            worst = int(np.argmax(np.abs(theta)))
-            if abs(theta[worst]) > cfg.theta_max:
-                remove_parameter(worst)
-                continue
-
-        if sweeps >= next_check:
-            stalled = gap > cfg.tol and gap > 1e-10 and gap > STALL_RATIO * checkpoint_gap
-            drifting = (
-                m > 0
-                and not feasibility_settled
-                and size <= FEASIBILITY_CHECK_MAX_OUTCOMES
-                and float(np.max(np.abs(theta))) > min(DRIFT_GATE, cfg.theta_max / 2)
-            )
-            removed_now = False
-            if stalled and drifting:
-                verdict = interior_feasible(_cube_incidence(masks, n), targets)
-                while verdict is False and m > 0:
-                    remove_parameter(int(np.argmax(np.abs(theta))))
-                    removed_now = True
-                    verdict = (
-                        interior_feasible(_cube_incidence(masks, n), targets)
-                        if m
-                        else None
-                    )
-                if verdict is True:
-                    feasibility_settled = True
-            if stalled and not removed_now and not accelerate and m > 0:
-                accelerate = True
-                cached_direction = None
-                step = 1.0
-            checkpoint_gap = gap
-            next_check = sweeps + cfg.stall_window
-
-    log_probs, psi = state_from(theta)
-    final_gap = float(np.max(np.abs(targets - etas_of(log_probs)))) if m else 0.0
-    model = FullBMModel(
-        n_variables=n,
-        domain=tuple(pats),
-        theta=theta,
-        log_partition=psi,
-        log_probs=log_probs,
-    )
-    report = FitReport(
-        iterations=sweeps,
-        final_gap=final_gap,
-        removed_parameters=tuple(removed),
-        converged=final_gap <= cfg.tol,
-        domain_emptied=started_nonempty and m == 0,
-        evaluations=evaluations,
-    )
-    return model, report
+    run = ascend(FullCube(n, pats), pats, targets[keep], cfg)
+    model = FullBMModel.from_theta(n, run.patterns, run.theta)
+    return model, run.report(model, cfg.tol, removed)
 
 
 @dataclass
@@ -322,11 +210,6 @@ def pattern_vector(pattern: Pattern, n_variables: int) -> np.ndarray:
     vec = np.zeros(n_variables)
     vec[list(pattern)] = 1.0
     return vec
-
-
-def rbm_free_energy(model: RBMModel, x: Pattern) -> float:
-    """Energy of a visible configuration with hidden units marginalized out."""
-    return model.free_energy(x)
 
 
 def matched_hidden_units(domain_size: int, n_variables: int) -> int:

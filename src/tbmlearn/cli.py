@@ -85,30 +85,36 @@ def _add_input_options(parser) -> None:
     )
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _checked(convert, holds, words: str):
+    """An argparse type that converts, then requires ``holds(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {words}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
+_positive_float = _checked(float, lambda v: v > 0, "positive")
+_non_negative_float = _checked(float, lambda v: v >= 0, "non-negative")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 
 
 def _add_fit_options(parser) -> None:
     parser.add_argument(
         "--epsilon", type=_positive_float, default=1.0, help="initial step size"
     )
-    parser.add_argument("--tol", type=float, default=1e-6, help="moment-gap tolerance")
+    parser.add_argument(
+        "--tol", type=_non_negative_float, default=1e-6, help="moment-gap tolerance"
+    )
     parser.add_argument(
         "--max-iters", type=_non_negative_int, default=10_000, help="sweep budget"
     )
     parser.add_argument(
-        "--theta-max", type=float, default=30.0, help="divergence threshold on parameters"
+        "--theta-max", type=_positive_float, default=30.0, help="divergence threshold on parameters"
     )
 
 

@@ -1,28 +1,33 @@
 """Exact maximum-likelihood fitting by moment-matching gradient ascent.
 
-Each sweep updates every parameter by ``step * (target - current expectation)``,
-applies the matching multiplicative update to the outcome probabilities (an
-additive update in log space), renormalizes once, and refreshes the
-expectations.  The average log-likelihood is concave in the parameters, so a
-sweep that lowers it is rolled back and retried with a smaller step, and
-accepted sweeps grow the step again.
+One engine, :func:`ascend`, fits both the transductive model and the fully
+visible Boltzmann machine: the same Gibbs family over two sample spaces.  It
+reaches the space through a normalizer object.  :class:`ReducedSpace` (here)
+covers the data-derived space through the incidence matrix Z and updates the
+log-probabilities additively; ``baselines.FullCube`` covers all 2^n
+configurations through subset/superset sum transforms and recomputes them.
 
-One sweep costs two sparse matrix-vector products (through the incidence
-matrix and through its transpose, built once per fit), one exp and one
-log-sum-exp over the sample space.  ``model.logsumexp`` matches scipy's bit for
-bit, without the per-call dispatch that outweighs the products on small fits.
+Each sweep updates every parameter by ``step * (target - current expectation)``,
+renormalizes once, and refreshes the expectations.  The average
+log-likelihood is concave in the parameters, so a sweep that lowers it is
+rolled back and retried with a smaller step, and accepted sweeps grow the
+step again.  Over the reduced space a sweep costs two sparse matrix-vector
+products (through Z and through its transpose, built once per fit), one exp
+and one log-sum-exp.  ``model.logsumexp`` matches scipy's bit for bit,
+without the per-call dispatch that outweighs the products on small fits.
 
 When the gap stalls in the interior, sweeps switch to Fisher-preconditioned
-(natural-gradient) steps.  One such step costs one sparse product
-``Z diag(p) Z^T``, built in blocks of rows on a thread pool with one worker per
-usable core, plus one dense solve.  Every row of the Fisher matrix is the same
-sum, in the same order, as in the serial product, so fits do not depend on the
-core count.  The solve stays dense: implication-rule targets leave the
-matrix nearly singular, and on the 12 Fisher systems of one fit of the bench's
-``basket`` workload (|B| = 2048) matrix-free Jacobi-preconditioned conjugate
-gradients took 163 to 2524 iterations and 44 s in all at rtol 1e-4, and 2411
-to the 5000 cap and 244 s at rtol 1e-8, against 11-12 s for the dense builds
-and solves.
+steps: natural-gradient ascent on the dually flat manifold of the family
+(Amari 1998; Sugiyama, Nakahara & Tsuda, ICML 2017).  Over the reduced space
+one such step costs one sparse product ``Z diag(p) Z^T``, built in blocks of
+rows on a thread pool with one worker per usable core, plus one dense solve.
+Every row of the Fisher matrix is the same sum, in the same order, as in the
+serial product, so fits do not depend on the core count.  The solve stays
+dense: implication-rule targets leave the matrix nearly singular, and on the
+12 Fisher systems of one fit of the bench's ``basket`` workload (|B| = 2048)
+matrix-free Jacobi-preconditioned conjugate gradients took 163 to 2524
+iterations and 44 s in all at rtol 1e-4, and 2411 to the 5000 cap and 244 s
+at rtol 1e-8, against 11-12 s for the dense builds and solves.
 
 Targets on the boundary of the achievable moment set have no maximizer: some
 parameter drifts without bound while the moment gap only decays harmonically.
@@ -112,6 +117,10 @@ class FitConfig:
             raise ValueError("step_size must be positive")
         if self.max_sweeps < 0:
             raise ValueError("max_sweeps must be non-negative")
+        if not self.tol >= 0:
+            raise ValueError("tol must be non-negative")
+        if not self.theta_max > 0:
+            raise ValueError("theta_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,19 @@ def fisher_matrix(
     return 0.5 * (g + g.T)
 
 
+def solve_fisher(g: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Solve ``g d = residual`` for a Fisher matrix ``g``, changed in place.
+
+    The diagonal is lightly regularized so that collinear parameters cannot
+    blow the solve up; a singular system falls back to least squares.
+    """
+    g[np.diag_indices_from(g)] += 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
+    try:
+        return np.linalg.solve(g, residual)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(g, residual, rcond=None)[0]
+
+
 def natural_direction(
     incidence: sparse.csr_matrix,
     rows_of: sparse.csr_matrix,
@@ -172,18 +194,13 @@ def natural_direction(
     etas: np.ndarray,
     residual: np.ndarray,
 ) -> np.ndarray:
-    """Fisher-preconditioned ascent direction.
+    """Fisher-preconditioned ascent direction over a reduced sample space.
 
     Solves ``G d = residual`` with G the covariance of the containment
-    indicators under the current distribution (see :func:`fisher_matrix`),
-    lightly regularized so that collinear parameters cannot blow the solve up.
+    indicators under the current distribution (see :func:`fisher_matrix`).
     """
     g = fisher_matrix(incidence, rows_of, np.exp(log_probs), etas)
-    g[np.diag_indices_from(g)] += 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
-    try:
-        return np.linalg.solve(g, residual)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(g, residual, rcond=None)[0]
+    return solve_fisher(g, residual)
 
 
 def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> bool | None:
@@ -222,89 +239,103 @@ def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> bool
     return bool(result.x[-1] > LP_MIN_PROBABILITY)
 
 
-def fit_to_moments(
-    space: SampleSpace,
-    patterns: Sequence[Pattern],
-    targets: Sequence[float] | np.ndarray,
-    config: FitConfig | None = None,
-    incidence: sparse.csr_matrix | None = None,
-) -> tuple[GibbsModel, FitReport]:
-    """Fit parameters on ``patterns`` so model expectations match ``targets``.
+class ReducedSpace:
+    """Normalizer over a reduced sample space, through its incidence matrix Z:
+    log-probabilities are updated additively, ``log p + Z^T mu``, and one
+    removed parameter is taken out of them in place."""
 
-    Runs the sweep scheme described in the module docstring.  If the guard
-    removes every parameter, the uniform distribution over the space is
-    returned and flagged in the report.
-    """
-    cfg = config or FitConfig()
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (len(patterns),):
-        raise ValueError("targets must align with patterns")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
+    def __init__(self, incidence: sparse.csr_matrix):
+        self.incidence = incidence
+        self._transposed = incidence.T
+        self._rows_of = None  # the transpose as CSR, built at the first Fisher step
 
-    order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
-    pats = [patterns[j] for j in order]
-    targets = targets[order]
-    if incidence is None:
-        incidence = incidence_matrix(space, pats)
-    else:
-        incidence = incidence[np.array(order, dtype=np.intp)]
+    @property
+    def sweep_cost(self) -> int:
+        return 2 * self.incidence.nnz + self.incidence.shape[1]
 
-    removed: list[Pattern] = []
-    row_sizes = np.diff(incidence.indptr)
-    keep = (targets > 0.0) & (targets < 1.0) & (row_sizes > 0)
-    removed.extend(p for p, ok in zip(pats, keep) if not ok)
-    pats = [p for p, ok in zip(pats, keep) if ok]
-    targets = targets[keep]
-    incidence = incidence[keep]
-    transposed = incidence.T
-    rows_of = None  # transposed as CSR, built at the first Fisher step
+    @property
+    def fisher_cost(self) -> int:
+        return self.incidence.nnz
 
-    n_outcomes = len(space)
-    m = len(pats)
-    started_nonempty = len(patterns) > 0
+    def state(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
+        raw = self._transposed.dot(theta)
+        psi = logsumexp(raw)
+        return raw - psi, psi
 
-    theta = np.zeros(m)
-    log_probs = np.full(n_outcomes, -np.log(n_outcomes))
-    psi = float(np.log(n_outcomes))
-    etas = incidence.dot(np.exp(log_probs))
-    avg_loglik = float(targets @ theta) - psi
-    gap = float(np.max(np.abs(targets - etas))) if m else 0.0
-    err2 = float(np.sum((targets - etas) ** 2))
+    def advance(self, log_probs, psi, theta_new, mu) -> tuple[np.ndarray, float]:
+        log_new = log_probs + self._transposed.dot(mu)
+        shift = logsumexp(log_new)
+        log_new -= shift
+        return log_new, psi + shift
 
-    step = cfg.step_size
-    sweeps = 0
-    evaluations = 0
-    feasibility_settled = False
-    accelerate = False
-    cached_direction = None
-    checkpoint_gap = gap
-    next_check = cfg.stall_window
+    def etas(self, log_probs: np.ndarray) -> np.ndarray:
+        return self.incidence.dot(np.exp(log_probs))
 
-    def remove_parameter(j: int) -> None:
-        nonlocal incidence, transposed, rows_of, pats, targets, theta, m
-        nonlocal log_probs, psi, etas, avg_loglik, gap, err2, step, evaluations
-        nonlocal feasibility_settled, accelerate, cached_direction, checkpoint_gap
-        removed.append(pats[j])
-        row = incidence.getrow(j)
+    def direction(self, log_probs, etas, residual) -> np.ndarray:
+        if self._rows_of is None:
+            self._rows_of = self._transposed.tocsr()
+        return natural_direction(self.incidence, self._rows_of, log_probs, etas, residual)
+
+    def feasible(self, targets: np.ndarray) -> bool | None:
+        return interior_feasible(self.incidence, targets)
+
+    def drop(self, j, theta, log_probs, psi) -> tuple[tuple[np.ndarray, float], int]:
+        row = self.incidence.getrow(j)
         log_probs = log_probs.copy()
         log_probs[row.indices] -= theta[j]
         shift = logsumexp(log_probs)
         log_probs -= shift
-        psi += shift
-        mask = np.ones(m, dtype=bool)
-        mask[j] = False
-        incidence = incidence[mask]
-        transposed = incidence.T
-        rows_of = None
-        pats = [p for p, ok in zip(pats, mask) if ok]
-        targets = targets[mask]
-        theta = theta[mask]
-        m -= 1
-        evaluations += row.nnz + n_outcomes + incidence.nnz
-        etas = incidence.dot(np.exp(log_probs))
+        self.incidence = self.incidence[np.arange(self.incidence.shape[0]) != j]
+        self._transposed = self.incidence.T
+        self._rows_of = None
+        return (log_probs, psi + shift), row.nnz + log_probs.size + self.incidence.nnz
+
+
+@dataclass
+class Ascent:
+    """Where :func:`ascend` stopped: the surviving parameters and the counts."""
+
+    patterns: list[Pattern]
+    targets: np.ndarray
+    theta: np.ndarray
+    removed: list[Pattern]
+    sweeps: int
+    evaluations: int
+
+    def report(self, model, tol: float, removed_first: Sequence[Pattern]) -> FitReport:
+        """The report for ``model``, after ``removed_first`` were dropped up front."""
+        removed = tuple(removed_first) + tuple(self.removed)
+        final_gap = float(np.max(np.abs(self.targets - model.etas()))) if self.patterns else 0.0
+        return FitReport(
+            iterations=self.sweeps,
+            final_gap=final_gap,
+            removed_parameters=removed,
+            converged=final_gap <= tol,
+            domain_emptied=bool(removed) and not self.patterns,
+            evaluations=self.evaluations,
+        )
+
+
+def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConfig) -> Ascent:
+    """Moment-matching ascent from θ = 0 over the normalizer ``space``.
+
+    Runs the sweeps, the guard and the switch to Fisher steps described in
+    the module docstring.  ``space`` is a :class:`ReducedSpace` or a
+    ``baselines.FullCube``; its ``drop`` removes a parameter from it.
+    """
+    pats = list(patterns)
+    removed: list[Pattern] = []
+    theta = np.zeros(len(pats))
+    log_probs, psi = space.state(theta)
+    sweeps = 0
+    evaluations = 0
+
+    def restart() -> None:
+        nonlocal etas, avg_loglik, gap, err2, step
+        nonlocal feasibility_settled, accelerate, cached_direction, checkpoint_gap
+        etas = space.etas(log_probs)
         avg_loglik = float(targets @ theta) - psi
-        gap = float(np.max(np.abs(targets - etas))) if m else 0.0
+        gap = float(np.max(np.abs(targets - etas))) if theta.size else 0.0
         err2 = float(np.sum((targets - etas) ** 2))
         step = cfg.step_size
         feasibility_settled = False
@@ -312,31 +343,36 @@ def fit_to_moments(
         cached_direction = None
         checkpoint_gap = gap
 
-    while m > 0 and gap > cfg.tol and sweeps < cfg.max_sweeps:
+    def remove_parameter(j: int) -> None:
+        nonlocal targets, theta, log_probs, psi, evaluations
+        removed.append(pats.pop(j))
+        (log_probs, psi), cost = space.drop(j, theta, log_probs, psi)
+        evaluations += cost
+        targets = np.delete(targets, j)
+        theta = np.delete(theta, j)
+        restart()
+
+    restart()
+    next_check = cfg.stall_window
+
+    while theta.size and gap > cfg.tol and sweeps < cfg.max_sweeps:
         sweeps += 1
         if accelerate:
             if cached_direction is None:
-                if rows_of is None:
-                    rows_of = transposed.tocsr()
-                cached_direction = natural_direction(
-                    incidence, rows_of, log_probs, etas, targets - etas
-                )
-                evaluations += incidence.nnz
+                cached_direction = space.direction(log_probs, etas, targets - etas)
+                evaluations += space.fisher_cost
             direction = cached_direction
         else:
             direction = targets - etas
         mu = step * direction
         theta_new = theta + mu
-        log_new = log_probs + transposed.dot(mu)
-        shift = logsumexp(log_new)
-        log_new -= shift
-        psi_new = psi + shift
+        log_new, psi_new = space.advance(log_probs, psi, theta_new, mu)
         loglik_new = float(targets @ theta_new) - psi_new
-        etas_new = incidence.dot(np.exp(log_new))
+        etas_new = space.etas(log_new)
         residual = targets - etas_new
         gap_new = float(np.max(np.abs(residual)))
         err2_new = float(np.dot(residual, residual))
-        evaluations += 2 * incidence.nnz + n_outcomes
+        evaluations += space.sweep_cost
 
         # Near the optimum the likelihood plateaus at float resolution, so a
         # sweep that keeps it within rounding slack still counts as progress
@@ -369,22 +405,22 @@ def fit_to_moments(
         if sweeps >= next_check:
             stalled = gap > cfg.tol and gap > 1e-10 and gap > STALL_RATIO * checkpoint_gap
             drifting = (
-                m > 0
+                theta.size
                 and not feasibility_settled
                 and float(np.max(np.abs(theta))) > min(DRIFT_GATE, cfg.theta_max / 2)
             )
             removed_now = False
             if stalled and drifting:
-                verdict = interior_feasible(incidence, targets)
-                while verdict is False and m > 0:
+                verdict = space.feasible(targets)
+                while verdict is False and theta.size:
                     # Boundary targets: drop the worst drifter, then re-test
                     # so one stall event clears the whole degenerate set.
                     remove_parameter(int(np.argmax(np.abs(theta))))
                     removed_now = True
-                    verdict = interior_feasible(incidence, targets) if m else None
+                    verdict = space.feasible(targets) if theta.size else None
                 if verdict is True:
                     feasibility_settled = True
-            if stalled and not removed_now and not accelerate and m > 0:
+            if stalled and not removed_now and not accelerate and theta.size:
                 # Interior but badly conditioned: precondition with the
                 # Fisher matrix instead of crawling along the raw gradient.
                 accelerate = True
@@ -393,17 +429,45 @@ def fit_to_moments(
             checkpoint_gap = gap
             next_check = sweeps + cfg.stall_window
 
-    model = GibbsModel(space, pats, theta, incidence=incidence)
-    final_gap = float(np.max(np.abs(targets - model.etas()))) if m else 0.0
-    report = FitReport(
-        iterations=sweeps,
-        final_gap=final_gap,
-        removed_parameters=tuple(removed),
-        converged=final_gap <= cfg.tol,
-        domain_emptied=started_nonempty and m == 0,
-        evaluations=evaluations,
-    )
-    return model, report
+    return Ascent(pats, targets, theta, removed, sweeps, evaluations)
+
+
+def fit_to_moments(
+    space: SampleSpace,
+    patterns: Sequence[Pattern],
+    targets: Sequence[float] | np.ndarray,
+    config: FitConfig | None = None,
+    incidence: sparse.csr_matrix | None = None,
+) -> tuple[GibbsModel, FitReport]:
+    """Fit parameters on ``patterns`` so model expectations match ``targets``.
+
+    Runs :func:`ascend` over the reduced space.  If the guard removes every
+    parameter, the uniform distribution over the space is returned and
+    flagged in the report.
+    """
+    cfg = config or FitConfig()
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (len(patterns),):
+        raise ValueError("targets must align with patterns")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
+
+    order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
+    pats = [patterns[j] for j in order]
+    targets = targets[order]
+    if incidence is None:
+        incidence = incidence_matrix(space, pats)
+    else:
+        incidence = incidence[np.array(order, dtype=np.intp)]
+
+    row_sizes = np.diff(incidence.indptr)
+    keep = (targets > 0.0) & (targets < 1.0) & (row_sizes > 0)
+    removed = [p for p, ok in zip(pats, keep) if not ok]
+    reduced = ReducedSpace(incidence[keep])
+    del incidence  # the unfiltered copy would stay alive through the whole ascent
+    run = ascend(reduced, [p for p, ok in zip(pats, keep) if ok], targets[keep], cfg)
+    model = GibbsModel(space, run.patterns, run.theta, incidence=reduced.incidence)
+    return model, run.report(model, cfg.tol, removed)
 
 
 def empirical_targets(

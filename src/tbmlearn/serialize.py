@@ -9,11 +9,9 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import (
-    FULL_BM_MAX_VARIABLES, FullBMModel, RBMModel, pattern_bitmask, subset_sums
-)
+from .baselines import FULL_BM_MAX_VARIABLES, FullBMModel, RBMModel
 from .fitting import FitReport
-from .model import GibbsModel, SampleSpace, logsumexp
+from .model import GibbsModel, SampleSpace
 
 SCHEMA_VERSION = 1
 _REQUIRED_KEYS = {
@@ -42,6 +40,16 @@ def _report_from(obj: dict | None) -> FitReport | None:
         return FitReport(**kwargs)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fit_report: {exc!r}") from None
+
+
+def _canonical(patterns, field: str) -> None:
+    """Reject a pattern that is not strictly increasing non-negative integers:
+    a repeated or unsorted item would land on another outcome."""
+    for p in patterns:
+        if not all(type(i) is int and i >= 0 for i in p) or list(p) != sorted(set(p)):
+            raise ValueError(
+                f"{field} pattern {p} is not strictly increasing non-negative integers"
+            )
 
 
 def model_to_dict(
@@ -103,7 +111,10 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta values must be finite")
     if kind == "tbm":
-        space = SampleSpace.from_patterns(tuple(x) for x in obj["sample_space"])
+        outcomes = [tuple(x) for x in obj["sample_space"]]
+        _canonical(outcomes, "sample_space")
+        _canonical(domain, "domain")
+        space = SampleSpace.from_patterns(outcomes)
         outside = [p for p in domain if p not in space]
         if outside:
             raise ValueError(f"domain pattern {outside[0]} is outside the sample space")
@@ -116,19 +127,8 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     outside = [p for p in domain if not all(isinstance(i, int) and 0 <= i < n for i in p)]
     if outside:
         raise ValueError(f"domain pattern {outside[0]} has an item outside 0..{n - 1}")
-    dense = np.zeros(1 << n)
-    for pattern, value in zip(domain, theta):
-        dense[pattern_bitmask(pattern)] += value
-    raw = subset_sums(dense, n)
-    psi = logsumexp(raw)
-    model = FullBMModel(
-        n_variables=n,
-        domain=domain,
-        theta=theta,
-        log_partition=psi,
-        log_probs=raw - psi,
-    )
-    return model, report, meta
+    _canonical(domain, "domain")
+    return FullBMModel.from_theta(n, domain, theta), report, meta
 
 
 def dumps_model(model, report=None, meta=None) -> str:

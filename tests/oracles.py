@@ -1,12 +1,17 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written against plain sets and dense numpy
-arrays, sharing no code path with the package internals it validates.
+arrays, sharing no code path with the package internals it validates.  The
+one exception is the brute-force domain, which takes the miner's support
+threshold and result type so that the two enumerations compare directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from tbmlearn import ParameterDomain, TransactionDataset, support_threshold
+from tbmlearn.patterns import Pattern, sort_key
 
 
 def contains(s, x) -> bool:
@@ -74,3 +79,37 @@ def random_dataset(rng: np.random.Generator, n_vars: int, n_samples: int,
     weights = rng.dirichlet(np.ones(len(universe)))
     counts = rng.multinomial(n_samples, weights)
     return {x: int(c) for x, c in zip(universe, counts) if c > 0}
+
+
+def brute_force_domain(
+    dataset: TransactionDataset, sigma: float, k: int
+) -> ParameterDomain:
+    """Reference enumeration over the full power set; for small universes only."""
+    n = dataset.n_variables
+    if n > 20:
+        raise ValueError(f"brute force limited to 20 variables, got {n}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    threshold = support_threshold(sigma, dataset.n_samples)
+
+    uniques = dataset.unique_patterns()
+    weights = np.array([dataset.entries[t] for t in uniques], dtype=np.int64)
+    trans_masks = np.array(
+        [sum(1 << i for i in t) for t in uniques], dtype=np.int64
+    )
+
+    found: list[Pattern] = []
+    candidates = np.arange(1, 1 << n, dtype=np.int64)
+    sizes = np.array([int(m).bit_count() for m in candidates])
+    candidates = candidates[sizes <= k]
+    for lo in range(0, len(candidates), 1 << 14):
+        block = candidates[lo : lo + (1 << 14)]
+        contained = (block[:, None] & trans_masks[None, :]) == block[:, None]
+        supports = contained @ weights
+        for mask, supp in zip(block, supports):
+            if supp >= threshold:
+                found.append(tuple(i for i in range(n) if mask >> i & 1))
+
+    return ParameterDomain(
+        patterns=tuple(sorted(found, key=sort_key)), sigma=sigma, k=k
+    )

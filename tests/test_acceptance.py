@@ -21,7 +21,6 @@ from tbmlearn import (
     SampleSpace,
     TransactionDataset,
     bias_variance_experiment,
-    brute_force_domain,
     fisher_information,
     fit,
     fit_full_bm,
@@ -36,7 +35,7 @@ from tbmlearn import (
 from tbmlearn.fitting import empirical_targets
 from tbmlearn.model import build_sample_space, incidence_matrix
 
-from oracles import iterative_scaling_mle, random_dataset
+from oracles import brute_force_domain, iterative_scaling_mle, random_dataset
 
 TIGHT = FitConfig(tol=1e-10, max_sweeps=200_000)
 

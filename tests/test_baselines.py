@@ -7,14 +7,17 @@ from tbmlearn import (
     FitConfig,
     RBMConfig,
     RBMModel,
+    SampleSpace,
     TransactionDataset,
     fit,
     fit_full_bm,
     fit_rbm_pcd1,
+    fit_to_moments,
+    incidence_matrix,
     matched_hidden_units,
-    rbm_free_energy,
 )
 from tbmlearn.baselines import pattern_vector, subset_sums, superset_sums
+from tbmlearn.fitting import empirical_targets
 
 from oracles import enumerate_patterns, random_dataset
 
@@ -72,6 +75,27 @@ class TestFullBM:
             assert bm_report.converged and tbm_report.converged
             np.testing.assert_allclose(bm.theta, tbm.theta, atol=1e-6)
 
+        # Boundary inputs: a support of 9 of the 16 cells leaves some targets
+        # unattainable by a positive distribution, so the guard removes
+        # parameters, and it must remove the same ones in the same sweeps.
+        cube = SampleSpace.from_patterns(enumerate_patterns(4))
+        domain = [p for p in enumerate_patterns(4) if 1 <= len(p) <= 3]
+        cfg = FitConfig(tol=1e-10, stall_window=50)
+        for seed in range(8):
+            d = TransactionDataset(
+                entries=random_dataset(np.random.default_rng(seed), 4, 400, support_size=9),
+                n_variables=4,
+            )
+            bm, bm_report = fit_full_bm(d, domain, cfg)
+            incidence = incidence_matrix(cube, domain)
+            targets = empirical_targets(d, cube, incidence)
+            tbm, tbm_report = fit_to_moments(cube, domain, targets, cfg, incidence)
+            assert bm_report.removed_parameters
+            assert bm_report.removed_parameters == tbm_report.removed_parameters
+            assert bm_report.iterations == tbm_report.iterations
+            for x in cube.outcomes:
+                assert bm.prob(x) == pytest.approx(tbm.prob(x), abs=1e-12)
+
     def test_degenerate_pair_guarded_like_tbm(self):
         d = TransactionDataset(entries={(): 6, (0, 1): 4}, n_variables=2)
         model, report = fit_full_bm(d, [(0,), (0, 1)])
@@ -105,7 +129,7 @@ class TestRBMModel:
             weights=np.zeros((3, 4)),
         )
         for x in [(), (0,), (0, 2)]:
-            assert rbm_free_energy(model, x) == pytest.approx(
+            assert model.free_energy(x) == pytest.approx(
                 -4 * np.log(2), abs=1e-12
             )
 
@@ -114,7 +138,7 @@ class TestRBMModel:
         model = RBMModel(
             visible_bias=b, hidden_bias=np.zeros(3), weights=np.zeros((2, 3))
         )
-        assert rbm_free_energy(model, (0, 1)) == pytest.approx(
+        assert model.free_energy((0, 1)) == pytest.approx(
             -(b.sum()) - 3 * np.log(2), abs=1e-12
         )
 
@@ -124,7 +148,7 @@ class TestRBMModel:
             hidden_bias=np.zeros(1),
             weights=np.ones((1, 1)),
         )
-        assert rbm_free_energy(model, (0,)) == pytest.approx(
+        assert model.free_energy((0,)) == pytest.approx(
             -np.log(1 + np.e), abs=1e-12
         )
 

@@ -241,6 +241,18 @@ class TestEval:
         assert run("eval", "--model", model_path, "--input", data) == 3
         assert "(9,) has an item outside 0..1" in capsys.readouterr().err
 
+    def test_bm_repeated_item_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.fimi"
+        data.write_text("0\n0 1\n1\n0\n")
+        model_path = tmp_path / "bm.json"
+        run("fit-bm", "--input", data, "--sigma", "0.2", "--k", "2", "--out", model_path)
+        obj = json.loads(model_path.read_text())
+        obj["domain"][0] = [0, 0]
+        model_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("eval", "--model", model_path, "--input", data) == 3
+        assert "(0, 0) is not strictly increasing" in capsys.readouterr().err
+
 
 class TestSynthAndBiasvar:
     def test_synth_outputs(self, tmp_path):
@@ -375,7 +387,15 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("command", ["fit-tbm", "fit-bm", "compare"])
     @pytest.mark.parametrize(
-        "option, value", [("--max-iters", "-1"), ("--epsilon", "0"), ("--epsilon", "-0.5")]
+        "option, value",
+        [
+            ("--max-iters", "-1"),
+            ("--epsilon", "0"),
+            ("--epsilon", "-0.5"),
+            ("--tol", "-1"),
+            ("--theta-max", "0"),
+            ("--theta-max", "-2"),
+        ],
     )
     def test_invalid_fit_option_is_usage_error(
         self, worked_file, capsys, command, option, value

@@ -382,6 +382,12 @@ class TestValidation:
             FitConfig(step_size=0.0)
         with pytest.raises(ValueError):
             FitConfig(max_sweeps=-1)
+        with pytest.raises(ValueError, match="tol"):
+            FitConfig(tol=-1e-9)
+        for theta_max in (0.0, -1.0):
+            with pytest.raises(ValueError, match="theta_max"):
+                FitConfig(theta_max=theta_max)
+        assert FitConfig(tol=0.0).tol == 0.0
 
 
 class TestPipeline:

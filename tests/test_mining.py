@@ -11,14 +11,13 @@ from tbmlearn import (
     DomainSizeError,
     ParameterDomain,
     TransactionDataset,
-    brute_force_domain,
     empirical_eta,
     mine_parameter_domain,
     parse_fimi,
     support_threshold,
 )
 
-from oracles import random_dataset
+from oracles import brute_force_domain, random_dataset
 
 
 class TestSupportThreshold:

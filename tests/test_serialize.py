@@ -113,6 +113,32 @@ class TestSchemaGuards:
         with pytest.raises(ValueError, match=message):
             model_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("bm", "domain", [[0], [0, 0]], r"domain pattern \(0, 0\) is not strictly"),
+            ("tbm", "domain", [[1], [2, 1]], r"domain pattern \(2, 1\) is not strictly"),
+            (
+                "tbm",
+                "sample_space",
+                [[], [1], [2], [1, 1]],
+                r"sample_space pattern \(1, 1\) is not strictly",
+            ),
+            ("tbm", "sample_space", [[], [1], [2], [-1]], r"\(-1,\) is not strictly"),
+        ],
+    )
+    def test_non_canonical_pattern_rejected(
+        self, worked_dataset, worked_dataset01, kind, key, value, message
+    ):
+        if kind == "bm":
+            model, report = fit_full_bm(worked_dataset01, [(0,), (1,)], None)
+        else:
+            model, report = fit(worked_dataset, [(1,), (2,)], None)
+        obj = json.loads(dumps_model(model, report))
+        obj[key] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(obj)
+
     @pytest.mark.parametrize("obj", [[], "tbm", 1, None])
     def test_not_an_object(self, obj):
         with pytest.raises(ValueError, match="must be a JSON object"):
