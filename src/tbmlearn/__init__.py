@@ -57,9 +57,7 @@ from .patterns import (
     Pattern,
     TransactionDataset,
     canonicalize,
-    empirical_eta,
     format_fimi,
-    is_subpattern,
     parse_fimi,
 )
 from .serialize import dumps_model, load_model, model_from_dict, model_to_dict, save_model
@@ -90,7 +88,6 @@ __all__ = [
     "build_sample_space",
     "canonicalize",
     "dumps_model",
-    "empirical_eta",
     "entropy",
     "evaluate_gibbs",
     "fisher_information",
@@ -101,7 +98,6 @@ __all__ = [
     "fit_to_moments",
     "format_fimi",
     "incidence_matrix",
-    "is_subpattern",
     "kl_divergence",
     "load_model",
     "m_projection",

@@ -13,30 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit
 
 from .fitting import FitConfig, FitReport, ascend, interior_feasible, solve_fisher
 from .mining import ParameterDomain
-from .model import logsumexp
-from .patterns import Pattern, TransactionDataset, sort_key, support_counts
+from .model import SampleSpace, incidence_matrix, logsumexp, supports
+from .patterns import Pattern, TransactionDataset, sort_key
 
 FULL_BM_MAX_VARIABLES = 25
 FEASIBILITY_CHECK_MAX_OUTCOMES = 1 << 16
-
-
-def _cube_incidence(masks: np.ndarray, n_bits: int) -> sparse.csr_matrix:
-    """Containment indicators of every cube configuration, one row per mask."""
-    all_x = np.arange(1 << n_bits, dtype=np.int64)
-    rows = [np.nonzero((all_x & m) == m)[0] for m in masks]
-    indptr = np.zeros(len(masks) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([r.size for r in rows])
-    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    return sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(len(masks), 1 << n_bits)
-    )
+RBM_INIT_SCALE = 0.01
 
 
 def pattern_bitmask(pattern: Pattern) -> int:
@@ -105,6 +94,7 @@ class FullCube:
 
     def __init__(self, n_variables: int, patterns):
         self.n_variables = n_variables
+        self.patterns = list(patterns)
         self.masks = np.array([pattern_bitmask(p) for p in patterns], dtype=np.int64)
         self.sweep_cost = 4 << n_variables
         self.fisher_cost = 1 << n_variables
@@ -128,12 +118,15 @@ class FullCube:
         return solve_fisher(0.5 * (g + g.T), residual)
 
     def feasible(self, targets: np.ndarray) -> bool | None:
-        if 1 << self.n_variables > FEASIBILITY_CHECK_MAX_OUTCOMES:
+        n = self.n_variables
+        if 1 << n > FEASIBILITY_CHECK_MAX_OUTCOMES:
             return None
-        return interior_feasible(_cube_incidence(self.masks, self.n_variables), targets)
+        cube = SampleSpace.from_patterns(c for r in range(n + 1) for c in combinations(range(n), r))
+        return interior_feasible(incidence_matrix(cube, self.patterns), targets)
 
     def drop(self, j, theta, log_probs, psi) -> tuple[tuple[np.ndarray, float], int]:
         self.masks = np.delete(self.masks, j)
+        del self.patterns[j]
         return self.state(np.delete(theta, j)), 0
 
 
@@ -157,7 +150,7 @@ def fit_full_bm(
             "use the transductive model for large variable counts"
         )
     pats = sorted(domain, key=sort_key)
-    targets = support_counts(dataset, pats) / dataset.n_samples
+    targets = supports(dataset, pats) / dataset.n_samples
 
     keep = (targets > 0.0) & (targets < 1.0)
     removed = [p for p, ok in zip(pats, keep) if not ok]
@@ -173,7 +166,6 @@ class RBMConfig:
     n_updates: int = 10_000
     n_chains: int = 100
     seed: int = 0
-    init_scale: float = 0.01
 
 
 @dataclass
@@ -239,7 +231,7 @@ def fit_rbm_pcd1(
     weights = np.array([dataset.entries[t] for t in uniques], dtype=np.float64)
     weights /= weights.sum()
 
-    W = rng.normal(0.0, cfg.init_scale, size=(n, n_hidden))
+    W = rng.normal(0.0, RBM_INIT_SCALE, size=(n, n_hidden))
     b = np.zeros(n)
     c = np.zeros(n_hidden)
     chains = (rng.random((cfg.n_chains, n)) < 0.5).astype(np.float64)

@@ -10,15 +10,17 @@ over the sample size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fitting import FitConfig, fit_to_moments
 from .geometry import m_projection, variance_lower_bound
 from .mining import mine_parameter_domain
-from .model import SampleSpace, incidence_matrix
-from .patterns import Pattern, TransactionDataset, is_subpattern, sort_key
+from .model import SampleSpace, incidence_matrix, supports
+from .patterns import Pattern, TransactionDataset, sort_key
+
+BIAS_VARIANCE_FIT = FitConfig(tol=1e-10, max_sweeps=100_000)
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,16 @@ def tune_sigma(
     """
     n = dataset.n_samples
     seed_domain = mine_parameter_domain(dataset, 1.0 / (2 * n), k)
-    counts = sorted(
-        (
-            sum(m for t, m in dataset.entries.items() if is_subpattern(p, t))
-            for p in seed_domain
-        ),
-        reverse=True,
-    )
+    counts = supports(dataset, seed_domain.patterns)
     if len(counts) < min_size:
         raise ValueError(
             f"only {len(counts)} observed patterns up to order {k}; "
             f"cannot reach a domain of {min_size}"
         )
-    for threshold in sorted(set(counts), reverse=True):
-        size = sum(1 for c in counts if c >= threshold)
+    for threshold in np.unique(counts)[::-1]:
+        size = np.count_nonzero(counts >= threshold)
         if min_size <= size <= max_size:
-            return (threshold - 0.5) / n
+            return (float(threshold) - 0.5) / n
     raise ValueError(
         f"no support threshold yields between {min_size} and {max_size} patterns"
     )
@@ -115,9 +111,6 @@ class BiasVarianceConfig:
     sigma: float | None = None
     domain_size_range: tuple[int, int] | None = None
     seed: int = 0
-    fit: FitConfig = field(
-        default_factory=lambda: FitConfig(tol=1e-10, max_sweeps=100_000)
-    )
 
     def __post_init__(self):
         if self.space_size < 2:
@@ -188,7 +181,7 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
     patterns = list(domain)
 
     true_dist = {x: float(p) for x, p in zip(space.outcomes, pvec)}
-    projection, proj_report = m_projection(true_dist, patterns, cfg.fit)
+    projection, proj_report = m_projection(true_dist, patterns, BIAS_VARIANCE_FIT)
     if proj_report.removed_parameters:
         patterns = [p for p in patterns if p not in set(proj_report.removed_parameters)]
     bias = float(np.dot(pvec, np.log(pvec) - projection.log_probs))
@@ -203,7 +196,7 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
         counts = trial_rng.multinomial(cfg.n_samples, pvec)
         targets = incidence.dot(counts.astype(np.float64)) / cfg.n_samples
         fitted, fit_report = fit_to_moments(
-            space, patterns, targets, cfg.fit, incidence=incidence
+            space, patterns, targets, BIAS_VARIANCE_FIT, incidence=incidence
         )
         if fit_report.removed_parameters or not fit_report.converged:
             flagged += 1

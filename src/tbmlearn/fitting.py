@@ -53,11 +53,15 @@ from scipy.optimize import linprog
 
 from .mining import ParameterDomain, mine_parameter_domain
 from .model import (
-    GibbsModel, SampleSpace, build_sample_space, incidence_matrix, logsumexp
+    GibbsModel, SampleSpace, build_sample_space, incidence_matrix, logsumexp, multiplicities
 )
 from .patterns import Pattern, TransactionDataset, sort_key
 
 STALL_RATIO = 0.5
+STEP_GROWTH = 1.5
+STEP_SHRINK = 0.5
+MAX_STEP_SIZE = 1e15
+MIN_STEP_SIZE = 1e-16
 LP_MIN_PROBABILITY = 1e-11
 DRIFT_GATE = 5.0
 ACCEPT_SLACK = 1e-14
@@ -103,10 +107,6 @@ class FitConfig:
     """
 
     step_size: float = 1.0
-    step_growth: float = 1.5
-    step_shrink: float = 0.5
-    max_step_size: float = 1e15
-    min_step_size: float = 1e-16
     tol: float = 1e-6
     max_sweeps: int = 10_000
     theta_max: float = 30.0
@@ -386,8 +386,8 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
             and err2_new < err2
         )
         if not (improved or plateau):
-            step *= cfg.step_shrink
-            if step < cfg.min_step_size:
+            step *= STEP_SHRINK
+            if step < MIN_STEP_SIZE:
                 break
         else:
             theta, log_probs, psi = theta_new, log_new, psi_new
@@ -395,7 +395,7 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
             gap, err2 = gap_new, err2_new
             cached_direction = None
             if improved:
-                step = min(step * cfg.step_growth, cfg.max_step_size)
+                step = min(step * STEP_GROWTH, MAX_STEP_SIZE)
 
             worst = int(np.argmax(np.abs(theta)))
             if abs(theta[worst]) > cfg.theta_max:
@@ -476,10 +476,7 @@ def empirical_targets(
     incidence: sparse.csr_matrix,
 ) -> np.ndarray:
     """Empirical expectations for the incidence rows, exact up to one division."""
-    counts = np.zeros(len(space))
-    for t, mult in dataset.entries.items():
-        counts[space.position(t)] = mult
-    return incidence.dot(counts) / dataset.n_samples
+    return incidence.dot(multiplicities(space, dataset)) / dataset.n_samples
 
 
 def fit(
@@ -500,10 +497,8 @@ def fit_tbm(
     sigma: float,
     k: int,
     config: FitConfig | None = None,
-    max_domain_size: int | None = None,
 ) -> tuple[GibbsModel, FitReport, ParameterDomain]:
     """Mine the parameter domain, then fit: the full transductive pipeline."""
-    kwargs = {} if max_domain_size is None else {"max_domain_size": max_domain_size}
-    domain = mine_parameter_domain(dataset, sigma, k, **kwargs)
+    domain = mine_parameter_domain(dataset, sigma, k)
     model, report = fit(dataset, domain, config)
     return model, report, domain

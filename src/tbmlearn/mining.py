@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import SampleSpace, multiplicities
 from .patterns import Pattern, TransactionDataset, sort_key
 
 DEFAULT_DOMAIN_CAP = 10_000_000
@@ -87,14 +88,10 @@ def mine_parameter_domain(
         raise ValueError(f"k must be at least 1, got {k}")
     threshold = support_threshold(sigma, dataset.n_samples)
 
-    uniques = dataset.unique_patterns()
-    weights = np.array([dataset.entries[t] for t in uniques], dtype=np.int64)
-    postings: dict[int, np.ndarray] = {}
-    for idx, t in enumerate(uniques):
-        for item in t:
-            postings.setdefault(item, []).append(idx)
-    postings = {i: np.array(idx, dtype=np.int64) for i, idx in postings.items()}
-    empty = np.empty(0, dtype=np.int64)
+    space = SampleSpace.from_patterns(dataset.entries)
+    weights = multiplicities(space, dataset)
+    item_tids = space.item_rows
+    empty = np.empty(0, dtype=np.int32)
 
     if threshold == 0:
         if _max_domain_size(dataset.n_variables, k) > max_domain_size:
@@ -105,7 +102,7 @@ def mine_parameter_domain(
         items = list(range(dataset.n_variables))
     else:
         items = sorted(
-            i for i, idx in postings.items() if int(weights[idx].sum()) >= threshold
+            i for i, idx in item_tids.items() if int(weights[idx].sum()) >= threshold
         )
 
     found: list[Pattern] = []
@@ -113,7 +110,7 @@ def mine_parameter_domain(
     def extend(prefix: Pattern, tids: np.ndarray, start: int) -> None:
         for pos in range(start, len(items)):
             item = items[pos]
-            sub = np.intersect1d(tids, postings.get(item, empty), assume_unique=True)
+            sub = np.intersect1d(tids, item_tids.get(item, empty), assume_unique=True)
             if int(weights[sub].sum()) < threshold:
                 continue
             candidate = prefix + (item,)
@@ -126,7 +123,7 @@ def mine_parameter_domain(
             if len(candidate) < k:
                 extend(candidate, sub, pos + 1)
 
-    all_tids = np.arange(len(uniques), dtype=np.int64)
+    all_tids = np.arange(len(space), dtype=np.int32)
     extend((), all_tids, 0)
 
     return ParameterDomain(

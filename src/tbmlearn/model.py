@@ -4,19 +4,29 @@ The sample space of a transductive model is the union of the parameter
 domain, the distinct transactions of the dataset, and the empty pattern.
 Probabilities are kept in log space; the log-partition value is always the
 negative log-probability of the empty pattern.
+
+:func:`incidence_matrix` is the package's one count of containment; fits,
+supports, model loads, ``GibbsModel.eta`` and the full-cube feasibility LP
+all read it.  A pattern's row is its prefix's row (the pattern without its
+last item) intersected with the posting of its last item, and the empty
+pattern's row is every outcome: the prefix tidset recurrence of vertical
+mining (Zaki, IEEE TKDE 2000).  Rows are kept by pattern, so a domain closed
+under prefixes, as a mined one is, pays one intersection per row instead of
+one per item.  The postings, ``SampleSpace.item_rows``, are built once per
+space; mining reads them over the distinct transactions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .mining import ParameterDomain
-from .patterns import BOTTOM, Pattern, TransactionDataset, is_subpattern, sort_key
+from .patterns import BOTTOM, Pattern, TransactionDataset, sort_key
 
 
 @dataclass(frozen=True)
@@ -30,6 +40,16 @@ class SampleSpace:
     def from_patterns(cls, patterns: Iterable[Pattern]) -> "SampleSpace":
         outcomes = tuple(sorted(set(patterns) | {BOTTOM}, key=sort_key))
         return cls(outcomes=outcomes, index={x: i for i, x in enumerate(outcomes)})
+
+    @cached_property
+    def item_rows(self) -> dict[int, np.ndarray]:
+        """Item -> sorted int32 positions of the outcomes that contain it: the
+        postings that mining and :func:`incidence_matrix` intersect."""
+        lists: dict[int, list[int]] = {}
+        for pos, outcome in enumerate(self.outcomes):
+            for item in outcome:
+                lists.setdefault(item, []).append(pos)
+        return {item: np.array(pos, dtype=np.int32) for item, pos in lists.items()}
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -45,7 +65,7 @@ class SampleSpace:
 
 
 def build_sample_space(
-    domain: ParameterDomain | Iterable[Pattern], dataset: TransactionDataset
+    domain: Iterable[Pattern], dataset: TransactionDataset
 ) -> SampleSpace:
     """Union of parameter domain, distinct transactions, and the empty pattern."""
     return SampleSpace.from_patterns(list(domain) + list(dataset.entries))
@@ -71,33 +91,42 @@ def logsumexp(x: np.ndarray) -> float:
 def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.csr_matrix:
     """Sparse 0/1 matrix with rows indexed by ``patterns``, columns by outcomes.
 
-    Entry (j, i) is one iff outcome i contains pattern j.  Built from
-    per-variable postings so the cost depends on pattern contents, never on
-    the size of the variable universe.
+    Entry (j, i) is one iff outcome i contains pattern j.  Built by the prefix
+    recurrence of the module docstring, starting from the postings as the rows
+    of single items; a prefix missing from ``patterns`` is built on the way.
+    The cost never depends on the size of the variable universe.
     """
-    postings: dict[int, np.ndarray] = {}
-    for i, x in enumerate(space.outcomes):
-        for item in x:
-            postings.setdefault(item, []).append(i)
-    postings = {v: np.array(ix, dtype=np.int32) for v, ix in postings.items()}
     empty = np.empty(0, dtype=np.int32)
-    all_cols = np.arange(len(space), dtype=np.int32)
-
+    rows = {(item,): cols for item, cols in space.item_rows.items()}
+    rows[BOTTOM] = np.arange(len(space), dtype=np.int32)
+    for pattern in patterns:
+        for end in range(1, len(pattern) + 1):
+            prefix = pattern[:end]
+            if prefix not in rows:
+                posting = space.item_rows.get(prefix[-1], empty)
+                rows[prefix] = np.intersect1d(rows[prefix[:-1]], posting, assume_unique=True)
+    chosen = [rows[p] for p in patterns]
     indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    for j, pat in enumerate(patterns):
-        cols = all_cols
-        for item in pat:
-            cols = np.intersect1d(cols, postings.get(item, empty), assume_unique=True)
-            if cols.size == 0:
-                break
-        rows.append(cols)
-        indptr[j + 1] = indptr[j] + cols.size
-    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
+    np.cumsum([cols.size for cols in chosen], out=indptr[1:])
+    indices = np.concatenate(chosen) if chosen else empty
     data = np.ones(len(indices), dtype=np.float64)
     return sparse.csr_matrix(
         (data, indices, indptr), shape=(len(patterns), len(space))
     )
+
+
+def multiplicities(space: SampleSpace, dataset: TransactionDataset) -> np.ndarray:
+    """Count of each outcome in ``dataset``, in space order (``ValueError`` if outside)."""
+    counts = np.zeros(len(space))
+    for t, mult in dataset.entries.items():
+        counts[space.position(t)] = mult
+    return counts
+
+
+def supports(dataset: TransactionDataset, patterns: Sequence[Pattern]) -> np.ndarray:
+    """Transactions containing each pattern, counted through Z over the distinct ones."""
+    space = SampleSpace.from_patterns(dataset.entries)
+    return incidence_matrix(space, patterns).dot(multiplicities(space, dataset))
 
 
 class GibbsModel:
@@ -127,7 +156,6 @@ class GibbsModel:
         self.domain = domain
         self.theta = theta
         self.incidence = incidence
-        self._domain_index = {p: j for j, p in enumerate(domain)}
         raw = incidence.T.dot(theta) if len(domain) else np.zeros(len(space))
         self.log_partition = logsumexp(raw)
         self.log_probs = raw - self.log_partition
@@ -160,13 +188,7 @@ class GibbsModel:
 
     def eta(self, x: Pattern) -> float:
         """Probability that a random outcome contains ``x``."""
-        j = self._domain_index.get(x)
-        if j is not None:
-            return float(self.etas()[j])
-        p = np.exp(self.log_probs)
-        return float(
-            sum(v for outcome, v in zip(self.space.outcomes, p) if is_subpattern(x, outcome))
-        )
+        return float(incidence_matrix(self.space, [x]).dot(np.exp(self.log_probs))[0])
 
     def negative_entropy(self) -> float:
         """Sum of p log p over the sample space (the dual potential)."""

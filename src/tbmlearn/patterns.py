@@ -4,7 +4,7 @@ A pattern is the set of "on" variables of a binary configuration, stored as a
 strictly increasing tuple of non-negative integer identifiers.  The empty
 tuple is the all-zeros configuration (bottom).  Datasets are multisets of
 patterns with integer multiplicities, which keeps every support computation
-exact.
+exact.  Containment is counted once, by ``model.incidence_matrix``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
-
-import numpy as np
 
 Pattern = tuple[int, ...]
 
@@ -36,27 +34,6 @@ def is_canonical(pattern: Pattern) -> bool:
     return all(a < b for a, b in zip(pattern, pattern[1:])) and (
         not pattern or pattern[0] >= 0
     )
-
-
-def is_subpattern(s: Pattern, x: Pattern) -> bool:
-    """True iff every identifier of ``s`` also occurs in ``x``.
-
-    This is the 0/1 containment indicator used throughout the energy and
-    expectation formulas; both arguments must be canonical.
-    """
-    i = 0
-    n = len(x)
-    for v in s:
-        while i < n and x[i] < v:
-            i += 1
-        if i == n or x[i] != v:
-            return False
-        i += 1
-    return True
-
-
-def pattern_union(a: Pattern, b: Pattern) -> Pattern:
-    return tuple(sorted(set(a) | set(b)))
 
 
 def sort_key(pattern: Pattern) -> tuple[int, Pattern]:
@@ -141,29 +118,6 @@ class EmpiricalDistribution:
         n = dataset.n_samples
         probs = {pattern: mult / n for pattern, mult in dataset.entries.items()}
         return cls(probs=probs, support=frozenset(probs))
-
-
-def support_count(dataset: TransactionDataset, x: Pattern) -> int:
-    """Exact number of transactions (with multiplicity) containing ``x``."""
-    return sum(m for t, m in dataset.entries.items() if is_subpattern(x, t))
-
-
-def support_counts(dataset: TransactionDataset, patterns: Iterable[Pattern]) -> np.ndarray:
-    items = list(dataset.entries.items())
-    return np.array(
-        [sum(m for t, m in items if is_subpattern(x, t)) for x in patterns],
-        dtype=np.int64,
-    )
-
-
-def empirical_eta(dataset: TransactionDataset, x: Pattern) -> float:
-    """Fraction of transactions containing ``x`` (the empirical expectation)."""
-    return support_count(dataset, x) / dataset.n_samples
-
-
-def empirical_moments(dataset: TransactionDataset, patterns: Iterable[Pattern]) -> np.ndarray:
-    """Vector of empirical expectations, one entry per pattern."""
-    return support_counts(dataset, patterns) / dataset.n_samples
 
 
 def parse_fimi(

@@ -42,6 +42,13 @@ def _report_from(obj: dict | None) -> FitReport | None:
         raise ValueError(f"malformed fit_report: {exc!r}") from None
 
 
+def _pattern_list(obj: dict, field: str) -> list[tuple]:
+    """The patterns under ``field``, which must be a list of lists."""
+    if not isinstance(obj[field], list) or not all(isinstance(p, list) for p in obj[field]):
+        raise ValueError(f"{field} must be a list of item lists")
+    return [tuple(p) for p in obj[field]]
+
+
 def _canonical(patterns, field: str) -> None:
     """Reject a pattern that is not strictly increasing non-negative integers:
     a repeated or unsorted item would land on another outcome."""
@@ -104,14 +111,14 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
             weights=np.array(obj["weights"], dtype=np.float64),
         )
         return model, report, meta
-    domain = tuple(tuple(p) for p in obj["domain"])
+    domain = tuple(_pattern_list(obj, "domain"))
     theta = np.array(obj["theta"], dtype=np.float64)
     if theta.shape != (len(domain),):
         raise ValueError(f"theta has {theta.size} values for {len(domain)} patterns")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta values must be finite")
     if kind == "tbm":
-        outcomes = [tuple(x) for x in obj["sample_space"]]
+        outcomes = _pattern_list(obj, "sample_space")
         _canonical(outcomes, "sample_space")
         _canonical(domain, "domain")
         space = SampleSpace.from_patterns(outcomes)

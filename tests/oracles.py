@@ -18,6 +18,10 @@ def contains(s, x) -> bool:
     return set(s) <= set(x)
 
 
+def pattern_union(a, b) -> tuple:
+    return tuple(sorted(set(a) | set(b)))
+
+
 def enumerate_patterns(n_vars: int):
     """All subsets of the variable universe, as canonical tuples."""
     for mask in range(1 << n_vars):

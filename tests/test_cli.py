@@ -202,8 +202,9 @@ class TestEval:
         [
             (lambda obj: obj.pop("theta"), "lacks theta"),
             (lambda obj: obj["theta"].pop(), "theta has 1 values for 2 patterns"),
+            (lambda obj: obj["domain"].insert(0, 5), "domain must be a list of item lists"),
         ],
-        ids=["theta_missing", "theta_short"],
+        ids=["theta_missing", "theta_short", "domain_entry_not_list"],
     )
     def test_malformed_model_is_data_error(
         self, worked_file, tmp_path, capsys, damage, message

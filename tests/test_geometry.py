@@ -17,9 +17,7 @@ from tbmlearn import (
     uniform_model,
     variance_lower_bound,
 )
-from tbmlearn.patterns import is_subpattern, pattern_union
-
-from oracles import random_dataset
+from oracles import contains, pattern_union, random_dataset
 
 TIGHT = FitConfig(tol=1e-10, max_sweeps=200_000)
 
@@ -117,7 +115,7 @@ class TestMProjection:
             w /= w.sum()
             dist = dict(zip(outcomes, w))
             target = w[1] + w[3]
-            mask = np.array([is_subpattern((1,), x) for x in outcomes])
+            mask = np.array([contains((1,), x) for x in outcomes])
 
             def eta_of(theta):
                 logits = np.where(mask, theta, 0.0)
@@ -219,7 +217,7 @@ class TestLegendreDuality:
         space = model.space
         plus = [x for x in space.outcomes if x]
         m = np.array(
-            [[is_subpattern(x, s) for s in space.outcomes] for x in plus],
+            [[contains(x, s) for s in space.outcomes] for x in plus],
             dtype=float,
         )
         top = np.ones((1, len(space)))

@@ -13,15 +13,15 @@ from tbmlearn import (
     SampleSpace,
     TransactionDataset,
     build_sample_space,
+    canonicalize,
     incidence_matrix,
     mine_parameter_domain,
     uniform_model,
 )
 from tbmlearn.model import logsumexp
-from tbmlearn.patterns import is_subpattern
 
 from conftest import WORKED_PHI, WORKED_PROBS, WORKED_PSI, WORKED_THETA1
-from oracles import brute_eta
+from oracles import brute_eta, contains
 
 
 def worked_mle_model():
@@ -78,7 +78,26 @@ class TestIncidenceMatrix:
             z = incidence_matrix(space, patterns).toarray()
             for j, p in enumerate(patterns):
                 for i, x in enumerate(space.outcomes):
-                    assert z[j, i] == is_subpattern(p, x)
+                    assert z[j, i] == contains(p, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=15),
+        st.lists(st.sets(st.integers(0, 9), max_size=4), max_size=12),
+    )
+    def test_equals_dense_oracle(self, outcomes, patterns):
+        # Items 8 and 9 occur in no outcome, random patterns often lack their
+        # prefixes, and the tail repeats patterns and adds the empty one.
+        space = SampleSpace.from_patterns(canonicalize(x) for x in outcomes)
+        pats = [canonicalize(p) for p in patterns]
+        pats += pats[: len(pats) // 2] + [()]
+        z = incidence_matrix(space, pats)
+        dense = [[contains(p, x) for x in space.outcomes] for p in pats]
+        assert z.shape == (len(pats), len(space))
+        assert np.array_equal(z.toarray(), np.array(dense, dtype=np.float64))
+        assert z.indices.dtype == np.int32 and z.indptr.dtype == np.int32
+        for j in range(len(pats)):
+            assert np.all(np.diff(z.indices[z.indptr[j] : z.indptr[j + 1]]) > 0)
 
     def test_pattern_outside_space_allowed(self):
         space = SampleSpace.from_patterns([(), (1,), (1, 2)])
@@ -123,7 +142,7 @@ class TestGibbsModel:
             m = GibbsModel(space, domain, theta)
             for x in space.outcomes:
                 expected = sum(
-                    t for p, t in zip(domain, theta) if is_subpattern(p, x)
+                    t for p, t in zip(domain, theta) if contains(p, x)
                 ) - m.log_partition
                 assert m.log_prob(x) == pytest.approx(expected, abs=1e-10)
             assert m.log_prob(()) == pytest.approx(-m.log_partition, abs=1e-12)

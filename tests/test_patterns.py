@@ -1,4 +1,8 @@
-"""Pattern canonicalization, dataset parsing, and empirical statistics."""
+"""Pattern canonicalization, dataset parsing, and empirical statistics.
+
+Containment and empirical expectations are read through the package's one
+count, ``model.incidence_matrix``, and checked against the set oracles.
+"""
 
 import numpy as np
 import pytest
@@ -8,29 +12,43 @@ from hypothesis import strategies as st
 from tbmlearn import (
     EmpiricalDistribution,
     FimiFormatError,
+    SampleSpace,
     TransactionDataset,
+    build_sample_space,
     canonicalize,
-    empirical_eta,
     format_fimi,
-    is_subpattern,
+    incidence_matrix,
     parse_fimi,
 )
-from tbmlearn.patterns import support_count
+from tbmlearn.fitting import empirical_targets
+from tbmlearn.model import supports
 
 from oracles import brute_eta, enumerate_patterns
 
 
+def row_contains(s, x) -> bool:
+    """Whether outcome ``x`` is in the incidence row of pattern ``s``."""
+    space = SampleSpace.from_patterns([x])
+    return space.position(x) in incidence_matrix(space, [s]).indices
+
+
+def empirical_eta(dataset, x) -> float:
+    """The fit's target for ``x``: its incidence row over the data's space."""
+    space = build_sample_space([], dataset)
+    return float(empirical_targets(dataset, space, incidence_matrix(space, [x]))[0])
+
+
 class TestContainment:
     def test_empty_pattern_contained_everywhere(self):
-        assert is_subpattern((), (1, 2)) == 1
-        assert is_subpattern((), ()) == 1
+        assert row_contains((), (1, 2))
+        assert row_contains((), ())
 
     def test_definition(self):
-        assert is_subpattern((1,), (1, 2)) == 1
-        assert is_subpattern((3,), (1, 2)) == 0
+        assert row_contains((1,), (1, 2))
+        assert not row_contains((3,), (1, 2))
 
     def test_superset_is_not_subset(self):
-        assert is_subpattern((1, 2), (1,)) == 0
+        assert not row_contains((1, 2), (1,))
 
     @given(
         st.sets(st.integers(0, 12)),
@@ -38,7 +56,7 @@ class TestContainment:
     )
     def test_matches_set_semantics(self, a, b):
         s, x = canonicalize(a), canonicalize(b)
-        assert is_subpattern(s, x) == (a <= b)
+        assert row_contains(s, x) == (a <= b)
 
 
 class TestCanonicalize:
@@ -147,8 +165,7 @@ class TestEmpiricalEta:
         assert empirical_eta(worked_dataset, ()) == 1.0
 
     def test_exact_integer_support(self, worked_dataset):
-        assert support_count(worked_dataset, (1,)) == 7
-        assert support_count(worked_dataset, (2,)) == 5
+        assert supports(worked_dataset, [(1,), (2,)]).tolist() == [7, 5]
 
     def test_matches_powerset_oracle(self):
         rng = np.random.default_rng(7)

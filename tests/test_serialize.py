@@ -125,6 +125,9 @@ class TestSchemaGuards:
                 r"sample_space pattern \(1, 1\) is not strictly",
             ),
             ("tbm", "sample_space", [[], [1], [2], [-1]], r"\(-1,\) is not strictly"),
+            ("bm", "domain", [5, [1]], "domain must be a list of item lists"),
+            ("tbm", "sample_space", [[], 5, [2], [1, 2]], "sample_space must be a list of"),
+            ("tbm", "domain", 5, "domain must be a list of item lists"),
         ],
     )
     def test_non_canonical_pattern_rejected(
