@@ -4,7 +4,7 @@ The fully visible machine runs the transductive fitter's engine,
 ``fitting.ascend``, over :class:`FullCube`: a normalizer over the complete
 binary cube, through fast subset/superset sum transforms, so it is limited
 to small variable counts.  Only the normalizer differs, so the guard and the
-switch to Fisher steps behave the same in both learners by construction.
+Newton steps behave the same in both learners by construction.
 The RBM is trained with persistent contrastive divergence using a single
 alternating Gibbs sweep per update.
 """
@@ -24,7 +24,7 @@ from .model import SampleSpace, incidence_matrix, logsumexp, supports
 from .patterns import Pattern, TransactionDataset, sort_key
 
 FULL_BM_MAX_VARIABLES = 25
-FEASIBILITY_CHECK_MAX_OUTCOMES = 1 << 16
+FEASIBILITY_CHECK_MAX_OUTCOMES = 1 << 12
 RBM_INIT_SCALE = 0.01
 
 
@@ -89,14 +89,17 @@ class FullCube:
 
     The log-probabilities are recomputed from θ at every step: subset sums
     give the energies and superset sums the expectations.  The feasibility
-    LP runs only up to ``FEASIBILITY_CHECK_MAX_OUTCOMES`` configurations.
+    LP runs only up to ``FEASIBILITY_CHECK_MAX_OUTCOMES`` (2^12)
+    configurations: with the order-<=2 patterns and uniform targets one LP
+    took 0.03 s at n=8, 0.22 s at n=10, 0.88 s at n=11 and 3.39 s at n=12,
+    about x4 per variable, and one call at n=16 ran for over 2 minutes.
     """
 
     def __init__(self, n_variables: int, patterns):
         self.n_variables = n_variables
         self.patterns = list(patterns)
         self.masks = np.array([pattern_bitmask(p) for p in patterns], dtype=np.int64)
-        self.sweep_cost = 4 << n_variables
+        self.step_cost = 4 << n_variables
         self.fisher_cost = 1 << n_variables
 
     def state(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
@@ -124,10 +127,9 @@ class FullCube:
         cube = SampleSpace.from_patterns(c for r in range(n + 1) for c in combinations(range(n), r))
         return interior_feasible(incidence_matrix(cube, self.patterns), targets)
 
-    def drop(self, j, theta, log_probs, psi) -> tuple[tuple[np.ndarray, float], int]:
+    def drop(self, j: int) -> None:
         self.masks = np.delete(self.masks, j)
         del self.patterns[j]
-        return self.state(np.delete(theta, j)), 0
 
 
 def fit_full_bm(

@@ -111,7 +111,7 @@ def _add_fit_options(parser) -> None:
         "--tol", type=_non_negative_float, default=1e-6, help="moment-gap tolerance"
     )
     parser.add_argument(
-        "--max-iters", type=_non_negative_int, default=10_000, help="sweep budget"
+        "--max-iters", type=_non_negative_int, default=10_000, help="iteration budget"
     )
     parser.add_argument(
         "--theta-max", type=_positive_float, default=30.0, help="divergence threshold on parameters"

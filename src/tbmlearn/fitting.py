@@ -1,4 +1,4 @@
-"""Exact maximum-likelihood fitting by moment-matching gradient ascent.
+"""Exact maximum-likelihood fitting by moment matching.
 
 One engine, :func:`ascend`, fits both the transductive model and the fully
 visible Boltzmann machine: the same Gibbs family over two sample spaces.  It
@@ -7,36 +7,47 @@ covers the data-derived space through the incidence matrix Z and updates the
 log-probabilities additively; ``baselines.FullCube`` covers all 2^n
 configurations through subset/superset sum transforms and recomputes them.
 
-Each sweep updates every parameter by ``step * (target - current expectation)``,
-renormalizes once, and refreshes the expectations.  The average
-log-likelihood is concave in the parameters, so a sweep that lowers it is
-rolled back and retried with a smaller step, and accepted sweeps grow the
-step again.  Over the reduced space a sweep costs two sparse matrix-vector
-products (through Z and through its transpose, built once per fit), one exp
-and one log-sum-exp.  ``model.logsumexp`` matches scipy's bit for bit,
-without the per-call dispatch that outweighs the products on small fits.
-
-When the gap stalls in the interior, sweeps switch to Fisher-preconditioned
-steps: natural-gradient ascent on the dually flat manifold of the family
-(Amari 1998; Sugiyama, Nakahara & Tsuda, ICML 2017).  Over the reduced space
-one such step costs one sparse product ``Z diag(p) Z^T``, built in blocks of
-rows on a thread pool with one worker per usable core, plus one dense solve.
-Every row of the Fisher matrix is the same sum, in the same order, as in the
-serial product, so fits do not depend on the core count.  The solve stays
-dense: implication-rule targets leave the matrix nearly singular, and on the
-12 Fisher systems of one fit of the bench's ``basket`` workload (|B| = 2048)
+The average log-likelihood is concave in the parameters, and its Hessian is
+minus the Fisher matrix G, the covariance of the containment indicators.
+So from θ = 0 every iteration takes a damped Newton step
+``θ += t G^-1 (targets - η)``, natural-gradient ascent on the dually flat
+manifold of the family (Amari 1998; Sugiyama, Nakahara & Tsuda, ICML 2017),
+which converges quadratically to an interior maximizer.  The trial length t
+starts at ``FitConfig.step_size`` and halves until the log-likelihood does
+not fall (backtracking as in Nocedal & Wright, ch. 3).  Over the reduced
+space G is one sparse product ``Z diag(p) Z^T``, built in blocks of rows on a
+thread pool with one worker per usable core, plus one Cholesky solve.  Every
+row of G is the same sum, in the same order, as in the serial product, so
+fits do not depend on the core count.  The solve stays dense:
+implication-rule targets leave G nearly singular, and on the 12 Fisher
+systems of one fit of the bench's ``basket`` workload (|B| = 2048)
 matrix-free Jacobi-preconditioned conjugate gradients took 163 to 2524
 iterations and 44 s in all at rtol 1e-4, and 2411 to the 5000 cap and 244 s
 at rtol 1e-8, against 11-12 s for the dense builds and solves.
 
+G takes ``8 |B|^2`` bytes, and about twice that while it is symmetrized.
+Above ``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) no dense G is built:
+iterations are first-order sweeps ``θ += t (targets - η)``, whose step grows
+after each gain and shrinks after each loss.  A sweep costs two sparse
+matrix-vector products over the reduced space (through Z and through its
+transpose, built once per fit), one exp and one log-sum-exp.
+``model.logsumexp`` matches scipy's bit for bit, without the per-call
+dispatch that outweighs the products on small fits.
+
 Targets on the boundary of the achievable moment set have no maximizer: some
-parameter drifts without bound while the moment gap only decays harmonically.
-The guard handles this in three layers: targets of exactly 0 or 1 are removed
-up front, a parameter whose magnitude crosses ``theta_max`` is removed
-outright, and when the gap stagnates a linear-programming feasibility check
-decides whether any strictly positive distribution can match the targets at
-all; if not, the largest-magnitude parameter is removed and fitting resumes
-from the current state.
+parameter drifts without bound.  Sweeps then crawl, the gap decaying only
+harmonically; Newton steps keep moving the drifting parameters by about 1
+each, and the gap falls by a constant factor per step instead of
+quadratically.  The guard handles this in three layers: targets of exactly 0
+or 1 are removed up front, a parameter whose magnitude crosses
+``theta_max`` is removed outright, and when the gap stalls over a window of
+iterations, or a Newton fit reaches tol at that linear rate, with drifted
+parameters, a linear-programming feasibility check decides whether any
+strictly positive distribution can match the targets at all.  If not, the
+largest-magnitude parameter is removed and fitting restarts from θ = 0 on
+the survivors.  The LP runs only on incidence matrices of at most
+``FEASIBILITY_CHECK_MAX_NNZ`` nonzeros; above that it gives no verdict, and
+a boundary fit that reaches tol keeps its drifted parameters.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
 from .mining import ParameterDomain, mine_parameter_domain
@@ -63,9 +75,12 @@ STEP_SHRINK = 0.5
 MAX_STEP_SIZE = 1e15
 MIN_STEP_SIZE = 1e-16
 LP_MIN_PROBABILITY = 1e-11
+FEASIBILITY_CHECK_MAX_NNZ = 1 << 15
 DRIFT_GATE = 5.0
+DRIFT_STEP = 0.5
 ACCEPT_SLACK = 1e-14
 FISHER_BLOCK_ROWS = 64
+FISHER_MAX_BYTES = 256 << 20
 
 _fisher_pool: ThreadPoolExecutor | None = None
 _fisher_pool_lock = threading.Lock()
@@ -99,11 +114,15 @@ def _fisher_executor() -> ThreadPoolExecutor:
 
 @dataclass
 class FitConfig:
-    """Gradient-ascent settings.
+    """Ascent settings.
 
-    ``theta_max`` bounds parameter magnitudes; exceeding it is treated as
-    divergence and removes that parameter from the domain.  ``stall_window``
-    controls how often gap stagnation is re-examined for boundary targets.
+    ``step_size`` is the first trial length of every Newton iteration, and
+    the first sweep length when the fit runs on sweeps.  ``max_sweeps``
+    caps the iterations, trial steps included.  ``theta_max`` bounds
+    parameter magnitudes; exceeding it is treated as divergence and removes
+    that parameter from the domain.  ``stall_window`` is the number of
+    iterations after which gap stagnation is re-examined for boundary
+    targets.
     """
 
     step_size: float = 1.0
@@ -127,10 +146,12 @@ class FitConfig:
 class FitReport:
     """Outcome bookkeeping for one fitting run.
 
-    ``iterations`` counts attempted sweeps (including rolled-back ones),
-    ``final_gap`` is the largest remaining moment mismatch over the surviving
-    domain, and ``evaluations`` counts probability-cell touches for
-    complexity instrumentation.
+    ``iterations`` counts trial steps, Newton steps or sweeps, including
+    rejected ones that were retried shorter.  ``final_gap`` is the largest
+    remaining moment mismatch over the surviving domain, and
+    ``evaluations`` counts probability-cell touches for complexity
+    instrumentation: one per nonzero of Z for every Fisher matrix, and the
+    state, expectation and log-sum-exp work of every trial step.
     """
 
     iterations: int
@@ -151,8 +172,9 @@ def fisher_matrix(
 
     Entry (s, u) is ``sum_x Z[s, x] p[x] Z[u, x] - etas[s] etas[u]``, with
     ``rows_of`` the transpose of ``incidence`` in CSR form.  Blocks of
-    ``FISHER_BLOCK_ROWS`` rows are filled concurrently; scipy's sparse product
-    releases the interpreter lock.  Each row is the same sum, in the same
+    ``FISHER_BLOCK_ROWS`` rows are filled concurrently, the first in the
+    calling thread and the rest on the pool; scipy's sparse product releases
+    the interpreter lock.  Each row is the same sum, in the same
     order, as in the one-piece product, so the result does not depend on the
     number of workers.
     """
@@ -168,22 +190,37 @@ def fisher_matrix(
         (scaled[start:stop] @ rows_of).toarray(out=g[start:stop])
         g[start:stop] -= np.outer(etas[start:stop], etas)
 
-    # Reading every result re-raises a worker's exception here.
-    for _ in _fisher_executor().map(fill, range(0, m, FISHER_BLOCK_ROWS)):
+    # A one-block matrix never touches the pool, whose hand-off costs more
+    # than a small block; reading every result re-raises a worker's exception.
+    rest = range(FISHER_BLOCK_ROWS, m, FISHER_BLOCK_ROWS)
+    pending = _fisher_executor().map(fill, rest) if rest else ()
+    fill(0)
+    for _ in pending:
         pass
-    return 0.5 * (g + g.T)
+    g += g.T
+    g *= 0.5
+    return g
 
 
 def solve_fisher(g: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Solve ``g d = residual`` for a Fisher matrix ``g``, changed in place.
+    """Solve ``g d = residual`` for a symmetric Fisher matrix ``g``, changed in place.
 
     The diagonal is lightly regularized so that collinear parameters cannot
-    blow the solve up; a singular system falls back to least squares.
+    blow the solve up.  The Cholesky factor overwrites one triangle of ``g``;
+    if rounding leaves the system not positive definite, ``g`` is rebuilt
+    from the other, untouched triangle and solved by least squares.
     """
-    g[np.diag_indices_from(g)] += 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
+    diag = np.diag(g) + 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
+    g[np.diag_indices_from(g)] = diag
     try:
-        return np.linalg.solve(g, residual)
+        # g.T is in Fortran order, so LAPACK factors it where it lies, in
+        # the lower triangle of g.
+        factor = cho_factor(g.T, overwrite_a=True, check_finite=False)
+        return cho_solve(factor, residual, check_finite=False)
     except np.linalg.LinAlgError:
+        g = np.triu(g, 1)
+        g += g.T
+        g[np.diag_indices_from(g)] = diag
         return np.linalg.lstsq(g, residual, rcond=None)[0]
 
 
@@ -241,8 +278,8 @@ def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> bool
 
 class ReducedSpace:
     """Normalizer over a reduced sample space, through its incidence matrix Z:
-    log-probabilities are updated additively, ``log p + Z^T mu``, and one
-    removed parameter is taken out of them in place."""
+    log-probabilities are updated additively, ``log p + Z^T mu``, and a
+    removed parameter takes its row of Z with it."""
 
     def __init__(self, incidence: sparse.csr_matrix):
         self.incidence = incidence
@@ -250,7 +287,7 @@ class ReducedSpace:
         self._rows_of = None  # the transpose as CSR, built at the first Fisher step
 
     @property
-    def sweep_cost(self) -> int:
+    def step_cost(self) -> int:
         return 2 * self.incidence.nnz + self.incidence.shape[1]
 
     @property
@@ -277,18 +314,17 @@ class ReducedSpace:
         return natural_direction(self.incidence, self._rows_of, log_probs, etas, residual)
 
     def feasible(self, targets: np.ndarray) -> bool | None:
+        # The LP's cost grows with the nonzeros of Z: one LP took 10 s at
+        # 108032 (the bench's synth workload at k=3) and ran for minutes at
+        # 1078322 (basket at k=2).  Beyond the cap it gives no verdict.
+        if self.incidence.nnz > FEASIBILITY_CHECK_MAX_NNZ:
+            return None
         return interior_feasible(self.incidence, targets)
 
-    def drop(self, j, theta, log_probs, psi) -> tuple[tuple[np.ndarray, float], int]:
-        row = self.incidence.getrow(j)
-        log_probs = log_probs.copy()
-        log_probs[row.indices] -= theta[j]
-        shift = logsumexp(log_probs)
-        log_probs -= shift
+    def drop(self, j: int) -> None:
         self.incidence = self.incidence[np.arange(self.incidence.shape[0]) != j]
         self._transposed = self.incidence.T
         self._rows_of = None
-        return (log_probs, psi + shift), row.nnz + log_probs.size + self.incidence.nnz
 
 
 @dataclass
@@ -299,7 +335,7 @@ class Ascent:
     targets: np.ndarray
     theta: np.ndarray
     removed: list[Pattern]
-    sweeps: int
+    iterations: int
     evaluations: int
 
     def report(self, model, tol: float, removed_first: Sequence[Pattern]) -> FitReport:
@@ -307,7 +343,7 @@ class Ascent:
         removed = tuple(removed_first) + tuple(self.removed)
         final_gap = float(np.max(np.abs(self.targets - model.etas()))) if self.patterns else 0.0
         return FitReport(
-            iterations=self.sweeps,
+            iterations=self.iterations,
             final_gap=final_gap,
             removed_parameters=removed,
             converged=final_gap <= tol,
@@ -319,51 +355,52 @@ class Ascent:
 def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConfig) -> Ascent:
     """Moment-matching ascent from θ = 0 over the normalizer ``space``.
 
-    Runs the sweeps, the guard and the switch to Fisher steps described in
-    the module docstring.  ``space`` is a :class:`ReducedSpace` or a
+    Takes damped Newton steps while the dense Fisher matrix fits in
+    ``FISHER_MAX_BYTES``, gradient sweeps otherwise, under the guard described
+    in the module docstring.  ``space`` is a :class:`ReducedSpace` or a
     ``baselines.FullCube``; its ``drop`` removes a parameter from it.
     """
     pats = list(patterns)
     removed: list[Pattern] = []
-    theta = np.zeros(len(pats))
-    log_probs, psi = space.state(theta)
-    sweeps = 0
+    newton = 8 * len(pats) ** 2 <= FISHER_MAX_BYTES
+    iterations = 0
     evaluations = 0
 
     def restart() -> None:
-        nonlocal etas, avg_loglik, gap, err2, step
-        nonlocal feasibility_settled, accelerate, cached_direction, checkpoint_gap
+        nonlocal theta, log_probs, psi, etas, avg_loglik, gap, err2, step, direction
+        nonlocal feasibility_settled, checkpoint_gap
+        theta = np.zeros(len(pats))
+        log_probs, psi = space.state(theta)
         etas = space.etas(log_probs)
         avg_loglik = float(targets @ theta) - psi
         gap = float(np.max(np.abs(targets - etas))) if theta.size else 0.0
         err2 = float(np.sum((targets - etas) ** 2))
         step = cfg.step_size
+        direction = None
         feasibility_settled = False
-        accelerate = False
-        cached_direction = None
         checkpoint_gap = gap
 
     def remove_parameter(j: int) -> None:
-        nonlocal targets, theta, log_probs, psi, evaluations
+        # θ keeps its other entries until the next restart, so repeated
+        # removals still pick the worst drifter.
+        nonlocal targets, theta, evaluations
         removed.append(pats.pop(j))
-        (log_probs, psi), cost = space.drop(j, theta, log_probs, psi)
-        evaluations += cost
+        space.drop(j)
+        evaluations += space.step_cost
         targets = np.delete(targets, j)
         theta = np.delete(theta, j)
-        restart()
 
     restart()
     next_check = cfg.stall_window
 
-    while theta.size and gap > cfg.tol and sweeps < cfg.max_sweeps:
-        sweeps += 1
-        if accelerate:
-            if cached_direction is None:
-                cached_direction = space.direction(log_probs, etas, targets - etas)
+    while theta.size and gap > cfg.tol and iterations < cfg.max_sweeps:
+        iterations += 1
+        if direction is None:
+            if newton:
+                direction = space.direction(log_probs, etas, targets - etas)
                 evaluations += space.fisher_cost
-            direction = cached_direction
-        else:
-            direction = targets - etas
+            else:
+                direction = targets - etas
         mu = step * direction
         theta_new = theta + mu
         log_new, psi_new = space.advance(log_probs, psi, theta_new, mu)
@@ -372,10 +409,10 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
         residual = targets - etas_new
         gap_new = float(np.max(np.abs(residual)))
         err2_new = float(np.dot(residual, residual))
-        evaluations += space.sweep_cost
+        evaluations += space.step_cost
 
         # Near the optimum the likelihood plateaus at float resolution, so a
-        # sweep that keeps it within rounding slack still counts as progress
+        # step that keeps it within rounding slack still counts as progress
         # when it strictly shrinks the squared moment error (a Lyapunov
         # function of the ascent flow, unlike the max-norm gap).
         slack = ACCEPT_SLACK * (1.0 + abs(avg_loglik))
@@ -393,43 +430,49 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
             theta, log_probs, psi = theta_new, log_new, psi_new
             avg_loglik, etas = max(avg_loglik, loglik_new), etas_new
             gap, err2 = gap_new, err2_new
-            cached_direction = None
-            if improved:
+            direction = None
+            if newton:
+                step = cfg.step_size
+            elif improved:
                 step = min(step * STEP_GROWTH, MAX_STEP_SIZE)
 
             worst = int(np.argmax(np.abs(theta)))
             if abs(theta[worst]) > cfg.theta_max:
                 remove_parameter(worst)
+                restart()
                 continue
 
-        if sweeps >= next_check:
-            stalled = gap > cfg.tol and gap > 1e-10 and gap > STALL_RATIO * checkpoint_gap
+        # Newton converges quadratically to an interior maximizer, so its last
+        # steps are short.  On boundary targets each full step still moves the
+        # drifting parameters by about 1 when the gap reaches tol.
+        boundary_rate = newton and gap <= cfg.tol and float(np.max(np.abs(mu))) >= DRIFT_STEP
+        window_ended = iterations >= next_check
+        if window_ended or boundary_rate:
+            stalled = boundary_rate or (
+                gap > cfg.tol and gap > 1e-10 and gap > STALL_RATIO * checkpoint_gap
+            )
             drifting = (
                 theta.size
                 and not feasibility_settled
                 and float(np.max(np.abs(theta))) > min(DRIFT_GATE, cfg.theta_max / 2)
             )
-            removed_now = False
             if stalled and drifting:
                 verdict = space.feasible(targets)
+                removed_any = verdict is False
                 while verdict is False and theta.size:
                     # Boundary targets: drop the worst drifter, then re-test
                     # so one stall event clears the whole degenerate set.
                     remove_parameter(int(np.argmax(np.abs(theta))))
-                    removed_now = True
                     verdict = space.feasible(targets) if theta.size else None
+                if removed_any:
+                    restart()
                 if verdict is True:
                     feasibility_settled = True
-            if stalled and not removed_now and not accelerate and theta.size:
-                # Interior but badly conditioned: precondition with the
-                # Fisher matrix instead of crawling along the raw gradient.
-                accelerate = True
-                cached_direction = None
-                step = 1.0
-            checkpoint_gap = gap
-            next_check = sweeps + cfg.stall_window
+            if window_ended:
+                checkpoint_gap = gap
+                next_check = iterations + cfg.stall_window
 
-    return Ascent(pats, targets, theta, removed, sweeps, evaluations)
+    return Ascent(pats, targets, theta, removed, iterations, evaluations)
 
 
 def fit_to_moments(

@@ -32,6 +32,8 @@ def _report_dict(report: FitReport | None) -> dict | None:
 def _report_from(obj: dict | None) -> FitReport | None:
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ValueError(f"fit_report must be a JSON object, not {type(obj).__name__}")
     kwargs = dict(obj)
     try:
         kwargs["removed_parameters"] = tuple(
@@ -40,6 +42,14 @@ def _report_from(obj: dict | None) -> FitReport | None:
         return FitReport(**kwargs)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fit_report: {exc!r}") from None
+
+
+def _floats(obj: dict, field: str) -> np.ndarray:
+    """The numbers under ``field`` as a float array."""
+    try:
+        return np.array(obj[field], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must hold numbers only") from None
 
 
 def _pattern_list(obj: dict, field: str) -> list[tuple]:
@@ -106,13 +116,13 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     meta = obj.get("meta", {})
     if kind == "rbm":
         model = RBMModel(
-            visible_bias=np.array(obj["visible_bias"], dtype=np.float64),
-            hidden_bias=np.array(obj["hidden_bias"], dtype=np.float64),
-            weights=np.array(obj["weights"], dtype=np.float64),
+            visible_bias=_floats(obj, "visible_bias"),
+            hidden_bias=_floats(obj, "hidden_bias"),
+            weights=_floats(obj, "weights"),
         )
         return model, report, meta
     domain = tuple(_pattern_list(obj, "domain"))
-    theta = np.array(obj["theta"], dtype=np.float64)
+    theta = _floats(obj, "theta")
     if theta.shape != (len(domain),):
         raise ValueError(f"theta has {theta.size} values for {len(domain)} patterns")
     if not np.all(np.isfinite(theta)):

@@ -16,7 +16,8 @@ from tbmlearn import (
     incidence_matrix,
     matched_hidden_units,
 )
-from tbmlearn.baselines import pattern_vector, subset_sums, superset_sums
+from tbmlearn import fitting
+from tbmlearn.baselines import FullCube, pattern_vector, subset_sums, superset_sums
 from tbmlearn.fitting import empirical_targets
 
 from oracles import enumerate_patterns, random_dataset
@@ -108,6 +109,14 @@ class TestFullBM:
         model, report = fit_full_bm(d, [(0,), (1,)])
         assert report.removed_parameters == ((0,),)
         assert report.converged
+
+    def test_feasibility_lp_capped(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called above the cap")
+
+        monkeypatch.setattr(fitting, "linprog", refuse)
+        cube = FullCube(13, [(i,) for i in range(13)])
+        assert cube.feasible(np.full(13, 0.5)) is None
 
     def test_refuses_large_universe(self):
         d = TransactionDataset(entries={(25,): 1}, n_variables=26)

@@ -203,8 +203,11 @@ class TestEval:
             (lambda obj: obj.pop("theta"), "lacks theta"),
             (lambda obj: obj["theta"].pop(), "theta has 1 values for 2 patterns"),
             (lambda obj: obj["domain"].insert(0, 5), "domain must be a list of item lists"),
+            (lambda obj: obj.update(theta={"a": 1.0}), "theta must hold numbers only"),
+            (lambda obj: obj.update(fit_report=[1, 2]), "fit_report must be a JSON object"),
         ],
-        ids=["theta_missing", "theta_short", "domain_entry_not_list"],
+        ids=["theta_missing", "theta_short", "domain_entry_not_list", "theta_object",
+             "fit_report_list"],
     )
     def test_malformed_model_is_data_error(
         self, worked_file, tmp_path, capsys, damage, message

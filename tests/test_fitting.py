@@ -20,7 +20,7 @@ from tbmlearn import (
     fit_to_moments,
     mine_parameter_domain,
 )
-from tbmlearn import fitting
+from tbmlearn import baselines, fit_full_bm, fitting
 from tbmlearn.fitting import empirical_targets, fisher_matrix, interior_feasible
 from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix
 from tbmlearn.patterns import sort_key
@@ -257,6 +257,21 @@ class TestFisherMatrix:
         assert np.array_equal(got, got.T)
 
 
+class TestSolveFisher:
+    def test_indefinite_matrix_falls_back_to_least_squares(self):
+        # The Cholesky attempt overwrites part of g before it fails; the
+        # fallback must still see the original matrix.
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(6, 6))
+        g = a + a.T
+        residual = rng.normal(size=6)
+        expected = g.copy()
+        expected[np.diag_indices_from(expected)] += 1e-12 * np.max(np.diag(g))
+        got = fitting.solve_fisher(g, residual)
+        want = np.linalg.lstsq(expected, residual, rcond=None)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
 class TestFisherSteps:
     """Fits that take Fisher steps do not depend on the pool's worker count."""
 
@@ -311,11 +326,12 @@ class TestFisherSteps:
         assert len(report.removed_parameters) == 1
         assert sorted(set(calls)) == [14, 15]
 
-    def test_fit_without_fisher_steps_starts_no_pool(self, monkeypatch, worked_dataset):
+    def test_one_block_fisher_steps_start_no_pool(self, monkeypatch, worked_dataset):
         monkeypatch.setattr(fitting, "_fisher_pool", None)
         before = threading.active_count()
         _, report, calls = self.counted_fit(monkeypatch, worked_dataset, TIGHT)
-        assert report.converged and not calls
+        assert report.converged and calls
+        assert max(calls) <= fitting.FISHER_BLOCK_ROWS
         assert threading.active_count() == before
         assert fitting._fisher_pool is None
 
@@ -335,6 +351,34 @@ class TestFisherSteps:
         assert not hung and child.exitcode == 0
 
 
+class TestDenseGate:
+    """Above the byte budget no dense Fisher matrix is built: fits run on sweeps."""
+
+    @pytest.fixture
+    def gated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense Fisher matrix above the byte budget")
+
+        monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 1)
+        monkeypatch.setattr(fitting, "fisher_matrix", refuse)
+        monkeypatch.setattr(fitting, "solve_fisher", refuse)
+        monkeypatch.setattr(baselines, "solve_fisher", refuse)
+
+    @pytest.mark.parametrize("stall_window", [200, 3])
+    def test_fits_converge_on_sweeps(self, gated, stall_window):
+        rng = np.random.default_rng(5)
+        d = TransactionDataset(entries=random_dataset(rng, 5, 300), n_variables=5)
+        patterns = list(mine_parameter_domain(d, 0.05, 2))
+        space = build_sample_space(patterns, d)
+        targets = empirical_targets(d, space, incidence_matrix(space, patterns))
+        cfg = FitConfig(tol=1e-8, max_sweeps=100_000, stall_window=stall_window)
+        _, report = fit_to_moments(space, patterns, targets, cfg)
+        _, bm_report = fit_full_bm(d, patterns, cfg)
+        assert report.converged and bm_report.converged
+        # Newton needs a handful of iterations here; sweeps need far more.
+        assert min(report.iterations, bm_report.iterations) > 50
+
+
 class TestInteriorFeasibility:
     def test_degenerate_targets_infeasible(self):
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
@@ -345,6 +389,16 @@ class TestInteriorFeasibility:
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
         z = incidence_matrix(space, [(1,), (2,)])
         assert interior_feasible(z, np.array([0.7, 0.5])) is True
+
+    def test_lp_capped_by_incidence_size(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called above the cap")
+
+        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
+        reduced = fitting.ReducedSpace(incidence_matrix(space, [(1,), (1, 2)]))
+        monkeypatch.setattr(fitting, "FEASIBILITY_CHECK_MAX_NNZ", reduced.incidence.nnz - 1)
+        monkeypatch.setattr(fitting, "linprog", refuse)
+        assert reduced.feasible(np.array([0.4, 0.4])) is None
 
 
 class TestInstrumentation:
@@ -361,9 +415,11 @@ class TestInstrumentation:
             assert per_sweep <= 2 * (len(domain) + 1) * len(model.space)
 
     def test_iterations_capped(self, worked_dataset):
-        cfg = FitConfig(tol=0.0, max_sweeps=7)
+        # Newton steps match these moments exactly by the sixth iteration, so
+        # the cap sits below that.
+        cfg = FitConfig(tol=0.0, max_sweeps=3)
         _, report = fit(worked_dataset, [(1,), (2,)], cfg)
-        assert report.iterations == 7
+        assert report.iterations == 3
 
 
 class TestValidation:

@@ -74,6 +74,8 @@ class TestSchemaGuards:
             ("theta", [0.5], "theta has 1 values for 2 patterns"),
             ("theta", [0.5, float("nan")], "finite"),
             ("domain", [[1], [7]], r"\(7,\) is outside the sample space"),
+            ("theta", {"a": 0.5, "b": 0.1}, "theta must hold numbers only"),
+            ("fit_report", [1, 2], "fit_report must be a JSON object, not list"),
         ],
     )
     def test_malformed_tbm_rejected(self, worked_dataset, key, value, message):
