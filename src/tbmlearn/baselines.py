@@ -26,6 +26,7 @@ from .patterns import Pattern, TransactionDataset, sort_key
 FULL_BM_MAX_VARIABLES = 25
 FEASIBILITY_CHECK_MAX_OUTCOMES = 1 << 12
 RBM_INIT_SCALE = 0.01
+RBM_MAX_BYTES = 1 << 30
 
 
 def pattern_bitmask(pattern: Pattern) -> int:
@@ -97,7 +98,6 @@ class FullCube:
 
     def __init__(self, n_variables: int, patterns):
         self.n_variables = n_variables
-        self.patterns = list(patterns)
         self.masks = np.array([pattern_bitmask(p) for p in patterns], dtype=np.int64)
         self.step_cost = 4 << n_variables
         self.fisher_cost = 1 << n_variables
@@ -108,9 +108,6 @@ class FullCube:
         raw = subset_sums(dense, self.n_variables)
         psi = logsumexp(raw)
         return raw - psi, psi
-
-    def advance(self, log_probs, psi, theta_new, mu) -> tuple[np.ndarray, float]:
-        return self.state(theta_new)
 
     def etas(self, log_probs: np.ndarray) -> np.ndarray:
         return superset_sums(np.exp(log_probs), self.n_variables)[self.masks]
@@ -125,11 +122,11 @@ class FullCube:
         if 1 << n > FEASIBILITY_CHECK_MAX_OUTCOMES:
             return None
         cube = SampleSpace.from_patterns(c for r in range(n + 1) for c in combinations(range(n), r))
-        return interior_feasible(incidence_matrix(cube, self.patterns), targets)
+        patterns = [tuple(i for i in range(n) if m >> i & 1) for m in self.masks.tolist()]
+        return interior_feasible(incidence_matrix(cube, patterns), targets)
 
-    def drop(self, j: int) -> None:
-        self.masks = np.delete(self.masks, j)
-        del self.patterns[j]
+    def drop(self, indices) -> None:
+        self.masks = np.delete(self.masks, indices)
 
 
 def fit_full_bm(
@@ -153,13 +150,8 @@ def fit_full_bm(
         )
     pats = sorted(domain, key=sort_key)
     targets = supports(dataset, pats) / dataset.n_samples
-
-    keep = (targets > 0.0) & (targets < 1.0)
-    removed = [p for p, ok in zip(pats, keep) if not ok]
-    pats = [p for p, ok in zip(pats, keep) if ok]
-    run = ascend(FullCube(n, pats), pats, targets[keep], cfg)
-    model = FullBMModel.from_theta(n, run.patterns, run.theta)
-    return model, run.report(model, cfg.tol, removed)
+    run = ascend(FullCube(n, pats), pats, targets, cfg)
+    return FullBMModel.from_theta(n, run.patterns, run.theta), run.report
 
 
 @dataclass
@@ -222,13 +214,21 @@ def fit_rbm_pcd1(
     Full-batch gradients over the distinct transactions weighted by
     multiplicity; persistent fantasy chains advance by one alternating
     hidden/visible sweep per update.  Reproducible for a fixed seed.
+    Visible vectors are dense, so data, chains and weights above
+    ``RBM_MAX_BYTES`` (1 GiB) are refused before anything is allocated.
     """
     cfg = config or RBMConfig()
     if n_hidden < 1:
         raise ValueError("need at least one hidden unit")
-    rng = np.random.default_rng(cfg.seed)
     n = dataset.n_variables
     uniques = dataset.unique_patterns()
+    dense_bytes = 8 * n * (len(uniques) + cfg.n_chains + n_hidden)
+    if dense_bytes > RBM_MAX_BYTES:
+        raise ValueError(
+            f"the RBM needs {dense_bytes} bytes of dense arrays for {n} variables, "
+            f"over its {RBM_MAX_BYTES}-byte budget; number the items densely"
+        )
+    rng = np.random.default_rng(cfg.seed)
     X = np.stack([pattern_vector(t, n) for t in uniques])
     weights = np.array([dataset.entries[t] for t in uniques], dtype=np.float64)
     weights /= weights.sum()

@@ -3,9 +3,10 @@
 One engine, :func:`ascend`, fits both the transductive model and the fully
 visible Boltzmann machine: the same Gibbs family over two sample spaces.  It
 reaches the space through a normalizer object.  :class:`ReducedSpace` (here)
-covers the data-derived space through the incidence matrix Z and updates the
-log-probabilities additively; ``baselines.FullCube`` covers all 2^n
-configurations through subset/superset sum transforms and recomputes them.
+covers the data-derived space through the incidence matrix Z;
+``baselines.FullCube`` covers all 2^n configurations through subset/superset
+sum transforms.  Both compute every trial state from θ as the fitted model
+does, so :func:`ascend` reports the gap it stopped on, which is the model's.
 
 The average log-likelihood is concave in the parameters, and its Hessian is
 minus the Fisher matrix G, the covariance of the containment indicators.
@@ -38,12 +39,14 @@ Targets on the boundary of the achievable moment set have no maximizer: some
 parameter drifts without bound.  Sweeps then crawl, the gap decaying only
 harmonically; Newton steps keep moving the drifting parameters by about 1
 each, and the gap falls by a constant factor per step instead of
-quadratically.  The guard handles this in three layers: targets of exactly 0
-or 1 are removed up front, a parameter whose magnitude crosses
-``theta_max`` is removed outright, and when the gap stalls over a window of
-iterations, or a Newton fit reaches tol at that linear rate, with drifted
-parameters, a linear-programming feasibility check decides whether any
-strictly positive distribution can match the targets at all.  If not, the
+quadratically.  The guard handles this in three layers, all inside
+:func:`ascend`: before the first step it removes the patterns whose target
+is 0 or 1 or that no outcome contains (η = 0 under the uniform start), a
+parameter whose magnitude crosses ``theta_max`` is removed outright, and
+when the gap stalls over a window of ``STALL_WINDOW`` iterations, or a
+Newton fit reaches tol at that linear rate, with drifted parameters, a
+linear-programming feasibility check decides whether any strictly positive
+distribution can match the targets at all.  If not, the
 largest-magnitude parameter is removed and fitting restarts from θ = 0 on
 the survivors.  The LP runs only on incidence matrices of at most
 ``FEASIBILITY_CHECK_MAX_NNZ`` nonzeros; above that it gives no verdict, and
@@ -81,6 +84,7 @@ DRIFT_STEP = 0.5
 ACCEPT_SLACK = 1e-14
 FISHER_BLOCK_ROWS = 64
 FISHER_MAX_BYTES = 256 << 20
+STALL_WINDOW = 200
 
 _fisher_pool: ThreadPoolExecutor | None = None
 _fisher_pool_lock = threading.Lock()
@@ -120,16 +124,14 @@ class FitConfig:
     the first sweep length when the fit runs on sweeps.  ``max_sweeps``
     caps the iterations, trial steps included.  ``theta_max`` bounds
     parameter magnitudes; exceeding it is treated as divergence and removes
-    that parameter from the domain.  ``stall_window`` is the number of
-    iterations after which gap stagnation is re-examined for boundary
-    targets.
+    that parameter from the domain.  A fit converges when its largest moment
+    gap is at most ``tol``.
     """
 
     step_size: float = 1.0
     tol: float = 1e-6
     max_sweeps: int = 10_000
     theta_max: float = 30.0
-    stall_window: int = 200
 
     def __post_init__(self):
         if self.step_size <= 0:
@@ -278,8 +280,8 @@ def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> bool
 
 class ReducedSpace:
     """Normalizer over a reduced sample space, through its incidence matrix Z:
-    log-probabilities are updated additively, ``log p + Z^T mu``, and a
-    removed parameter takes its row of Z with it."""
+    log-probabilities are ``Z^T θ`` minus their log-sum-exp, as in
+    :class:`GibbsModel`, and a removed parameter takes its row of Z with it."""
 
     def __init__(self, incidence: sparse.csr_matrix):
         self.incidence = incidence
@@ -299,12 +301,6 @@ class ReducedSpace:
         psi = logsumexp(raw)
         return raw - psi, psi
 
-    def advance(self, log_probs, psi, theta_new, mu) -> tuple[np.ndarray, float]:
-        log_new = log_probs + self._transposed.dot(mu)
-        shift = logsumexp(log_new)
-        log_new -= shift
-        return log_new, psi + shift
-
     def etas(self, log_probs: np.ndarray) -> np.ndarray:
         return self.incidence.dot(np.exp(log_probs))
 
@@ -321,35 +317,19 @@ class ReducedSpace:
             return None
         return interior_feasible(self.incidence, targets)
 
-    def drop(self, j: int) -> None:
-        self.incidence = self.incidence[np.arange(self.incidence.shape[0]) != j]
+    def drop(self, indices) -> None:
+        self.incidence = self.incidence[np.delete(np.arange(self.incidence.shape[0]), indices)]
         self._transposed = self.incidence.T
         self._rows_of = None
 
 
 @dataclass
 class Ascent:
-    """Where :func:`ascend` stopped: the surviving parameters and the counts."""
+    """Where :func:`ascend` stopped: the surviving parameters and the report."""
 
     patterns: list[Pattern]
-    targets: np.ndarray
     theta: np.ndarray
-    removed: list[Pattern]
-    iterations: int
-    evaluations: int
-
-    def report(self, model, tol: float, removed_first: Sequence[Pattern]) -> FitReport:
-        """The report for ``model``, after ``removed_first`` were dropped up front."""
-        removed = tuple(removed_first) + tuple(self.removed)
-        final_gap = float(np.max(np.abs(self.targets - model.etas()))) if self.patterns else 0.0
-        return FitReport(
-            iterations=self.iterations,
-            final_gap=final_gap,
-            removed_parameters=removed,
-            converged=final_gap <= tol,
-            domain_emptied=bool(removed) and not self.patterns,
-            evaluations=self.evaluations,
-        )
+    report: FitReport
 
 
 def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConfig) -> Ascent:
@@ -357,12 +337,12 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
 
     Takes damped Newton steps while the dense Fisher matrix fits in
     ``FISHER_MAX_BYTES``, gradient sweeps otherwise, under the guard described
-    in the module docstring.  ``space`` is a :class:`ReducedSpace` or a
-    ``baselines.FullCube``; its ``drop`` removes a parameter from it.
+    in the module docstring, and reports the gap of the returned θ.  ``space``
+    is a :class:`ReducedSpace` or a ``baselines.FullCube``; its ``drop``
+    removes parameters from it by index.
     """
     pats = list(patterns)
     removed: list[Pattern] = []
-    newton = 8 * len(pats) ** 2 <= FISHER_MAX_BYTES
     iterations = 0
     evaluations = 0
 
@@ -380,18 +360,31 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
         feasibility_settled = False
         checkpoint_gap = gap
 
-    def remove_parameter(j: int) -> None:
+    def drop(indices) -> None:
         # θ keeps its other entries until the next restart, so repeated
         # removals still pick the worst drifter.
-        nonlocal targets, theta, evaluations
-        removed.append(pats.pop(j))
-        space.drop(j)
+        nonlocal targets, theta
+        removed.extend(pats[j] for j in indices)
+        for j in sorted(indices, reverse=True):
+            del pats[j]
+        space.drop(indices)
+        targets = np.delete(targets, indices)
+        theta = np.delete(theta, indices)
+
+    def remove_parameter(j: int) -> None:
+        nonlocal evaluations
+        drop([j])
         evaluations += space.step_cost
-        targets = np.delete(targets, j)
-        theta = np.delete(theta, j)
 
     restart()
-    next_check = cfg.stall_window
+    # A target of 0 or 1, or a pattern no outcome contains (η = 0 under the
+    # uniform start), has no finite parameter.
+    unfit = np.flatnonzero((targets <= 0.0) | (targets >= 1.0) | (etas <= 0.0))
+    if unfit.size:
+        drop(unfit)
+        restart()
+    newton = 8 * len(pats) ** 2 <= FISHER_MAX_BYTES
+    next_check = STALL_WINDOW
 
     while theta.size and gap > cfg.tol and iterations < cfg.max_sweeps:
         iterations += 1
@@ -403,7 +396,7 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
                 direction = targets - etas
         mu = step * direction
         theta_new = theta + mu
-        log_new, psi_new = space.advance(log_probs, psi, theta_new, mu)
+        log_new, psi_new = space.state(theta_new)
         loglik_new = float(targets @ theta_new) - psi_new
         etas_new = space.etas(log_new)
         residual = targets - etas_new
@@ -470,9 +463,17 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
                     feasibility_settled = True
             if window_ended:
                 checkpoint_gap = gap
-                next_check = iterations + cfg.stall_window
+                next_check = iterations + STALL_WINDOW
 
-    return Ascent(pats, targets, theta, removed, iterations, evaluations)
+    report = FitReport(
+        iterations=iterations,
+        final_gap=gap,
+        removed_parameters=tuple(removed),
+        converged=gap <= cfg.tol,
+        domain_emptied=bool(removed) and not pats,
+        evaluations=evaluations,
+    )
+    return Ascent(pats, theta, report)
 
 
 def fit_to_moments(
@@ -498,19 +499,13 @@ def fit_to_moments(
     order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
     pats = [patterns[j] for j in order]
     targets = targets[order]
-    if incidence is None:
-        incidence = incidence_matrix(space, pats)
-    else:
-        incidence = incidence[np.array(order, dtype=np.intp)]
-
-    row_sizes = np.diff(incidence.indptr)
-    keep = (targets > 0.0) & (targets < 1.0) & (row_sizes > 0)
-    removed = [p for p, ok in zip(pats, keep) if not ok]
-    reduced = ReducedSpace(incidence[keep])
-    del incidence  # the unfiltered copy would stay alive through the whole ascent
-    run = ascend(reduced, [p for p, ok in zip(pats, keep) if ok], targets[keep], cfg)
+    reduced = ReducedSpace(
+        incidence_matrix(space, pats) if incidence is None
+        else incidence[np.array(order, dtype=np.intp)]
+    )
+    run = ascend(reduced, pats, targets, cfg)
     model = GibbsModel(space, run.patterns, run.theta, incidence=reduced.incidence)
-    return model, run.report(model, cfg.tol, removed)
+    return model, run.report
 
 
 def empirical_targets(

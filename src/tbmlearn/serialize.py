@@ -12,6 +12,7 @@ import numpy as np
 from .baselines import FULL_BM_MAX_VARIABLES, FullBMModel, RBMModel
 from .fitting import FitReport
 from .model import GibbsModel, SampleSpace
+from .patterns import is_canonical
 
 SCHEMA_VERSION = 1
 _REQUIRED_KEYS = {
@@ -63,7 +64,7 @@ def _canonical(patterns, field: str) -> None:
     """Reject a pattern that is not strictly increasing non-negative integers:
     a repeated or unsorted item would land on another outcome."""
     for p in patterns:
-        if not all(type(i) is int and i >= 0 for i in p) or list(p) != sorted(set(p)):
+        if not (all(type(i) is int for i in p) and is_canonical(p)):
             raise ValueError(
                 f"{field} pattern {p} is not strictly increasing non-negative integers"
             )

@@ -16,7 +16,7 @@ from tbmlearn import (
     incidence_matrix,
     matched_hidden_units,
 )
-from tbmlearn import fitting
+from tbmlearn import baselines, fitting
 from tbmlearn.baselines import FullCube, pattern_vector, subset_sums, superset_sums
 from tbmlearn.fitting import empirical_targets
 
@@ -60,7 +60,7 @@ class TestFullBM:
         assert model.theta[1] == pytest.approx(0.0, abs=1e-9)
         assert model.prob(()) == pytest.approx(0.15, abs=1e-9)
 
-    def test_agrees_with_transductive_fit_on_full_cube(self):
+    def test_agrees_with_transductive_fit_on_full_cube(self, monkeypatch):
         # When the derived sample space covers the whole cube the two
         # learners solve the same problem.
         rng = np.random.default_rng(1)
@@ -81,7 +81,8 @@ class TestFullBM:
         # parameters, and it must remove the same ones in the same sweeps.
         cube = SampleSpace.from_patterns(enumerate_patterns(4))
         domain = [p for p in enumerate_patterns(4) if 1 <= len(p) <= 3]
-        cfg = FitConfig(tol=1e-10, stall_window=50)
+        monkeypatch.setattr(fitting, "STALL_WINDOW", 50)
+        cfg = FitConfig(tol=1e-10)
         for seed in range(8):
             d = TransactionDataset(
                 entries=random_dataset(np.random.default_rng(seed), 4, 400, support_size=9),
@@ -204,6 +205,24 @@ class TestPcdTraining:
     def test_needs_hidden_units(self, worked_dataset01):
         with pytest.raises(ValueError):
             fit_rbm_pcd1(worked_dataset01, 0)
+
+    def test_huge_item_id_refused_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense visible vector allocated")
+
+        monkeypatch.setattr(baselines, "pattern_vector", refuse)
+        d = TransactionDataset(entries={(0,): 3, (1_000_000_000,): 2}, n_variables=1_000_000_001)
+        with pytest.raises(ValueError, match="budget"):
+            fit_rbm_pcd1(d, 1)
+
+    def test_byte_budget_is_inclusive(self, monkeypatch, worked_dataset01):
+        # 2 variables x (4 distinct transactions + 8 chains + 2 hidden units) x 8 bytes
+        cfg = RBMConfig(n_updates=1, n_chains=8)
+        monkeypatch.setattr(baselines, "RBM_MAX_BYTES", 2 * 14 * 8)
+        fit_rbm_pcd1(worked_dataset01, 2, cfg)
+        monkeypatch.setattr(baselines, "RBM_MAX_BYTES", 2 * 14 * 8 - 1)
+        with pytest.raises(ValueError, match="budget"):
+            fit_rbm_pcd1(worked_dataset01, 2, cfg)
 
     def test_hidden_activation_half_at_zero_weights(self):
         from scipy.special import expit

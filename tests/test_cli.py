@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tbmlearn import load_model
+from tbmlearn import baselines, load_model
 from tbmlearn.cli import main
 
 from conftest import WORKED_KL
@@ -133,6 +133,19 @@ class TestFitRbm:
         assert code == 0
         model, _, meta = load_model(out)
         assert model.n_hidden == max(1, -(-(23 - 3) // 4))
+
+    @pytest.mark.parametrize("command", ["fit-rbm", "compare"])
+    def test_huge_item_id_is_data_error(self, command, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("dense visible vector allocated")
+
+        monkeypatch.setattr(baselines, "pattern_vector", refuse)
+        path = tmp_path / "sparse_ids.fimi"
+        path.write_text("0 1000000000\n0\n1000000000\n0 1000000000\n")
+        args = ["--sigma", "0.2", "--k", "1"] if command == "compare" else ["--hidden", "1"]
+        code = run(command, "--input", path, *args, "--out", tmp_path / "out")
+        assert code == 3
+        assert "budget" in capsys.readouterr().err
 
     def test_hidden_and_match_params_conflict(self, worked_file):
         code = run(

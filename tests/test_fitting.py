@@ -22,7 +22,8 @@ from tbmlearn import (
 )
 from tbmlearn import baselines, fit_full_bm, fitting
 from tbmlearn.fitting import empirical_targets, fisher_matrix, interior_feasible
-from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix
+from tbmlearn.geometry import m_projection
+from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix, supports
 from tbmlearn.patterns import sort_key
 
 from conftest import WORKED_PROBS, WORKED_PSI, WORKED_THETA1
@@ -306,9 +307,8 @@ class TestFisherSteps:
     def test_worker_count_leaves_fit_unchanged(self, monkeypatch):
         rng = np.random.default_rng(0)
         d = TransactionDataset(entries=random_dataset(rng, 16, 300), n_variables=16)
-        _, calls = self.fit_by_worker_count(
-            monkeypatch, d, FitConfig(tol=1e-9, stall_window=5)
-        )
+        monkeypatch.setattr(fitting, "STALL_WINDOW", 5)
+        _, calls = self.fit_by_worker_count(monkeypatch, d, FitConfig(tol=1e-9))
         assert calls[0] > 2 * fitting.FISHER_BLOCK_ROWS
 
     def test_fisher_steps_after_a_removal(self, monkeypatch):
@@ -320,9 +320,8 @@ class TestFisherSteps:
                 x = (0,) + x
             entries[x] = entries.get(x, 0) + c
         d = TransactionDataset(entries=entries, n_variables=5)
-        report, calls = self.fit_by_worker_count(
-            monkeypatch, d, FitConfig(stall_window=3)
-        )
+        monkeypatch.setattr(fitting, "STALL_WINDOW", 3)
+        report, calls = self.fit_by_worker_count(monkeypatch, d, FitConfig())
         assert len(report.removed_parameters) == 1
         assert sorted(set(calls)) == [14, 15]
 
@@ -365,13 +364,14 @@ class TestDenseGate:
         monkeypatch.setattr(baselines, "solve_fisher", refuse)
 
     @pytest.mark.parametrize("stall_window", [200, 3])
-    def test_fits_converge_on_sweeps(self, gated, stall_window):
+    def test_fits_converge_on_sweeps(self, gated, monkeypatch, stall_window):
+        monkeypatch.setattr(fitting, "STALL_WINDOW", stall_window)
         rng = np.random.default_rng(5)
         d = TransactionDataset(entries=random_dataset(rng, 5, 300), n_variables=5)
         patterns = list(mine_parameter_domain(d, 0.05, 2))
         space = build_sample_space(patterns, d)
         targets = empirical_targets(d, space, incidence_matrix(space, patterns))
-        cfg = FitConfig(tol=1e-8, max_sweeps=100_000, stall_window=stall_window)
+        cfg = FitConfig(tol=1e-8, max_sweeps=100_000)
         _, report = fit_to_moments(space, patterns, targets, cfg)
         _, bm_report = fit_full_bm(d, patterns, cfg)
         assert report.converged and bm_report.converged
@@ -415,11 +415,110 @@ class TestInstrumentation:
             assert per_sweep <= 2 * (len(domain) + 1) * len(model.space)
 
     def test_iterations_capped(self, worked_dataset):
-        # Newton steps match these moments exactly by the sixth iteration, so
-        # the cap sits below that.
+        # Newton steps match these moments exactly (a gap of 0.0) at the fourth
+        # iteration, so the cap sits below that.
         cfg = FitConfig(tol=0.0, max_sweeps=3)
         _, report = fit(worked_dataset, [(1,), (2,)], cfg)
         assert report.iterations == 3
+
+
+class TestReportMatchesModel:
+    """A fit's report reads the returned model's own moment gap, bit for bit."""
+
+    @staticmethod
+    def assert_agrees(report, targets, etas, tol):
+        gap = float(np.max(np.abs(targets - etas))) if len(etas) else 0.0
+        assert report.final_gap == gap
+        assert report.converged == (report.final_gap <= tol)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [FitConfig(tol=0.0, max_sweeps=7), FitConfig(), TIGHT, FitConfig(tol=0.0, max_sweeps=3)],
+        ids=["exact", "default", "tight", "capped"],
+    )
+    def test_fit(self, worked_dataset, cfg):
+        model, report = fit(worked_dataset, [(1,), (2,)], cfg)
+        targets = empirical_targets(worked_dataset, model.space, model.incidence)
+        self.assert_agrees(report, targets, model.etas(), cfg.tol)
+
+    def test_worked_moments_matched_exactly(self, worked_dataset):
+        _, report = fit(worked_dataset, [(1,), (2,)], FitConfig(tol=0.0, max_sweeps=7))
+        assert report.final_gap == 0.0 and report.converged
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fits(self, seed):
+        rng = np.random.default_rng(seed)
+        d = TransactionDataset(entries=random_dataset(rng, 6, 300), n_variables=6)
+        for cfg in (FitConfig(), TIGHT):
+            model, report, _ = fit_tbm(d, 0.05, 2, cfg)
+            targets = empirical_targets(d, model.space, model.incidence)
+            self.assert_agrees(report, targets, model.etas(), cfg.tol)
+
+    def test_fit_to_moments_after_up_front_removal(self):
+        space = SampleSpace.from_patterns([(), (0,), (1,), (0, 1)])
+        given = {(0,): 0.6, (1,): 1.0, (0, 1): 0.25}
+        model, report = fit_to_moments(space, list(given), list(given.values()))
+        assert report.removed_parameters == ((1,),)
+        targets = np.array([given[p] for p in model.domain])
+        self.assert_agrees(report, targets, model.etas(), FitConfig().tol)
+
+    def test_boundary_fit(self):
+        d = TransactionDataset(entries={(): 6, (0, 1): 4}, n_variables=2)
+        model, report = fit(d, [(0,), (0, 1)])
+        assert len(report.removed_parameters) == 1
+        targets = empirical_targets(d, model.space, model.incidence)
+        self.assert_agrees(report, targets, model.etas(), FitConfig().tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_m_projection(self, tol):
+        rng = np.random.default_rng(2)
+        outcomes = [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)]
+        weights = rng.random(len(outcomes)) + 0.1
+        truth = dict(zip(outcomes, weights / weights.sum()))
+        cfg = FitConfig(tol=tol, max_sweeps=50)
+        model, report = m_projection(truth, [(0,), (1,), (2,), (0, 1)], cfg)
+        pvec = np.array([truth[x] for x in model.space.outcomes])
+        self.assert_agrees(report, model.incidence.dot(pvec), model.etas(), tol)
+
+    @pytest.mark.parametrize(
+        "entries, domain",
+        [
+            ({(): 2, (0,): 3, (1,): 1, (0, 1): 4}, [(0,), (1,)]),
+            ({(): 6, (0, 1): 4}, [(0,), (0, 1)]),
+            ({(0,): 6, (0, 1): 4}, [(0,), (1,)]),
+        ],
+        ids=["interior", "boundary", "up_front"],
+    )
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_fit_full_bm(self, entries, domain, tol):
+        d = TransactionDataset(entries=entries, n_variables=2)
+        cfg = FitConfig(tol=tol, max_sweeps=50)
+        model, report = fit_full_bm(d, domain, cfg)
+        targets = supports(d, model.domain) / d.n_samples
+        self.assert_agrees(report, targets, model.etas(), tol)
+
+
+class TestUpFrontFilter:
+    def test_pattern_outside_space_removed_first(self):
+        # No outcome contains item 3, so the row of (3,) in Z is empty and no
+        # parameter reaches its interior target.  (0,) and (0, 1) ask for
+        # p((0,)) = 0, a boundary the loop removes a parameter for later.
+        space = SampleSpace.from_patterns([(), (0,), (0, 1)])
+        patterns = [(0,), (3,), (0, 1)]
+        targets = [0.4, 0.3, 0.4]
+        model, report = fit_to_moments(space, patterns, targets)
+        assert report.removed_parameters[0] == (3,)
+        assert len(report.removed_parameters) == 2
+        assert report.converged and len(model.domain) == 1
+        # It goes before the first iteration, not through the theta_max layer.
+        _, report = fit_to_moments(space, patterns, targets, FitConfig(max_sweeps=0))
+        assert report.removed_parameters == ((3,),) and report.iterations == 0
+
+    def test_interior_fit_drops_only_the_empty_row(self, worked_dataset):
+        space = build_sample_space([(1,), (2,)], worked_dataset)
+        model, report = fit_to_moments(space, [(1,), (2,), (3,)], [0.7, 0.5, 0.3])
+        assert report.removed_parameters == ((3,),)
+        assert report.converged and model.domain == ((1,), (2,))
 
 
 class TestValidation:
