@@ -204,6 +204,20 @@ def matched_hidden_units(domain_size: int, n_variables: int) -> int:
     return max(1, math.ceil((domain_size - n_variables) / (n_variables + 1)))
 
 
+def _check_rbm_budget(
+    dataset: TransactionDataset, n_hidden: int, config: RBMConfig
+) -> None:
+    """Refuse (``ValueError``) an RBM whose dense data, chains and weights
+    need more than ``RBM_MAX_BYTES``; it depends on no fitted value."""
+    n = dataset.n_variables
+    dense_bytes = 8 * n * (len(dataset.entries) + config.n_chains + n_hidden)
+    if dense_bytes > RBM_MAX_BYTES:
+        raise ValueError(
+            f"the RBM needs {dense_bytes} bytes of dense arrays for {n} variables, "
+            f"over its {RBM_MAX_BYTES}-byte budget; number the items densely"
+        )
+
+
 def fit_rbm_pcd1(
     dataset: TransactionDataset,
     n_hidden: int,
@@ -220,14 +234,9 @@ def fit_rbm_pcd1(
     cfg = config or RBMConfig()
     if n_hidden < 1:
         raise ValueError("need at least one hidden unit")
+    _check_rbm_budget(dataset, n_hidden, cfg)
     n = dataset.n_variables
     uniques = dataset.unique_patterns()
-    dense_bytes = 8 * n * (len(uniques) + cfg.n_chains + n_hidden)
-    if dense_bytes > RBM_MAX_BYTES:
-        raise ValueError(
-            f"the RBM needs {dense_bytes} bytes of dense arrays for {n} variables, "
-            f"over its {RBM_MAX_BYTES}-byte budget; number the items densely"
-        )
     rng = np.random.default_rng(cfg.seed)
     X = np.stack([pattern_vector(t, n) for t in uniques])
     weights = np.array([dataset.entries[t] for t in uniques], dtype=np.float64)

@@ -21,12 +21,13 @@ from .baselines import (
     FullBMModel,
     RBMConfig,
     RBMModel,
+    _check_rbm_budget,
     fit_full_bm,
     fit_rbm_pcd1,
     matched_hidden_units,
 )
 from .experiments import BiasVarianceConfig, bias_variance_experiment, synth_dataset
-from .fitting import FitConfig, fit_tbm
+from .fitting import FitConfig, fit, fit_tbm
 from .metrics import (
     entropy,
     evaluate_gibbs,
@@ -294,11 +295,19 @@ def cmd_biasvar(args) -> int:
 def cmd_compare(args) -> int:
     dataset = _read_dataset(args)
     rows = []
+    rbm_config = RBMConfig(
+        learning_rate=args.rbm_lr,
+        n_updates=args.rbm_updates,
+        n_chains=args.rbm_chains,
+        seed=args.seed,
+    )
 
     start = time.perf_counter()
-    tbm_model, tbm_report, domain = fit_tbm(
-        dataset, args.sigma, args.k, _fit_config(args)
-    )
+    domain = mine_parameter_domain(dataset, args.sigma, args.k)
+    # The RBM's size follows from the domain alone: refuse it before any fit.
+    n_hidden = matched_hidden_units(len(domain), dataset.n_variables)
+    _check_rbm_budget(dataset, n_hidden, rbm_config)
+    tbm_model, _ = fit(dataset, domain, _fit_config(args))
     tbm_time = time.perf_counter() - start
     tbm_error = reconstruction_error_proxy(tbm_model.energy, dataset)
     rows.append(
@@ -335,13 +344,6 @@ def cmd_compare(args) -> int:
             }
         )
 
-    n_hidden = matched_hidden_units(len(domain), dataset.n_variables)
-    rbm_config = RBMConfig(
-        learning_rate=args.rbm_lr,
-        n_updates=args.rbm_updates,
-        n_chains=args.rbm_chains,
-        seed=args.seed,
-    )
     start = time.perf_counter()
     rbm_model = fit_rbm_pcd1(dataset, n_hidden, rbm_config)
     rbm_time = time.perf_counter() - start

@@ -19,7 +19,11 @@ not fall (backtracking as in Nocedal & Wright, ch. 3).  Over the reduced
 space G is one sparse product ``Z diag(p) Z^T``, built in blocks of rows on a
 thread pool with one worker per usable core, plus one Cholesky solve.  Every
 row of G is the same sum, in the same order, as in the serial product, so
-fits do not depend on the core count.  The solve stays dense:
+G does not depend on the core count.  The Cholesky solve runs in the BLAS,
+whose threads split its sums differently: the same fit's θ moved by up to
+1e-9 between one and two OpenBLAS threads, so fits (and ``fit-tbm`` files)
+are reproducible bit for bit only at a fixed BLAS thread count.  The solve
+stays dense:
 implication-rule targets leave G nearly singular, and on the 12 Fisher
 systems of one fit of the bench's ``basket`` workload (|B| = 2048)
 matrix-free Jacobi-preconditioned conjugate gradients took 163 to 2524

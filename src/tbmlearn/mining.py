@@ -3,22 +3,34 @@
 The parameter domain consists of every non-empty pattern whose empirical
 support reaches a threshold ``sigma`` and whose cardinality is at most ``k``.
 Support anti-monotonicity makes this an ordinary frequent-itemset mining
-problem, solved here by a depth-first enumeration over per-item transaction
-lists with support pruning.
+problem, solved here level by level (Apriori; Agrawal & Srikant, VLDB 1994)
+over vertical tidsets (Zaki, IEEE TKDE 2000).  The data are one sparse
+matrix X, distinct transactions by occurring items, so mining's cost and
+memory do not depend on the size of the variable universe.  The supports of
+every one-item extension of the frequent j-sets are one sparse product, the
+j-sets' tidsets weighted by multiplicity times X; an extension is kept when
+its item follows the prefix's last item and its support reaches the
+threshold, and its tidset is its prefix's tidset intersected with the new
+item's posting.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
-from .model import SampleSpace, multiplicities
-from .patterns import Pattern, TransactionDataset, sort_key
+from .patterns import Pattern, TransactionDataset
 
 DEFAULT_DOMAIN_CAP = 10_000_000
+# The next level's tidsets are gathered in chunks of about this many nonzeros:
+# gathering every extension's prefix tidset and posting at once would copy a
+# heavy posting once per extension.
+GATHER_CHUNK_NNZ = 1 << 20
 
 
 class DomainSizeError(RuntimeError):
@@ -71,6 +83,54 @@ def _max_domain_size(n_variables: int, k: int) -> int:
     return sum(math.comb(n_variables, i) for i in range(1, min(k, n_variables) + 1))
 
 
+def _transactions_by_items(
+    dataset: TransactionDataset, threshold: int
+) -> tuple[np.ndarray, sparse.csr_matrix, np.ndarray]:
+    """The frequent items in increasing order, the 0/1 CSR matrix X of the
+    distinct transactions (rows, in ``entries`` order) by those items, and
+    the transactions' multiplicities.  Columns index only occurring items,
+    so nothing here scales with ``n_variables``."""
+    entries = dataset.entries
+    lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+    # Identifiers past the int64 range stay Python integers.
+    dtype = np.int64 if dataset.n_variables <= 2**63 else object
+    flat = np.fromiter(
+        itertools.chain.from_iterable(entries), dtype=dtype, count=int(lengths.sum())
+    )
+    weights = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+    items, cols = np.unique(flat, return_inverse=True)
+    rows = np.repeat(np.arange(len(entries)), lengths)
+    frequent = np.bincount(cols, weights=weights[rows], minlength=len(items)) >= threshold
+    keep = frequent[cols]
+    compact = np.cumsum(frequent) - 1
+    data = sparse.csr_matrix(
+        (np.ones(int(keep.sum())), (rows[keep], compact[cols[keep]])),
+        shape=(len(entries), int(frequent.sum())),
+    )
+    return items[frequent], data, weights
+
+
+def _extend_tidsets(
+    tids: sparse.csr_matrix,
+    postings: sparse.csr_matrix,
+    rows: np.ndarray,
+    items: np.ndarray,
+) -> sparse.csr_matrix:
+    """Row i is ``tids[rows[i]]`` intersected with ``postings[items[i]]``,
+    gathered in chunks of at most ``GATHER_CHUNK_NNZ`` nonzeros (or one row)."""
+    gathered = np.diff(tids.indptr)[rows] + np.diff(postings.indptr)[items]
+    ends = np.cumsum(gathered)
+    blocks = []
+    start = 0
+    while start < len(rows):
+        limit = ends[start] - gathered[start] + GATHER_CHUNK_NNZ
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        chunk = slice(start, stop)
+        blocks.append(tids[rows[chunk]].multiply(postings[items[chunk]]))
+        start = stop
+    return sparse.vstack(blocks, format="csr")
+
+
 def mine_parameter_domain(
     dataset: TransactionDataset,
     sigma: float,
@@ -79,19 +139,15 @@ def mine_parameter_domain(
 ) -> ParameterDomain:
     """Enumerate all patterns with support >= sigma and cardinality <= k.
 
-    Output is independent of transaction order and, for ``sigma == 0``,
-    covers the full variable universe of the dataset (including variables
-    that never occur).  Raises :class:`DomainSizeError` when the result
-    would exceed ``max_domain_size``.
+    Output is in canonical order, independent of transaction order and, for
+    ``sigma == 0``, covers the full variable universe of the dataset
+    (including variables that never occur).  Raises
+    :class:`DomainSizeError` when the result would exceed
+    ``max_domain_size``.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     threshold = support_threshold(sigma, dataset.n_samples)
-
-    space = SampleSpace.from_patterns(dataset.entries)
-    weights = multiplicities(space, dataset)
-    item_tids = space.item_rows
-    empty = np.empty(0, dtype=np.int32)
 
     if threshold == 0:
         if _max_domain_size(dataset.n_variables, k) > max_domain_size:
@@ -99,33 +155,37 @@ def mine_parameter_domain(
                 f"sigma=0 over {dataset.n_variables} variables yields more than "
                 f"{max_domain_size} patterns"
             )
-        items = list(range(dataset.n_variables))
-    else:
-        items = sorted(
-            i for i, idx in item_tids.items() if int(weights[idx].sum()) >= threshold
+        universe = range(dataset.n_variables)
+        patterns = tuple(
+            p for order in range(1, k + 1) for p in itertools.combinations(universe, order)
         )
+        return ParameterDomain(patterns=patterns, sigma=sigma, k=k)
 
+    items, data, weights = _transactions_by_items(dataset, threshold)
+    postings = data.T.tocsr()
+    # The frequent sets of one order, in canonical order, with their tidsets
+    # (0/1 rows over the distinct transactions) and last items (columns of X).
+    level = [(item,) for item in items.tolist()]
+    tids, last = postings, np.arange(len(level))
     found: list[Pattern] = []
-
-    def extend(prefix: Pattern, tids: np.ndarray, start: int) -> None:
-        for pos in range(start, len(items)):
-            item = items[pos]
-            sub = np.intersect1d(tids, item_tids.get(item, empty), assume_unique=True)
-            if int(weights[sub].sum()) < threshold:
-                continue
-            candidate = prefix + (item,)
-            found.append(candidate)
-            if len(found) > max_domain_size:
-                raise DomainSizeError(
-                    f"more than {max_domain_size} frequent patterns; raise the cap "
-                    "or increase sigma"
-                )
-            if len(candidate) < k:
-                extend(candidate, sub, pos + 1)
-
-    all_tids = np.arange(len(space), dtype=np.int32)
-    extend((), all_tids, 0)
-
-    return ParameterDomain(
-        patterns=tuple(sorted(found, key=sort_key)), sigma=sigma, k=k
-    )
+    for order in range(1, k + 1):
+        found.extend(level)
+        if len(found) > max_domain_size:
+            raise DomainSizeError(
+                f"more than {max_domain_size} frequent patterns; raise the cap "
+                "or increase sigma"
+            )
+        if not level or order == k:
+            break
+        scaled = sparse.csr_matrix(
+            (weights[tids.indices], tids.indices, tids.indptr), shape=tids.shape
+        )
+        counts = scaled @ data
+        counts.sort_indices()
+        rows = np.repeat(np.arange(len(level)), np.diff(counts.indptr))
+        keep = (counts.data >= threshold) & (counts.indices > last[rows])
+        rows, last = rows[keep], counts.indices[keep]
+        if len(rows) and order + 1 < k:
+            tids = _extend_tidsets(tids, postings, rows, last)
+        level = [level[r] + (item,) for r, item in zip(rows.tolist(), items[last].tolist())]
+    return ParameterDomain(patterns=tuple(found), sigma=sigma, k=k)

@@ -13,7 +13,8 @@ pattern's row is every outcome: the prefix tidset recurrence of vertical
 mining (Zaki, IEEE TKDE 2000).  Rows are kept by pattern, so a domain closed
 under prefixes, as a mined one is, pays one intersection per row instead of
 one per item.  The postings, ``SampleSpace.item_rows``, are built once per
-space; mining reads them over the distinct transactions.
+space.  Mining does not read them: it counts over its own sparse matrix of
+the distinct transactions (see :mod:`tbmlearn.mining`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class SampleSpace:
     @cached_property
     def item_rows(self) -> dict[int, np.ndarray]:
         """Item -> sorted int32 positions of the outcomes that contain it: the
-        postings that mining and :func:`incidence_matrix` intersect."""
+        postings that :func:`incidence_matrix` intersects."""
         lists: dict[int, list[int]] = {}
         for pos, outcome in enumerate(self.outcomes):
             for item in outcome:

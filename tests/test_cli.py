@@ -139,7 +139,12 @@ class TestFitRbm:
         def refuse(*args):
             raise AssertionError("dense visible vector allocated")
 
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the RBM budget was checked")
+
         monkeypatch.setattr(baselines, "pattern_vector", refuse)
+        monkeypatch.setattr("tbmlearn.fitting.fit_to_moments", no_fit)
+        monkeypatch.setattr("tbmlearn.cli.fit_full_bm", no_fit)
         path = tmp_path / "sparse_ids.fimi"
         path.write_text("0 1000000000\n0\n1000000000\n0 1000000000\n")
         args = ["--sigma", "0.2", "--k", "1"] if command == "compare" else ["--hidden", "1"]
