@@ -115,7 +115,7 @@ class FullCube:
     def direction(self, log_probs, etas, residual) -> np.ndarray:
         sup = superset_sums(np.exp(log_probs), self.n_variables)
         g = sup[self.masks[:, None] | self.masks[None, :]] - np.outer(etas, etas)
-        return solve_fisher(0.5 * (g + g.T), residual)
+        return solve_fisher(g, residual)
 
     def feasible(self, targets: np.ndarray) -> bool | None:
         n = self.n_variables

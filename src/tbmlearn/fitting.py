@@ -19,18 +19,19 @@ not fall (backtracking as in Nocedal & Wright, ch. 3).  Over the reduced
 space G is one sparse product ``Z diag(p) Z^T``, built in blocks of rows on a
 thread pool with one worker per usable core, plus one Cholesky solve.  Every
 row of G is the same sum, in the same order, as in the serial product, so
-G does not depend on the core count.  The Cholesky solve runs in the BLAS,
-whose threads split its sums differently: the same fit's θ moved by up to
-1e-9 between one and two OpenBLAS threads, so fits (and ``fit-tbm`` files)
-are reproducible bit for bit only at a fixed BLAS thread count.  The solve
-stays dense:
-implication-rule targets leave G nearly singular, and on the 12 Fisher
-systems of one fit of the bench's ``basket`` workload (|B| = 2048)
-matrix-free Jacobi-preconditioned conjugate gradients took 163 to 2524
-iterations and 44 s in all at rtol 1e-4, and 2411 to the 5000 cap and 244 s
-at rtol 1e-8, against 11-12 s for the dense builds and solves.
+G does not depend on the core count.  G is symmetric bit for bit as built:
+Z's rows have sorted indices and 0/1 data, so entries (s, u) and (u, s) add
+the same probabilities in the same order.  The Cholesky solve runs in the
+BLAS, whose threads split its sums differently: the same fit's θ moved by up
+to 1e-9 between one and two OpenBLAS threads, so fits (and ``fit-tbm``
+files) are reproducible bit for bit only at a fixed BLAS thread count.  The
+solve stays dense: implication-rule targets leave G nearly singular, and on
+the 12 Fisher systems of one fit of the bench's ``basket`` workload
+(|B| = 2048) matrix-free Jacobi-preconditioned conjugate gradients took 163
+to 2524 iterations and 44 s in all at rtol 1e-4, and 2411 to the 5000 cap
+and 244 s at rtol 1e-8, against 11-12 s for the dense builds and solves.
 
-G takes ``8 |B|^2`` bytes, and about twice that while it is symmetrized.
+G takes ``8 |B|^2`` bytes.
 Above ``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) no dense G is built:
 iterations are first-order sweeps ``θ += t (targets - η)``, whose step grows
 after each gain and shrinks after each loss.  A sweep costs two sparse
@@ -60,7 +61,6 @@ a boundary fit that reaches tol keeps its drifted parameters.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,34 +90,21 @@ FISHER_BLOCK_ROWS = 64
 FISHER_MAX_BYTES = 256 << 20
 STALL_WINDOW = 200
 
-_fisher_pool: ThreadPoolExecutor | None = None
-_fisher_pool_lock = threading.Lock()
+
+def _new_fisher_pool() -> None:
+    """Make the Fisher pool: one worker per usable core, no thread before its first ``map``."""
+    global _fisher_pool
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    _fisher_pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="tbmlearn-fisher")
 
 
-def _forget_fisher_pool() -> None:
-    global _fisher_pool, _fisher_pool_lock
-    _fisher_pool = None
-    _fisher_pool_lock = threading.Lock()
-
-
+_new_fisher_pool()
 if hasattr(os, "register_at_fork"):
     # A forked child inherits the pool object but none of its threads.
-    os.register_at_fork(after_in_child=_forget_fisher_pool)
-
-
-def _fisher_executor() -> ThreadPoolExecutor:
-    """The pool that builds Fisher matrices, created on first use."""
-    global _fisher_pool
-    with _fisher_pool_lock:
-        if _fisher_pool is None:
-            if hasattr(os, "sched_getaffinity"):
-                workers = len(os.sched_getaffinity(0))
-            else:
-                workers = os.cpu_count() or 1
-            _fisher_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="tbmlearn-fisher"
-            )
-        return _fisher_pool
+    os.register_at_fork(after_in_child=_new_fisher_pool)
 
 
 @dataclass
@@ -180,9 +167,9 @@ def fisher_matrix(
     ``rows_of`` the transpose of ``incidence`` in CSR form.  Blocks of
     ``FISHER_BLOCK_ROWS`` rows are filled concurrently, the first in the
     calling thread and the rest on the pool; scipy's sparse product releases
-    the interpreter lock.  Each row is the same sum, in the same
-    order, as in the one-piece product, so the result does not depend on the
-    number of workers.
+    the interpreter lock.  Each row is the same sum, in the same order, as in
+    the one-piece product, so the result does not depend on the number of
+    workers; it is symmetric bit for bit when Z has sorted indices and 0/1 data.
     """
     scaled = sparse.csr_matrix(
         (incidence.data * p[incidence.indices], incidence.indices, incidence.indptr),
@@ -199,12 +186,10 @@ def fisher_matrix(
     # A one-block matrix never touches the pool, whose hand-off costs more
     # than a small block; reading every result re-raises a worker's exception.
     rest = range(FISHER_BLOCK_ROWS, m, FISHER_BLOCK_ROWS)
-    pending = _fisher_executor().map(fill, rest) if rest else ()
+    pending = _fisher_pool.map(fill, rest) if rest else ()
     fill(0)
     for _ in pending:
         pass
-    g += g.T
-    g *= 0.5
     return g
 
 
@@ -491,7 +476,8 @@ def fit_to_moments(
 
     Runs :func:`ascend` over the reduced space.  If the guard removes every
     parameter, the uniform distribution over the space is returned and
-    flagged in the report.
+    flagged in the report.  A given ``incidence`` is copied only to put its
+    rows in canonical order.
     """
     cfg = config or FitConfig()
     targets = np.asarray(targets, dtype=np.float64)
@@ -503,10 +489,11 @@ def fit_to_moments(
     order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
     pats = [patterns[j] for j in order]
     targets = targets[order]
-    reduced = ReducedSpace(
-        incidence_matrix(space, pats) if incidence is None
-        else incidence[np.array(order, dtype=np.intp)]
-    )
+    if incidence is None:
+        incidence = incidence_matrix(space, pats)
+    elif order != list(range(len(order))):
+        incidence = incidence[np.array(order, dtype=np.intp)]
+    reduced = ReducedSpace(incidence)
     run = ascend(reduced, pats, targets, cfg)
     model = GibbsModel(space, run.patterns, run.theta, incidence=reduced.incidence)
     return model, run.report

@@ -108,7 +108,7 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema {obj.get('schema')!r}")
     kind = obj.get("kind")
-    if kind not in _REQUIRED_KEYS:
+    if not isinstance(kind, str) or kind not in _REQUIRED_KEYS:
         raise ValueError(f"unknown model kind {kind!r}")
     missing = [key for key in _REQUIRED_KEYS[kind] if key not in obj]
     if missing:
@@ -116,12 +116,19 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     report = _report_from(obj.get("fit_report"))
     meta = obj.get("meta", {})
     if kind == "rbm":
-        model = RBMModel(
-            visible_bias=_floats(obj, "visible_bias"),
-            hidden_bias=_floats(obj, "hidden_bias"),
-            weights=_floats(obj, "weights"),
-        )
-        return model, report, meta
+        visible, hidden, weights = (_floats(obj, key) for key in _REQUIRED_KEYS["rbm"])
+        if visible.ndim != 1 or hidden.ndim != 1:
+            raise ValueError("visible_bias and hidden_bias must be lists of numbers")
+        if weights.shape == (0,):
+            # JSON writes a matrix with no visible units as [].
+            weights = weights.reshape(0, hidden.size)
+        if weights.shape != (visible.size, hidden.size):
+            raise ValueError(
+                f"weights must be {visible.size} x {hidden.size}, got shape {weights.shape}"
+            )
+        if not all(np.all(np.isfinite(a)) for a in (visible, hidden, weights)):
+            raise ValueError("rbm values must be finite")
+        return RBMModel(visible, hidden, weights), report, meta
     domain = tuple(_pattern_list(obj, "domain"))
     theta = _floats(obj, "theta")
     if theta.shape != (len(domain),):

@@ -98,6 +98,25 @@ class TestFullBM:
             for x in cube.outcomes:
                 assert bm.prob(x) == pytest.approx(tbm.prob(x), abs=1e-12)
 
+    def test_fisher_matrix_symmetric_as_built(self, monkeypatch):
+        handed = []
+
+        def capture(g, residual):
+            handed.append(g.copy())
+            return residual
+
+        monkeypatch.setattr(baselines, "solve_fisher", capture)
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            n = int(rng.integers(2, 9))
+            patterns = [p for p in enumerate_patterns(n) if 1 <= len(p) <= 3]
+            cube = FullCube(n, patterns)
+            log_probs, _ = cube.state(rng.normal(scale=2.0, size=len(patterns)))
+            cube.direction(log_probs, cube.etas(log_probs), np.zeros(len(patterns)))
+        assert len(handed) == 8
+        for g in handed:
+            assert np.array_equal(g, g.T)
+
     def test_degenerate_pair_guarded_like_tbm(self):
         d = TransactionDataset(entries={(): 6, (0, 1): 4}, n_variables=2)
         model, report = fit_full_bm(d, [(0,), (0, 1)])

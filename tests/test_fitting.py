@@ -336,11 +336,19 @@ class TestFisherSteps:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_with_a_fresh_pool(self):
-        z = sparse.csr_matrix(np.eye(3))
-        p = np.full(3, 1.0 / 3.0)
+        # More than two blocks of rows, so the pool has live threads when the
+        # process forks, and the child's build needs a pool of its own.
+        m = 3 * fitting.FISHER_BLOCK_ROWS + 1
+        rng = np.random.default_rng(2)
+        z = sparse.csr_matrix((rng.random((m, 2 * m)) < 0.1).astype(np.float64))
+        p = np.full(2 * m, 1.0 / (2 * m))
         args = (z, z.T.tocsr(), p, z.dot(p))
-        fisher_matrix(*args)
-        child = multiprocessing.get_context("fork").Process(target=fisher_matrix, args=args)
+        expected = fisher_matrix(*args)
+
+        def build_again():
+            assert np.array_equal(fisher_matrix(*args), expected)
+
+        child = multiprocessing.get_context("fork").Process(target=build_again)
         child.start()
         child.join(timeout=30)
         hung = child.is_alive()

@@ -8,6 +8,7 @@ import pytest
 from tbmlearn import (
     FitConfig,
     RBMConfig,
+    TransactionDataset,
     dumps_model,
     fit,
     fit_full_bm,
@@ -76,6 +77,7 @@ class TestSchemaGuards:
             ("domain", [[1], [7]], r"\(7,\) is outside the sample space"),
             ("theta", {"a": 0.5, "b": 0.1}, "theta must hold numbers only"),
             ("fit_report", [1, 2], "fit_report must be a JSON object, not list"),
+            ("kind", ["tbm"], r"unknown model kind \['tbm'\]"),
         ],
     )
     def test_malformed_tbm_rejected(self, worked_dataset, key, value, message):
@@ -114,6 +116,33 @@ class TestSchemaGuards:
         obj[key] = value
         with pytest.raises(ValueError, match=message):
             model_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("visible_bias", 0, "visible_bias and hidden_bias must be lists of numbers"),
+            ("hidden_bias", [[0.5]], "visible_bias and hidden_bias must be lists of numbers"),
+            ("weights", [1.0, 2.0], r"weights must be 2 x 1, got shape \(2,\)"),
+            ("weights", [[1.0, 2.0]], r"weights must be 2 x 1, got shape \(1, 2\)"),
+            ("weights", [], r"weights must be 2 x 1, got shape \(0, 1\)"),
+            ("weights", [[0.5], [float("nan")]], "rbm values must be finite"),
+            ("visible_bias", [0.5, float("inf")], "rbm values must be finite"),
+            ("weights", [[0.5], ["x"]], "weights must hold numbers only"),
+        ],
+    )
+    def test_malformed_rbm_rejected(self, worked_dataset01, key, value, message):
+        model = fit_rbm_pcd1(worked_dataset01, 1, RBMConfig(n_updates=5, seed=0))
+        obj = json.loads(dumps_model(model))
+        obj[key] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(obj)
+
+    def test_rbm_without_visible_units_round_trips(self):
+        data = TransactionDataset(entries={(): 5}, n_variables=0)
+        model = fit_rbm_pcd1(data, 2, RBMConfig(n_updates=5, seed=0))
+        loaded, _, _ = model_from_dict(json.loads(dumps_model(model)))
+        assert loaded.weights.shape == (0, 2)
+        np.testing.assert_array_equal(loaded.hidden_bias, model.hidden_bias)
 
     @pytest.mark.parametrize(
         "kind, key, value, message",
