@@ -68,12 +68,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _fit_config(args) -> FitConfig:
-    return FitConfig(
-        step_size=args.epsilon,
-        tol=args.tol,
-        max_sweeps=args.max_iters,
-        theta_max=args.theta_max,
-    )
+    return FitConfig(tol=args.tol, max_sweeps=args.max_iters, theta_max=args.theta_max)
 
 
 def _add_input_options(parser) -> None:
@@ -106,9 +101,6 @@ _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 
 def _add_fit_options(parser) -> None:
     parser.add_argument(
-        "--epsilon", type=_positive_float, default=1.0, help="initial step size"
-    )
-    parser.add_argument(
         "--tol", type=_non_negative_float, default=1e-6, help="moment-gap tolerance"
     )
     parser.add_argument(
@@ -140,6 +132,18 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
+def _write_fit(args, model, report, meta) -> int:
+    """Write a fitted model; warn on stderr when the fit did not converge."""
+    _write_text(args.out, dumps_model(model, report, meta))
+    if report.domain_emptied:
+        print("warning: divergence guard removed every parameter", file=sys.stderr)
+        return EXIT_NUMERIC
+    if not report.converged:
+        print(f"warning: fit stopped unconverged after {report.iterations} iterations: "
+              f"moment gap {report.final_gap:.3g} above tol {args.tol:g}", file=sys.stderr)
+    return EXIT_OK
+
+
 def cmd_fit_tbm(args) -> int:
     dataset = _read_dataset(args)
     model, report, domain = fit_tbm(dataset, args.sigma, args.k, _fit_config(args))
@@ -148,14 +152,9 @@ def cmd_fit_tbm(args) -> int:
         "k": args.k,
         "n_variables": dataset.n_variables,
         "n_samples": dataset.n_samples,
-        "seed": args.seed,
         "mined_domain_size": len(domain),
     }
-    _write_text(args.out, dumps_model(model, report, meta))
-    if report.domain_emptied:
-        print("warning: divergence guard removed every parameter", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _write_fit(args, model, report, meta)
 
 
 def cmd_fit_bm(args) -> int:
@@ -168,11 +167,7 @@ def cmd_fit_bm(args) -> int:
         "n_variables": dataset.n_variables,
         "n_samples": dataset.n_samples,
     }
-    _write_text(args.out, dumps_model(model, report, meta))
-    if report.domain_emptied:
-        print("warning: divergence guard removed every parameter", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _write_fit(args, model, report, meta)
 
 
 def cmd_fit_rbm(args) -> int:
@@ -399,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     _add_fit_options(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit_tbm)
 

@@ -14,48 +14,48 @@ So from θ = 0 every iteration takes a damped Newton step
 ``θ += t G^-1 (targets - η)``, natural-gradient ascent on the dually flat
 manifold of the family (Amari 1998; Sugiyama, Nakahara & Tsuda, ICML 2017),
 which converges quadratically to an interior maximizer.  The trial length t
-starts at ``FitConfig.step_size`` and halves until the log-likelihood does
-not fall (backtracking as in Nocedal & Wright, ch. 3).  Over the reduced
-space G is one sparse product ``Z diag(p) Z^T``, built in blocks of rows on a
-thread pool with one worker per usable core, plus one Cholesky solve.  Every
-row of G is the same sum, in the same order, as in the serial product, so
-G does not depend on the core count.  G is symmetric bit for bit as built:
-Z's rows have sorted indices and 0/1 data, so entries (s, u) and (u, s) add
-the same probabilities in the same order.  The Cholesky solve runs in the
-BLAS, whose threads split its sums differently: the same fit's θ moved by up
-to 1e-9 between one and two OpenBLAS threads, so fits (and ``fit-tbm``
-files) are reproducible bit for bit only at a fixed BLAS thread count.  The
-solve stays dense: implication-rule targets leave G nearly singular, and on
+starts at 1 and halves until the log-likelihood does not fall (backtracking
+as in Nocedal & Wright, ch. 3).  Over the reduced space G is one sparse
+product ``Z diag(p) Z^T``, built in blocks of rows on a thread pool with
+one worker per usable core, plus one Cholesky solve.  Every row of G is the
+same sum, in the same order, as in the serial product, so G does not depend
+on the core count.  G is symmetric bit for bit as built: Z's rows have
+sorted indices and 0/1 data, so entries (s, u) and (u, s) add the same
+probabilities in the same order.  The Cholesky solve runs in the BLAS, whose
+threads split its sums differently: the same fit's θ moved by up to 1e-9
+between one and two OpenBLAS threads, so fits (and ``fit-tbm`` files) are
+reproducible bit for bit only at a fixed BLAS thread count.  The solve stays
+dense: implication-rule targets leave G nearly singular, and on
 the 12 Fisher systems of one fit of the bench's ``basket`` workload
 (|B| = 2048) matrix-free Jacobi-preconditioned conjugate gradients took 163
 to 2524 iterations and 44 s in all at rtol 1e-4, and 2411 to the 5000 cap
 and 244 s at rtol 1e-8, against 11-12 s for the dense builds and solves.
+A trial state costs two sparse matrix-vector products over the reduced
+space (through Z and through its transpose, built once per fit), one exp
+and one ``model.logsumexp``.
 
-G takes ``8 |B|^2`` bytes.
-Above ``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) no dense G is built:
-iterations are first-order sweeps ``θ += t (targets - η)``, whose step grows
-after each gain and shrinks after each loss.  A sweep costs two sparse
-matrix-vector products over the reduced space (through Z and through its
-transpose, built once per fit), one exp and one log-sum-exp.
-``model.logsumexp`` matches scipy's bit for bit, without the per-call
-dispatch that outweighs the products on small fits.
+G takes ``8 |B|^2`` bytes.  A fit whose parameters, after the up-front
+filter below, would need more than ``FISHER_MAX_BYTES`` (256 MiB, |B| up to
+5792) is refused with :class:`~tbmlearn.mining.DomainSizeError` before any
+iteration and before G is allocated; a larger sigma or a smaller k gives a
+smaller domain.
 
 Targets on the boundary of the achievable moment set have no maximizer: some
-parameter drifts without bound.  Sweeps then crawl, the gap decaying only
-harmonically; Newton steps keep moving the drifting parameters by about 1
-each, and the gap falls by a constant factor per step instead of
-quadratically.  The guard handles this in three layers, all inside
-:func:`ascend`: before the first step it removes the patterns whose target
-is 0 or 1 or that no outcome contains (η = 0 under the uniform start), a
-parameter whose magnitude crosses ``theta_max`` is removed outright, and
-when the gap stalls over a window of ``STALL_WINDOW`` iterations, or a
-Newton fit reaches tol at that linear rate, with drifted parameters, a
-linear-programming feasibility check decides whether any strictly positive
-distribution can match the targets at all.  If not, the
-largest-magnitude parameter is removed and fitting restarts from θ = 0 on
-the survivors.  The LP runs only on incidence matrices of at most
-``FEASIBILITY_CHECK_MAX_NNZ`` nonzeros; above that it gives no verdict, and
-a boundary fit that reaches tol keeps its drifted parameters.
+parameter drifts without bound.  Newton steps then keep moving the drifting
+parameters by about 1 each, and the gap falls by a constant factor per step
+instead of quadratically.  The guard handles this in three layers, all
+inside :func:`ascend`: before the first step it removes the patterns whose
+target is 0 or 1 or that no outcome contains (η = 0 under the uniform
+start); a parameter whose magnitude crosses ``theta_max`` is removed
+outright; and when a step reaches tol at that linear rate, moving some
+parameter by at least ``DRIFT_STEP`` while the largest magnitude exceeds
+``min(DRIFT_GATE, theta_max / 2)``, a linear-programming feasibility check
+decides whether any strictly positive distribution can match the targets at
+all.  If not, the largest-magnitude parameter is removed and fitting
+restarts from θ = 0 on the survivors.  The LP runs only on incidence
+matrices of at most ``FEASIBILITY_CHECK_MAX_NNZ`` nonzeros; above that it
+gives no verdict, and a boundary fit that reaches tol keeps its drifted
+parameters.
 """
 
 from __future__ import annotations
@@ -70,16 +70,13 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
-from .mining import ParameterDomain, mine_parameter_domain
+from .mining import DomainSizeError, ParameterDomain, mine_parameter_domain
 from .model import (
     GibbsModel, SampleSpace, build_sample_space, incidence_matrix, logsumexp, multiplicities
 )
 from .patterns import Pattern, TransactionDataset, sort_key
 
-STALL_RATIO = 0.5
-STEP_GROWTH = 1.5
 STEP_SHRINK = 0.5
-MAX_STEP_SIZE = 1e15
 MIN_STEP_SIZE = 1e-16
 LP_MIN_PROBABILITY = 1e-11
 FEASIBILITY_CHECK_MAX_NNZ = 1 << 15
@@ -88,7 +85,6 @@ DRIFT_STEP = 0.5
 ACCEPT_SLACK = 1e-14
 FISHER_BLOCK_ROWS = 64
 FISHER_MAX_BYTES = 256 << 20
-STALL_WINDOW = 200
 
 
 def _new_fisher_pool() -> None:
@@ -111,22 +107,17 @@ if hasattr(os, "register_at_fork"):
 class FitConfig:
     """Ascent settings.
 
-    ``step_size`` is the first trial length of every Newton iteration, and
-    the first sweep length when the fit runs on sweeps.  ``max_sweeps``
-    caps the iterations, trial steps included.  ``theta_max`` bounds
-    parameter magnitudes; exceeding it is treated as divergence and removes
-    that parameter from the domain.  A fit converges when its largest moment
-    gap is at most ``tol``.
+    ``max_sweeps`` caps the iterations, trial steps included.
+    ``theta_max`` bounds parameter magnitudes; exceeding it is treated as
+    divergence and removes that parameter from the domain.  A fit converges
+    when its largest moment gap is at most ``tol``.
     """
 
-    step_size: float = 1.0
     tol: float = 1e-6
     max_sweeps: int = 10_000
     theta_max: float = 30.0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.max_sweeps < 0:
             raise ValueError("max_sweeps must be non-negative")
         if not self.tol >= 0:
@@ -139,12 +130,12 @@ class FitConfig:
 class FitReport:
     """Outcome bookkeeping for one fitting run.
 
-    ``iterations`` counts trial steps, Newton steps or sweeps, including
-    rejected ones that were retried shorter.  ``final_gap`` is the largest
-    remaining moment mismatch over the surviving domain, and
-    ``evaluations`` counts probability-cell touches for complexity
-    instrumentation: one per nonzero of Z for every Fisher matrix, and the
-    state, expectation and log-sum-exp work of every trial step.
+    ``iterations`` counts trial Newton steps, including rejected ones that
+    were retried shorter.  ``final_gap`` is the largest remaining moment
+    mismatch over the surviving domain, and ``evaluations`` counts
+    probability-cell touches for complexity instrumentation: one per nonzero
+    of Z for every Fisher matrix, and the state, expectation and log-sum-exp
+    work of every trial step.
     """
 
     iterations: int
@@ -324,11 +315,12 @@ class Ascent:
 def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConfig) -> Ascent:
     """Moment-matching ascent from θ = 0 over the normalizer ``space``.
 
-    Takes damped Newton steps while the dense Fisher matrix fits in
-    ``FISHER_MAX_BYTES``, gradient sweeps otherwise, under the guard described
-    in the module docstring, and reports the gap of the returned θ.  ``space``
-    is a :class:`ReducedSpace` or a ``baselines.FullCube``; its ``drop``
-    removes parameters from it by index.
+    Takes damped Newton steps under the guard described in the module
+    docstring, and reports the gap of the returned θ.  ``space`` is a
+    :class:`ReducedSpace` or a ``baselines.FullCube``; its ``drop`` removes
+    parameters from it by index.  Raises :class:`DomainSizeError`, before any
+    iteration, when the parameters left after the up-front filter need a
+    Fisher matrix over ``FISHER_MAX_BYTES``.
     """
     pats = list(patterns)
     removed: list[Pattern] = []
@@ -337,17 +329,14 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
 
     def restart() -> None:
         nonlocal theta, log_probs, psi, etas, avg_loglik, gap, err2, step, direction
-        nonlocal feasibility_settled, checkpoint_gap
         theta = np.zeros(len(pats))
         log_probs, psi = space.state(theta)
         etas = space.etas(log_probs)
         avg_loglik = float(targets @ theta) - psi
         gap = float(np.max(np.abs(targets - etas))) if theta.size else 0.0
         err2 = float(np.sum((targets - etas) ** 2))
-        step = cfg.step_size
+        step = 1.0
         direction = None
-        feasibility_settled = False
-        checkpoint_gap = gap
 
     def drop(indices) -> None:
         # θ keeps its other entries until the next restart, so repeated
@@ -372,17 +361,17 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
     if unfit.size:
         drop(unfit)
         restart()
-    newton = 8 * len(pats) ** 2 <= FISHER_MAX_BYTES
-    next_check = STALL_WINDOW
+    if 8 * len(pats) ** 2 > FISHER_MAX_BYTES:
+        raise DomainSizeError(
+            f"{len(pats)} parameters need a {8 * len(pats) ** 2 / 2**20:.0f} MiB Fisher "
+            f"matrix, over its {FISHER_MAX_BYTES / 2**20:.0f} MiB budget; raise sigma or lower k"
+        )
 
     while theta.size and gap > cfg.tol and iterations < cfg.max_sweeps:
         iterations += 1
         if direction is None:
-            if newton:
-                direction = space.direction(log_probs, etas, targets - etas)
-                evaluations += space.fisher_cost
-            else:
-                direction = targets - etas
+            direction = space.direction(log_probs, etas, targets - etas)
+            evaluations += space.fisher_cost
         mu = step * direction
         theta_new = theta + mu
         log_new, psi_new = space.state(theta_new)
@@ -408,51 +397,35 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
             step *= STEP_SHRINK
             if step < MIN_STEP_SIZE:
                 break
-        else:
-            theta, log_probs, psi = theta_new, log_new, psi_new
-            avg_loglik, etas = max(avg_loglik, loglik_new), etas_new
-            gap, err2 = gap_new, err2_new
-            direction = None
-            if newton:
-                step = cfg.step_size
-            elif improved:
-                step = min(step * STEP_GROWTH, MAX_STEP_SIZE)
+            continue
+        theta, log_probs, psi = theta_new, log_new, psi_new
+        avg_loglik, etas = max(avg_loglik, loglik_new), etas_new
+        gap, err2 = gap_new, err2_new
+        step, direction = 1.0, None
 
-            worst = int(np.argmax(np.abs(theta)))
-            if abs(theta[worst]) > cfg.theta_max:
-                remove_parameter(worst)
-                restart()
-                continue
+        worst = int(np.argmax(np.abs(theta)))
+        if abs(theta[worst]) > cfg.theta_max:
+            remove_parameter(worst)
+            restart()
+            continue
 
         # Newton converges quadratically to an interior maximizer, so its last
         # steps are short.  On boundary targets each full step still moves the
         # drifting parameters by about 1 when the gap reaches tol.
-        boundary_rate = newton and gap <= cfg.tol and float(np.max(np.abs(mu))) >= DRIFT_STEP
-        window_ended = iterations >= next_check
-        if window_ended or boundary_rate:
-            stalled = boundary_rate or (
-                gap > cfg.tol and gap > 1e-10 and gap > STALL_RATIO * checkpoint_gap
-            )
-            drifting = (
-                theta.size
-                and not feasibility_settled
-                and float(np.max(np.abs(theta))) > min(DRIFT_GATE, cfg.theta_max / 2)
-            )
-            if stalled and drifting:
-                verdict = space.feasible(targets)
-                removed_any = verdict is False
-                while verdict is False and theta.size:
-                    # Boundary targets: drop the worst drifter, then re-test
-                    # so one stall event clears the whole degenerate set.
-                    remove_parameter(int(np.argmax(np.abs(theta))))
-                    verdict = space.feasible(targets) if theta.size else None
-                if removed_any:
-                    restart()
-                if verdict is True:
-                    feasibility_settled = True
-            if window_ended:
-                checkpoint_gap = gap
-                next_check = iterations + STALL_WINDOW
+        if (
+            gap <= cfg.tol
+            and float(np.max(np.abs(mu))) >= DRIFT_STEP
+            and abs(theta[worst]) > min(DRIFT_GATE, cfg.theta_max / 2)
+        ):
+            verdict = space.feasible(targets)
+            removed_any = verdict is False
+            while verdict is False and theta.size:
+                # Boundary targets: drop the worst drifter, then re-test
+                # so one boundary event clears the whole degenerate set.
+                remove_parameter(int(np.argmax(np.abs(theta))))
+                verdict = space.feasible(targets) if theta.size else None
+            if removed_any:
+                restart()
 
     report = FitReport(
         iterations=iterations,

@@ -34,7 +34,9 @@ GATHER_CHUNK_NNZ = 1 << 20
 
 
 class DomainSizeError(RuntimeError):
-    """Raised when mining would produce more patterns than the configured cap."""
+    """Raised when mining would produce more patterns than the configured cap,
+    or when a fit's domain would need a Fisher matrix over
+    ``fitting.FISHER_MAX_BYTES``."""
 
 
 def support_threshold(sigma: float, n_samples: int) -> int:

@@ -60,7 +60,7 @@ class TestFullBM:
         assert model.theta[1] == pytest.approx(0.0, abs=1e-9)
         assert model.prob(()) == pytest.approx(0.15, abs=1e-9)
 
-    def test_agrees_with_transductive_fit_on_full_cube(self, monkeypatch):
+    def test_agrees_with_transductive_fit_on_full_cube(self):
         # When the derived sample space covers the whole cube the two
         # learners solve the same problem.
         rng = np.random.default_rng(1)
@@ -78,10 +78,9 @@ class TestFullBM:
 
         # Boundary inputs: a support of 9 of the 16 cells leaves some targets
         # unattainable by a positive distribution, so the guard removes
-        # parameters, and it must remove the same ones in the same sweeps.
+        # parameters, and it must remove the same ones in the same iterations.
         cube = SampleSpace.from_patterns(enumerate_patterns(4))
         domain = [p for p in enumerate_patterns(4) if 1 <= len(p) <= 3]
-        monkeypatch.setattr(fitting, "STALL_WINDOW", 50)
         cfg = FitConfig(tol=1e-10)
         for seed in range(8):
             d = TransactionDataset(

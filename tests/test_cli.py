@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tbmlearn import baselines, load_model
+from tbmlearn import baselines, fitting, load_model
 from tbmlearn.cli import main
 
 from conftest import WORKED_KL
@@ -72,6 +72,7 @@ class TestFitTbm:
         assert report.converged
         assert model.prob((1,)) == pytest.approx(0.35, abs=1e-7)
         assert meta["mined_domain_size"] == 2
+        assert "seed" not in meta
 
     def test_all_parameters_removed_exits_4(self, tmp_path):
         path = tmp_path / "const.fimi"
@@ -83,6 +84,31 @@ class TestFitTbm:
         assert code == 4
         model, report, _ = load_model(out)
         assert report.domain_emptied
+
+    def test_fisher_budget_is_data_error(self, worked_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 1)
+        out = tmp_path / "m.json"
+        code = run("fit-tbm", "--input", worked_file, "--sigma", "0.45", "--k", "2", "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 3 parameters need") and "raise sigma or lower k" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit-tbm", "fit-bm"])
+    def test_unconverged_fit_warns(self, worked_file, tmp_path, capsys, command):
+        out = tmp_path / "m.json"
+        code = run(
+            command, "--input", worked_file, "--sigma", "0.45", "--k", "2",
+            "--max-iters", "1", "--out", out,
+        )
+        assert code == 0
+        _, report, _ = load_model(out)
+        assert not report.converged and report.iterations == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("warning: fit stopped unconverged after 1 iterations")
+        assert f"moment gap {report.final_gap:.3g} above tol 1e-06" in err
 
 
 class TestFitBm:
@@ -406,14 +432,15 @@ class TestPlumbing:
         assert run("mine", "--input", worked_file, "--sigma", "0.5") == 2
         assert run("mine", "--definitely-not-a-flag") == 2
         assert run("no-such-command") == 2
+        # The fit is deterministic, so fit-tbm takes no seed.
+        args = ("--input", worked_file, "--sigma", "0.45", "--k", "2", "--seed", "0")
+        assert run("fit-tbm", *args) == 2
 
     @pytest.mark.parametrize("command", ["fit-tbm", "fit-bm", "compare"])
     @pytest.mark.parametrize(
         "option, value",
         [
             ("--max-iters", "-1"),
-            ("--epsilon", "0"),
-            ("--epsilon", "-0.5"),
             ("--tol", "-1"),
             ("--theta-max", "0"),
             ("--theta-max", "-2"),

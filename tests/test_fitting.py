@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from tbmlearn import (
+    DomainSizeError,
     FitConfig,
     SampleSpace,
     TransactionDataset,
@@ -307,7 +308,6 @@ class TestFisherSteps:
     def test_worker_count_leaves_fit_unchanged(self, monkeypatch):
         rng = np.random.default_rng(0)
         d = TransactionDataset(entries=random_dataset(rng, 16, 300), n_variables=16)
-        monkeypatch.setattr(fitting, "STALL_WINDOW", 5)
         _, calls = self.fit_by_worker_count(monkeypatch, d, FitConfig(tol=1e-9))
         assert calls[0] > 2 * fitting.FISHER_BLOCK_ROWS
 
@@ -320,7 +320,6 @@ class TestFisherSteps:
                 x = (0,) + x
             entries[x] = entries.get(x, 0) + c
         d = TransactionDataset(entries=entries, n_variables=5)
-        monkeypatch.setattr(fitting, "STALL_WINDOW", 3)
         report, calls = self.fit_by_worker_count(monkeypatch, d, FitConfig())
         assert len(report.removed_parameters) == 1
         assert sorted(set(calls)) == [14, 15]
@@ -359,32 +358,47 @@ class TestFisherSteps:
 
 
 class TestDenseGate:
-    """Above the byte budget no dense Fisher matrix is built: fits run on sweeps."""
+    """Above the byte budget a fit is refused before its first iteration, and
+    no Fisher matrix is built."""
 
     @pytest.fixture
-    def gated(self, monkeypatch):
+    def no_fisher(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("dense Fisher matrix above the byte budget")
+            raise AssertionError("Fisher matrix built above the byte budget")
 
-        monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 1)
         monkeypatch.setattr(fitting, "fisher_matrix", refuse)
         monkeypatch.setattr(fitting, "solve_fisher", refuse)
         monkeypatch.setattr(baselines, "solve_fisher", refuse)
 
-    @pytest.mark.parametrize("stall_window", [200, 3])
-    def test_fits_converge_on_sweeps(self, gated, monkeypatch, stall_window):
-        monkeypatch.setattr(fitting, "STALL_WINDOW", stall_window)
+    def test_refused_before_any_iteration(self, no_fisher, monkeypatch):
         rng = np.random.default_rng(5)
         d = TransactionDataset(entries=random_dataset(rng, 5, 300), n_variables=5)
         patterns = list(mine_parameter_domain(d, 0.05, 2))
         space = build_sample_space(patterns, d)
         targets = empirical_targets(d, space, incidence_matrix(space, patterns))
-        cfg = FitConfig(tol=1e-8, max_sweeps=100_000)
-        _, report = fit_to_moments(space, patterns, targets, cfg)
-        _, bm_report = fit_full_bm(d, patterns, cfg)
-        assert report.converged and bm_report.converged
-        # Newton needs a handful of iterations here; sweeps need far more.
-        assert min(report.iterations, bm_report.iterations) > 50
+        monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 8 * len(patterns) ** 2 - 1)
+        message = f"{len(patterns)} parameters need .* raise sigma or lower k"
+        with pytest.raises(DomainSizeError, match=message):
+            fit_to_moments(space, patterns, targets)
+        with pytest.raises(DomainSizeError, match=message):
+            fit_full_bm(d, patterns)
+
+    def test_gate_counts_parameters_after_the_filter(self, monkeypatch, worked_dataset):
+        # No outcome contains (3,), and item 0 never occurs: the up-front
+        # filter drops each, and two parameters are left for the gate.
+        space = build_sample_space([(1,), (2,)], worked_dataset)
+        patterns, targets = [(1,), (2,), (3,)], [0.7, 0.5, 0.3]
+        bm_patterns = [(0,), (1,), (2,)]
+        monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 8 * 2**2)
+        _, report = fit_to_moments(space, patterns, targets)
+        _, bm_report = fit_full_bm(worked_dataset, bm_patterns)
+        assert report.converged and report.removed_parameters == ((3,),)
+        assert bm_report.converged and bm_report.removed_parameters == ((0,),)
+        monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 8 * 2**2 - 1)
+        with pytest.raises(DomainSizeError, match="^2 parameters"):
+            fit_to_moments(space, patterns, targets)
+        with pytest.raises(DomainSizeError, match="^2 parameters"):
+            fit_full_bm(worked_dataset, bm_patterns)
 
 
 class TestInteriorFeasibility:
@@ -541,8 +555,6 @@ class TestValidation:
             fit_to_moments(space, [(1,)], [np.nan])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FitConfig(step_size=0.0)
         with pytest.raises(ValueError):
             FitConfig(max_sweeps=-1)
         with pytest.raises(ValueError, match="tol"):
