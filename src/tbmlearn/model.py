@@ -1,7 +1,10 @@
 """Reduced sample spaces and the Gibbs distributions defined over them.
 
 The sample space of a transductive model is the union of the parameter
-domain, the distinct transactions of the dataset, and the empty pattern.
+domain, the distinct transactions of the dataset, and the empty pattern;
+``fitting.fit`` then drops the outcomes its data rule out (see
+``fitting.closure_face``), so a fitted model's space may lack some domain
+patterns, though each of them lies in some outcome.
 Probabilities are kept in log space; the log-partition value is always the
 negative log-probability of the empty pattern.
 

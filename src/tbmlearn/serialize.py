@@ -139,11 +139,13 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
         outcomes = _pattern_list(obj, "sample_space")
         _canonical(outcomes, "sample_space")
         _canonical(domain, "domain")
-        space = SampleSpace.from_patterns(outcomes)
-        outside = [p for p in domain if p not in space]
-        if outside:
-            raise ValueError(f"domain pattern {outside[0]} is outside the sample space")
-        return GibbsModel(space, domain, theta), report, meta
+        # A fit on a face keeps patterns that are not outcomes themselves,
+        # but each one lies in some outcome: its row of Z is not empty.
+        model = GibbsModel(SampleSpace.from_patterns(outcomes), domain, theta)
+        empty = np.flatnonzero(np.diff(model.incidence.indptr) == 0)
+        if empty.size:
+            raise ValueError(f"domain pattern {domain[empty[0]]} lies in no outcome")
+        return model, report, meta
     n = obj["n_variables"]
     if not isinstance(n, int) or not 0 <= n <= FULL_BM_MAX_VARIABLES:
         raise ValueError(

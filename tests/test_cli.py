@@ -241,6 +241,22 @@ class TestEval:
         capsys.readouterr()
         assert run("eval", "--model", model_path, "--input", other) == 3
 
+    def test_outcome_dropped_from_the_face_is_data_error(self, tmp_path, capsys):
+        # Item 2 occurs only with item 1, so the face drops the outcome (2,).
+        data = tmp_path / "rule.fimi"
+        data.write_text("1\n1 2\n1 2\n3\n1 3\n2 1 3\n")
+        model_path = tmp_path / "m.json"
+        assert run("fit-tbm", "--input", data, "--sigma", "0.1", "--k", "2",
+                   "--out", model_path) == 0
+        model, report, _ = load_model(model_path)
+        assert (2,) in report.removed_parameters and (2,) not in model.space
+        other = tmp_path / "other.fimi"
+        other.write_text("2\n")
+        capsys.readouterr()
+        assert run("eval", "--model", model_path, "--input", other) == 3
+        err = capsys.readouterr().err
+        assert "(2,)" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "damage, message",
         [

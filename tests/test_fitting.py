@@ -28,7 +28,7 @@ from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix, sup
 from tbmlearn.patterns import sort_key
 
 from conftest import WORKED_PROBS, WORKED_PSI, WORKED_THETA1
-from oracles import random_dataset
+from oracles import brute_eta, contains, enumerate_patterns, random_dataset
 
 TIGHT = FitConfig(tol=1e-10, max_sweeps=200_000)
 
@@ -192,6 +192,116 @@ class TestDivergenceGuard:
         assert (1,) in report.removed_parameters
 
 
+def brute_support(dataset, pattern):
+    return sum(c for x, c in dataset.entries.items() if contains(pattern, x))
+
+
+def closure_pairs(dataset, domain):
+    """(s, u) in ``domain``, u one item longer than s, with equal counts in the data."""
+    count = {p: brute_support(dataset, p) for p in domain}
+    pairs = []
+    for u in domain:
+        for i in range(len(u)):
+            s = u[:i] + u[i + 1:]
+            if s and s in count and count[s] == count[u]:
+                pairs.append((s, u))
+    return pairs
+
+
+def whole_domain_gap(dataset, domain, model):
+    """Largest moment gap over every pattern of ``domain``, recounted by brute force."""
+    probs = dict(zip(model.space.outcomes, np.exp(model.log_probs)))
+    return max(
+        abs(brute_support(dataset, p) / dataset.n_samples - brute_eta(probs, p))
+        for p in domain
+    )
+
+
+def close_under(rules, x):
+    """``x`` with the parent of every child it holds added, until nothing changes."""
+    items = set(x)
+    while True:
+        grown = items | {parent for child, parent in rules if child in items}
+        if grown == items:
+            return tuple(sorted(items))
+        items = grown
+
+
+@st.composite
+def planted_implications(draw):
+    """Every configuration of n items, closed under planted child -> parent rules,
+    with random multiplicities: the rules are the data's only boundary."""
+    n = draw(st.integers(3, 6))
+    items = st.integers(0, n - 1)
+    rules = draw(
+        st.lists(st.tuples(items, items).filter(lambda r: r[0] != r[1]), min_size=1, max_size=3)
+    )
+    entries = {}
+    for x in enumerate_patterns(n):
+        x = close_under(rules, x)
+        entries[x] = entries.get(x, 0) + draw(st.integers(1, 20))
+    return TransactionDataset(entries=entries, n_variables=n), draw(st.integers(2, 3))
+
+
+class TestClosureFace:
+    """``fit`` fits on the face that the data's closure pairs certify."""
+
+    @staticmethod
+    def implication_dataset():
+        # Item 3 occurs only with item 0.
+        rng = np.random.default_rng(0)
+        entries = {}
+        for x, c in random_dataset(rng, 5, 500).items():
+            if 3 in x and 0 not in x:
+                x = (0,) + x
+            entries[x] = entries.get(x, 0) + c
+        return TransactionDataset(entries=entries, n_variables=5)
+
+    def test_face_drops_the_predicted_outcomes_without_an_lp(self, monkeypatch):
+        d = self.implication_dataset()
+        domain = list(mine_parameter_domain(d, 0.0, 2))
+
+        def no_lp(*args):
+            raise AssertionError("the feasibility LP ran")
+
+        monkeypatch.setattr(fitting, "interior_feasible", no_lp)
+        model, report = fit(d, domain)
+        pairs = closure_pairs(d, domain)
+        assert ((3,), (0, 3)) in pairs
+        space = build_sample_space(domain, d)
+        dropped = {
+            x for x in space.outcomes
+            if any(contains(s, x) and not contains(u, x) for s, u in pairs)
+        }
+        assert dropped and not dropped & set(d.entries)
+        assert set(model.space.outcomes) == set(space.outcomes) - dropped
+        assert list(model.space.outcomes) == sorted(model.space.outcomes, key=sort_key)
+        assert (3,) in report.removed_parameters and (3,) not in model.domain
+        assert (0, 3) in model.domain
+        assert report.converged
+        assert whole_domain_gap(d, domain, model) <= FitConfig().tol
+
+    def test_without_a_pair_inputs_come_back_untouched(self, worked_dataset):
+        space = build_sample_space([(1,), (2,)], worked_dataset)
+        z = incidence_matrix(space, [(1,), (2,)])
+        targets = empirical_targets(worked_dataset, space, z)
+        face = fitting.closure_face(space, [(1,), (2,)], z, targets)
+        assert face[0] is space and face[2] is z and face[4] == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(planted_implications())
+    def test_planted_implications(self, data):
+        d, k = data
+        domain = list(mine_parameter_domain(d, 0.0, k))
+        model, report = fit(d, domain)
+        outcomes = set(model.space.outcomes)
+        assert set(d.entries) <= outcomes and () in outcomes
+        assert all(any(contains(p, x) for x in outcomes) for p in model.domain)
+        assert model.log_partition == pytest.approx(-model.log_prob(()), abs=1e-12)
+        assert report.converged
+        assert whole_domain_gap(d, domain, model) <= FitConfig().tol
+
+
 class TestInputOrder:
     """Pattern order and a precomputed incidence leave every output bit alone."""
 
@@ -312,12 +422,14 @@ class TestFisherSteps:
         assert calls[0] > 2 * fitting.FISHER_BLOCK_ROWS
 
     def test_fisher_steps_after_a_removal(self, monkeypatch):
-        # Item 4 occurs only with item 0, so the (4,) target is on the boundary.
+        # Every transaction holds item 0 or item 4, so p(bottom) = 0: a
+        # boundary no closure pair certifies, which the loop's LP removes a
+        # parameter for.
         rng = np.random.default_rng(0)
         entries = {}
         for x, c in random_dataset(rng, 5, 500).items():
-            if 4 in x and 0 not in x:
-                x = (0,) + x
+            if 0 not in x and 4 not in x:
+                x = x + (4,)
             entries[x] = entries.get(x, 0) + c
         d = TransactionDataset(entries=entries, n_variables=5)
         report, calls = self.fit_by_worker_count(monkeypatch, d, FitConfig())

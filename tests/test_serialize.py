@@ -31,6 +31,22 @@ class TestGibbsRoundTrip:
         assert loaded_report == report
         assert meta["sigma"] == 0.45
 
+    def test_face_model_with_a_pattern_that_is_no_outcome(self, tmp_path):
+        # Item 3 occurs only with item 0, so the face drops the outcomes (3,)
+        # and (1, 3); the pattern (1, 3) keeps its parameter and lies in (0, 1, 3).
+        entries = {(): 2, (0,): 3, (1,): 4, (0, 1): 5, (0, 3): 6, (0, 1, 3): 7}
+        d = TransactionDataset(entries=entries, n_variables=4)
+        model, report = fit(d, [(0,), (1,), (3,), (0, 1), (0, 3), (1, 3)], FitConfig(tol=1e-9))
+        assert report.removed_parameters == ((3,),)
+        assert (1, 3) in model.domain and (1, 3) not in model.space
+        path = tmp_path / "face.json"
+        save_model(path, model, report)
+        loaded, loaded_report, _ = load_model(path)
+        assert loaded.space.outcomes == model.space.outcomes
+        assert loaded.domain == model.domain
+        np.testing.assert_allclose(loaded.log_probs, model.log_probs, atol=1e-12)
+        assert loaded_report == report
+
     def test_dumps_deterministic(self, worked_dataset):
         model, report = fit(worked_dataset, [(1,), (2,)], None)
         assert dumps_model(model, report) == dumps_model(model, report)
@@ -74,7 +90,7 @@ class TestSchemaGuards:
             ("fit_report", {"converged": True}, "fit_report"),
             ("theta", [0.5], "theta has 1 values for 2 patterns"),
             ("theta", [0.5, float("nan")], "finite"),
-            ("domain", [[1], [7]], r"\(7,\) is outside the sample space"),
+            ("domain", [[1], [7]], r"\(7,\) lies in no outcome"),
             ("theta", {"a": 0.5, "b": 0.1}, "theta must hold numbers only"),
             ("fit_report", [1, 2], "fit_report must be a JSON object, not list"),
             ("kind", ["tbm"], r"unknown model kind \['tbm'\]"),
