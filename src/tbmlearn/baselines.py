@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .fitting import FitConfig, FitReport, ascend, interior_feasible, solve_fisher
 from .mining import ParameterDomain
@@ -112,10 +112,10 @@ class FullCube:
     def etas(self, log_probs: np.ndarray) -> np.ndarray:
         return superset_sums(np.exp(log_probs), self.n_variables)[self.masks]
 
-    def direction(self, log_probs, etas, residual) -> np.ndarray:
+    def fisher_solve(self, log_probs, etas) -> Callable[[np.ndarray], np.ndarray]:
         sup = superset_sums(np.exp(log_probs), self.n_variables)
         g = sup[self.masks[:, None] | self.masks[None, :]] - np.outer(etas, etas)
-        return solve_fisher(g, residual)
+        return solve_fisher(g)
 
     def feasible(self, targets: np.ndarray) -> bool | None:
         n = self.n_variables
@@ -231,6 +231,8 @@ def fit_rbm_pcd1(
     Visible vectors are dense, so data, chains and weights above
     ``RBM_MAX_BYTES`` (1 GiB) are refused before anything is allocated.
     """
+    from scipy.special import expit  # imported here so that importing tbmlearn does not load it
+
     cfg = config or RBMConfig()
     if n_hidden < 1:
         raise ValueError("need at least one hidden unit")

@@ -15,26 +15,52 @@ So from θ = 0 every iteration takes a damped Newton step
 manifold of the family (Amari 1998; Sugiyama, Nakahara & Tsuda, ICML 2017),
 which converges quadratically to an interior maximizer.  The trial length t
 starts at 1 and halves until the log-likelihood does not fall (backtracking
-as in Nocedal & Wright, ch. 3).  Over the reduced space G is one sparse
-product ``Z diag(p) Z^T``, built in blocks of rows on a thread pool with
-one worker per usable core, plus one Cholesky solve.  Every row of G is the
-same sum, in the same order, as in the serial product, so G does not depend
-on the core count.  G is symmetric bit for bit as built: Z's rows have
-sorted indices and 0/1 data, so entries (s, u) and (u, s) add the same
-probabilities in the same order.  The Cholesky solve runs in the BLAS, whose
-threads split its sums differently: the same fit's θ moved by up to 1e-9
-between one and two OpenBLAS threads, so fits (and ``fit-tbm`` files) are
-reproducible bit for bit only at a fixed BLAS thread count.  The solve is
-dense.  Matrix-free Jacobi-preconditioned conjugate gradients were measured
-when fits still ran off the face (below), where implication-rule targets
-left G nearly singular: on the 12 Fisher systems of one fit of the bench's
-``basket`` workload (|B| = 2048) they took 163 to 2524 iterations at rtol
-1e-4 and up to the 5000 cap at rtol 1e-8, against 11-12 s for the dense
-builds and solves.  On the face that cause is gone (one CG solve to rtol
-1e-8 took 336 iterations there, against 1726 off it), but no matrix-free
-path has been measured against the dense one yet.  A trial state costs two
-sparse matrix-vector products over the reduced space (through Z and
-through its transpose, built once per fit), one exp and one
+as in Nocedal & Wright, ch. 3).
+
+One factored G can serve several steps: chord steps, with the refresh rule
+of Kelley's ``nsold`` (*Solving Nonlinear Equations with Newton's Method*,
+SIAM 2003).  After an accepted step the next direction comes from the same
+factor only when all three of these hold, and each has its reason:
+
+- the fit has more than ``FISHER_BLOCK_ROWS`` parameters.  Below that a
+  build costs about as much as a trial step, so small fits (the
+  bias-variance harness among them) build G at every step;
+- the step moved no parameter by ``DRIFT_STEP`` or more.  That is the
+  guard's drift signature (below), so a drifting boundary fit keeps its
+  fresh Newton steps and its LP trigger.  Without this rule one such fit,
+  which removes 51 parameters through ``theta_max`` in 365 iterations,
+  removed 53 in 571;
+- the residual norm fell to at most ``CHORD_RATIO`` (one half) of its
+  value before the step, so a factor is kept only while it contracts.
+
+A trial from a reused factor must raise the log-likelihood strictly;
+otherwise G is built at the same point and the full step is tried from it,
+since a stale factor near float resolution can make plateau steps forever.
+On ``basket`` (seed 0) the factor built at θ = 0 serves all 6 steps of the
+fit, where Newton built G for each of 3 steps; the traced fit takes 0.69 s
+instead of 1.37 s.
+
+Over the reduced space G is one sparse product ``Z diag(p) Z^T``, built in
+blocks of rows on a thread pool with one worker per usable core, and
+factored by Cholesky.  Every row of G is the same sum, in the same order, as
+in the serial product, so G does not depend on the core count.  G is
+symmetric bit for bit as built: Z's rows have sorted indices and 0/1 data,
+so entries (s, u) and (u, s) add the same probabilities in the same order.
+The Cholesky solve runs in the BLAS, whose threads split its sums
+differently: the same fit's θ moved by up to 1e-9 between one and two
+OpenBLAS threads, so fits (and ``fit-tbm`` files) are reproducible bit for
+bit only at a fixed BLAS thread count.  The solve is dense.  Matrix-free
+Jacobi-preconditioned conjugate gradients were measured when fits still ran
+off the face (below), where implication-rule targets left G nearly singular:
+on the 12 Fisher systems of one fit of the bench's ``basket`` workload
+(|B| = 2048) they took 163 to 2524 iterations at rtol 1e-4 and up to the
+5000 cap at rtol 1e-8, against 11-12 s for the dense builds and solves.  On
+the face that cause is gone (one CG solve to rtol 1e-8 took 336 iterations
+there, against 1726 off it), and Newton-CG took 1.8 s on the ``basket`` fit
+against 1.65-2.0 s for dense Newton with one build per step.  That fit now
+builds G once, so a matrix-free path must be measured against that.  A trial
+state costs two sparse matrix-vector products over the reduced space
+(through Z and through its transpose, built once per fit), one exp and one
 ``model.logsumexp``.
 
 :func:`fit`, whose targets are integer counts over N, first fits on a face
@@ -84,12 +110,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linprog
 
 from .mining import DomainSizeError, ParameterDomain, mine_parameter_domain
 from .model import (
@@ -106,6 +131,7 @@ DRIFT_STEP = 0.5
 ACCEPT_SLACK = 1e-14
 FISHER_BLOCK_ROWS = 64
 FISHER_MAX_BYTES = 256 << 20
+CHORD_RATIO = 0.5
 
 
 def _new_fisher_pool() -> None:
@@ -151,8 +177,9 @@ class FitConfig:
 class FitReport:
     """Outcome bookkeeping for one fitting run.
 
-    ``iterations`` counts trial Newton steps, including rejected ones that
-    were retried shorter.  ``final_gap`` is the largest remaining moment
+    ``iterations`` counts trial steps, from a freshly built Fisher factor or
+    from a reused one, including rejected ones that were retried shorter or
+    from a fresh factor.  ``final_gap`` is the largest remaining moment
     mismatch over the surviving domain, and ``evaluations`` counts
     probability-cell touches for complexity instrumentation: one per nonzero
     of Z for every Fisher matrix, and the state, expectation and log-sum-exp
@@ -205,13 +232,15 @@ def fisher_matrix(
     return g
 
 
-def solve_fisher(g: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Solve ``g d = residual`` for a symmetric Fisher matrix ``g``, changed in place.
+def solve_fisher(g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor a symmetric Fisher matrix ``g``, in place, and return its solve
+    ``residual -> G^-1 residual``.
 
     The diagonal is lightly regularized so that collinear parameters cannot
     blow the solve up.  The Cholesky factor overwrites one triangle of ``g``;
     if rounding leaves the system not positive definite, ``g`` is rebuilt
-    from the other, untouched triangle and solved by least squares.
+    from the other, untouched triangle and solved by least squares.  The
+    returned solve holds its own matrix, so it can be reused.
     """
     diag = np.diag(g) + 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
     g[np.diag_indices_from(g)] = diag
@@ -219,12 +248,12 @@ def solve_fisher(g: np.ndarray, residual: np.ndarray) -> np.ndarray:
         # g.T is in Fortran order, so LAPACK factors it where it lies, in
         # the lower triangle of g.
         factor = cho_factor(g.T, overwrite_a=True, check_finite=False)
-        return cho_solve(factor, residual, check_finite=False)
     except np.linalg.LinAlgError:
         g = np.triu(g, 1)
         g += g.T
         g[np.diag_indices_from(g)] = diag
-        return np.linalg.lstsq(g, residual, rcond=None)[0]
+        return lambda residual: np.linalg.lstsq(g, residual, rcond=None)[0]
+    return lambda residual: cho_solve(factor, residual, check_finite=False)
 
 
 def natural_direction(
@@ -232,15 +261,22 @@ def natural_direction(
     rows_of: sparse.csr_matrix,
     log_probs: np.ndarray,
     etas: np.ndarray,
-    residual: np.ndarray,
-) -> np.ndarray:
-    """Fisher-preconditioned ascent direction over a reduced sample space.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Fisher-preconditioned ascent over a reduced sample space.
 
-    Solves ``G d = residual`` with G the covariance of the containment
-    indicators under the current distribution (see :func:`fisher_matrix`).
+    Builds G, the covariance of the containment indicators under the current
+    distribution (see :func:`fisher_matrix`), and returns its factored solve,
+    which maps a moment residual to the Newton direction.
     """
     g = fisher_matrix(incidence, rows_of, np.exp(log_probs), etas)
-    return solve_fisher(g, residual)
+    return solve_fisher(g)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at its first call."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> bool | None:
@@ -249,7 +285,9 @@ def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> bool
     Maximizes the smallest outcome probability subject to the moment
     constraints; a maximum below the positivity floor means the targets sit
     on (or outside) the boundary of the achievable set.  Returns ``None``
-    when the solver fails to reach a verdict.
+    when the solver fails to reach a verdict.  The first call of a process
+    imports ``scipy.optimize``, about 0.2 s, so that importing tbmlearn
+    does not.
     """
     m, n_out = incidence.shape
     cost = np.zeros(n_out + 1)
@@ -305,10 +343,10 @@ class ReducedSpace:
     def etas(self, log_probs: np.ndarray) -> np.ndarray:
         return self.incidence.dot(np.exp(log_probs))
 
-    def direction(self, log_probs, etas, residual) -> np.ndarray:
+    def fisher_solve(self, log_probs, etas) -> Callable[[np.ndarray], np.ndarray]:
         if self._rows_of is None:
             self._rows_of = self._transposed.tocsr()
-        return natural_direction(self.incidence, self._rows_of, log_probs, etas, residual)
+        return natural_direction(self.incidence, self._rows_of, log_probs, etas)
 
     def feasible(self, targets: np.ndarray) -> bool | None:
         # The LP's cost grows with the nonzeros of Z: one LP took 10 s at
@@ -336,10 +374,11 @@ class Ascent:
 def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConfig) -> Ascent:
     """Moment-matching ascent from θ = 0 over the normalizer ``space``.
 
-    Takes damped Newton steps under the guard described in the module
-    docstring, and reports the gap of the returned θ.  ``space`` is a
-    :class:`ReducedSpace` or a ``baselines.FullCube``; its ``drop`` removes
-    parameters from it by index.  Raises :class:`DomainSizeError`, before any
+    Takes damped Newton and chord steps under the rules and the guard
+    described in the module docstring, and reports the gap of the returned
+    θ.  ``space`` is a :class:`ReducedSpace` or a ``baselines.FullCube``; its
+    ``fisher_solve`` builds and factors G and returns the solve, and its
+    ``drop`` removes parameters from it by index.  Raises :class:`DomainSizeError`, before any
     iteration, when the parameters left after the up-front filter need a
     Fisher matrix over ``FISHER_MAX_BYTES``.
     """
@@ -349,7 +388,7 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
     evaluations = 0
 
     def restart() -> None:
-        nonlocal theta, log_probs, psi, etas, avg_loglik, gap, err2, step, direction
+        nonlocal theta, log_probs, psi, etas, avg_loglik, gap, err2, step, direction, solve
         theta = np.zeros(len(pats))
         log_probs, psi = space.state(theta)
         etas = space.etas(log_probs)
@@ -357,12 +396,13 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
         gap = float(np.max(np.abs(targets - etas))) if theta.size else 0.0
         err2 = float(np.sum((targets - etas) ** 2))
         step = 1.0
-        direction = None
+        direction = solve = None
 
     def drop(indices) -> None:
         # θ keeps its other entries until the next restart, so repeated
         # removals still pick the worst drifter.
-        nonlocal targets, theta
+        nonlocal targets, theta, solve
+        solve = None
         removed.extend(pats[j] for j in indices)
         for j in sorted(indices, reverse=True):
             del pats[j]
@@ -391,8 +431,11 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
     while theta.size and gap > cfg.tol and iterations < cfg.max_sweeps:
         iterations += 1
         if direction is None:
-            direction = space.direction(log_probs, etas, targets - etas)
-            evaluations += space.fisher_cost
+            reused = solve is not None
+            if not reused:
+                solve = space.fisher_solve(log_probs, etas)
+                evaluations += space.fisher_cost
+            direction = solve(targets - etas)
         mu = step * direction
         theta_new = theta + mu
         log_new, psi_new = space.state(theta_new)
@@ -414,11 +457,25 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
             and loglik_new >= avg_loglik - slack
             and err2_new < err2
         )
+        if reused and not improved:
+            # A reused factor must pay with a strict rise.  Otherwise G is
+            # built at the same point and the full step is tried from it.
+            direction = solve = None
+            continue
         if not (improved or plateau):
             step *= STEP_SHRINK
             if step < MIN_STEP_SIZE:
                 break
             continue
+        moved = float(np.max(np.abs(mu)))
+        # Chord steps: the factor serves the next step only under the three
+        # rules of the module docstring.
+        if not (
+            theta.size > FISHER_BLOCK_ROWS
+            and moved < DRIFT_STEP
+            and err2_new <= CHORD_RATIO**2 * err2
+        ):
+            solve = None
         theta, log_probs, psi = theta_new, log_new, psi_new
         avg_loglik, etas = max(avg_loglik, loglik_new), etas_new
         gap, err2 = gap_new, err2_new
@@ -430,12 +487,14 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
             restart()
             continue
 
-        # Newton converges quadratically to an interior maximizer, so its last
-        # steps are short.  On boundary targets each full step still moves the
-        # drifting parameters by about 1 when the gap reaches tol.
+        # Newton steps converge quadratically to an interior maximizer, and
+        # chord steps linearly but fast, so the last steps are short.  On
+        # boundary targets each full step still moves the drifting parameters
+        # by about 1 when the gap reaches tol; such a step never keeps its
+        # factor, so a drifting fit takes fresh Newton steps.
         if (
             gap <= cfg.tol
-            and float(np.max(np.abs(mu))) >= DRIFT_STEP
+            and moved >= DRIFT_STEP
             and abs(theta[worst]) > min(DRIFT_GATE, cfg.theta_max / 2)
         ):
             verdict = space.feasible(targets)

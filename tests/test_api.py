@@ -1,5 +1,10 @@
 """The public API: a sorted, resolvable ``__all__`` without test oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import tbmlearn
@@ -27,3 +32,21 @@ def test_all_is_sorted_unique_and_resolvable():
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_oracles_stay_out_of_the_package(module, name):
     assert not hasattr(module, name)
+
+
+def test_import_loads_neither_scipy_optimize_nor_special():
+    # The feasibility LP and the RBM import them when they first run.
+    root = Path(tbmlearn.__file__).resolve().parents[1]
+    code = (
+        "import sys, tbmlearn; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

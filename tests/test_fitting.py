@@ -22,6 +22,7 @@ from tbmlearn import (
     mine_parameter_domain,
 )
 from tbmlearn import baselines, fit_full_bm, fitting
+from tbmlearn.experiments import synth_dataset
 from tbmlearn.fitting import empirical_targets, fisher_matrix, interior_feasible
 from tbmlearn.geometry import m_projection
 from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix, supports
@@ -379,7 +380,7 @@ class TestSolveFisher:
         residual = rng.normal(size=6)
         expected = g.copy()
         expected[np.diag_indices_from(expected)] += 1e-12 * np.max(np.diag(g))
-        got = fitting.solve_fisher(g, residual)
+        got = fitting.solve_fisher(g)(residual)
         want = np.linalg.lstsq(expected, residual, rcond=None)[0]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -467,6 +468,91 @@ class TestFisherSteps:
             child.kill()
             child.join(timeout=30)
         assert not hung and child.exitcode == 0
+
+
+class TestChordSteps:
+    """Fits over more than one block of rows reuse the factored G while steps
+    are short and halve the residual norm, and land where rebuilding it every
+    step lands."""
+
+    @staticmethod
+    def dataset():
+        rng = np.random.default_rng(0)
+        return TransactionDataset(entries=random_dataset(rng, 16, 300), n_variables=16)
+
+    def test_fewer_builds_than_iterations(self, monkeypatch):
+        d = self.dataset()
+        cfg = FitConfig(tol=1e-9)
+        model, report, calls = TestFisherSteps.counted_fit(monkeypatch, d, cfg)
+        assert len(model.domain) > fitting.FISHER_BLOCK_ROWS
+        assert report.converged
+        assert 0 < len(calls) < report.iterations
+        assert whole_domain_gap(d, list(mine_parameter_domain(d, 0.0, 2)), model) <= cfg.tol
+        monkeypatch.setattr(fitting, "CHORD_RATIO", 0.0)
+        rebuilt, rebuilt_report, rebuilt_calls = TestFisherSteps.counted_fit(monkeypatch, d, cfg)
+        assert len(rebuilt_calls) == rebuilt_report.iterations
+        np.testing.assert_allclose(model.log_probs, rebuilt.log_probs, rtol=0, atol=1e-6)
+
+    def test_drifting_boundary_fit_unchanged(self, monkeypatch):
+        # The fit removes 51 of its 175 parameters through theta_max; the
+        # drift rule keeps each of its steps a fresh Newton step.
+        d, _ = synth_dataset(10, 60, 3000, seed=3)
+        model, report, _ = fit_tbm(d, 0.02, 3)
+        monkeypatch.setattr(fitting, "CHORD_RATIO", 0.0)
+        rebuilt, rebuilt_report, _ = fit_tbm(d, 0.02, 3)
+        assert len(report.removed_parameters) == 51
+        assert model.theta.tobytes() == rebuilt.theta.tobytes()
+        assert report.removed_parameters == rebuilt_report.removed_parameters
+        assert report.iterations == rebuilt_report.iterations
+
+    def test_reuse_needs_a_strict_rise(self, monkeypatch, worked_dataset):
+        # With the size rule off, the worked fixture reuses its factor down to
+        # float resolution.  A plateau step from it must not count, or the
+        # fit stalls one rounding short of matching the moments exactly.
+        monkeypatch.setattr(fitting, "FISHER_BLOCK_ROWS", 1)
+        _, report = fit(worked_dataset, [(1,), (2,)], FitConfig(tol=0.0, max_sweeps=60))
+        assert report.converged and report.final_gap == 0.0
+
+    def test_failed_reuse_rebuilds_at_the_same_point(self):
+        events = []
+
+        class SpoiledReuse(fitting.ReducedSpace):
+            """Its factored solve points downhill from its second use on."""
+
+            def state(self, theta):
+                events.append(("state", theta.copy()))
+                return super().state(theta)
+
+            def fisher_solve(self, log_probs, etas):
+                events.append(("build", log_probs.copy()))
+                solve = super().fisher_solve(log_probs, etas)
+                uses = []
+
+                def spoiled(residual):
+                    uses.append(None)
+                    direction = solve(residual) if len(uses) == 1 else -solve(residual)
+                    events.append(("solve", direction))
+                    return direction
+
+                return spoiled
+
+        d = self.dataset()
+        patterns = sorted(mine_parameter_domain(d, 0.0, 2), key=sort_key)
+        space = build_sample_space(patterns, d)
+        z = incidence_matrix(space, patterns)
+        targets = empirical_targets(d, space, z)
+        run = fitting.ascend(SpoiledReuse(z), patterns, targets, FitConfig(tol=1e-9))
+        assert run.report.converged
+        kinds = [kind for kind, _ in events]
+        # The first reuse follows the state of an accepted step.  Its downhill
+        # trial is refused, and G is built at the accepted point, whose full
+        # step is tried next.
+        reuse = next(i for i in range(1, len(kinds)) if kinds[i - 1:i + 1] == ["state", "solve"])
+        assert kinds[reuse + 1:reuse + 5] == ["state", "build", "solve", "state"]
+        accepted = events[reuse - 1][1]
+        (_, at), (_, direction), (_, trial) = events[reuse + 2:reuse + 5]
+        assert at.tobytes() == fitting.ReducedSpace(z).state(accepted)[0].tobytes()
+        assert trial.tobytes() == (accepted + direction).tobytes()
 
 
 class TestDenseGate:
