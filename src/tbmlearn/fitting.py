@@ -109,7 +109,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,7 +119,7 @@ from .mining import DomainSizeError, ParameterDomain, mine_parameter_domain
 from .model import (
     GibbsModel, SampleSpace, build_sample_space, incidence_matrix, logsumexp, multiplicities
 )
-from .patterns import Pattern, TransactionDataset, sort_key
+from .patterns import Pattern, TransactionDataset, sort_key, take_rows
 
 STEP_SHRINK = 0.5
 MIN_STEP_SIZE = 1e-16
@@ -630,8 +629,9 @@ def closure_face(
     face = sparse.csr_matrix(
         (incidence.data[:end], indices[:end], new_indptr), shape=(kept_rows.size, int(keep.sum()))
     )
-    outcomes = tuple(compress(space.outcomes, keep.tolist()))
-    face_space = SampleSpace(outcomes, dict(zip(outcomes, range(len(outcomes)))))
+    face_space = SampleSpace(
+        space.items, *take_rows(space.indptr, space.indices, np.flatnonzero(keep))
+    )
     aliases = [patterns[j] for j in np.flatnonzero(alias)]
     return face_space, [patterns[j] for j in kept_rows], face, targets[kept_rows], aliases
 

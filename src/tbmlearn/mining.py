@@ -5,13 +5,15 @@ support reaches a threshold ``sigma`` and whose cardinality is at most ``k``.
 Support anti-monotonicity makes this an ordinary frequent-itemset mining
 problem, solved here level by level (Apriori; Agrawal & Srikant, VLDB 1994)
 over vertical tidsets (Zaki, IEEE TKDE 2000).  The data are one sparse
-matrix X, distinct transactions by occurring items, so mining's cost and
+matrix X, distinct transactions by occurring items, built from the
+dataset's CSR arrays (``TransactionDataset.csr``), so mining's cost and
 memory do not depend on the size of the variable universe.  The supports of
 every one-item extension of the frequent j-sets are one sparse product, the
 j-sets' tidsets weighted by multiplicity times X; an extension is kept when
 its item follows the prefix's last item and its support reaches the
-threshold, and its tidset is its prefix's tidset intersected with the new
-item's posting.
+threshold, and its tidset is its prefix's tidset filtered through the new
+item's posting by :func:`patterns.extend_rows`, the helper that also builds
+the rows of the incidence matrix Z.  Only the kept nonzeros are copied.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .patterns import Pattern, TransactionDataset
+from .patterns import Pattern, TransactionDataset, compact, extend_rows
 
 DEFAULT_DOMAIN_CAP = 10_000_000
-# The next level's tidsets are gathered in chunks of about this many nonzeros:
-# gathering every extension's prefix tidset and posting at once would copy a
-# heavy posting once per extension.
-GATHER_CHUNK_NNZ = 1 << 20
 
 
 class DomainSizeError(RuntimeError):
@@ -92,45 +90,18 @@ def _transactions_by_items(
     distinct transactions (rows, in ``entries`` order) by those items, and
     the transactions' multiplicities.  Columns index only occurring items,
     so nothing here scales with ``n_variables``."""
-    entries = dataset.entries
-    lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
-    # Identifiers past the int64 range stay Python integers.
-    dtype = np.int64 if dataset.n_variables <= 2**63 else object
-    flat = np.fromiter(
-        itertools.chain.from_iterable(entries), dtype=dtype, count=int(lengths.sum())
-    )
-    weights = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
-    items, cols = np.unique(flat, return_inverse=True)
-    rows = np.repeat(np.arange(len(entries)), lengths)
+    indptr, ids, counts = dataset.csr
+    weights = counts.astype(np.float64)
+    items, cols = compact(ids)
+    rows = np.repeat(np.arange(len(weights)), np.diff(indptr))
     frequent = np.bincount(cols, weights=weights[rows], minlength=len(items)) >= threshold
     keep = frequent[cols]
-    compact = np.cumsum(frequent) - 1
+    column = np.cumsum(frequent) - 1
     data = sparse.csr_matrix(
-        (np.ones(int(keep.sum())), (rows[keep], compact[cols[keep]])),
-        shape=(len(entries), int(frequent.sum())),
+        (np.ones(int(keep.sum())), (rows[keep], column[cols[keep]])),
+        shape=(len(weights), int(frequent.sum())),
     )
     return items[frequent], data, weights
-
-
-def _extend_tidsets(
-    tids: sparse.csr_matrix,
-    postings: sparse.csr_matrix,
-    rows: np.ndarray,
-    items: np.ndarray,
-) -> sparse.csr_matrix:
-    """Row i is ``tids[rows[i]]`` intersected with ``postings[items[i]]``,
-    gathered in chunks of at most ``GATHER_CHUNK_NNZ`` nonzeros (or one row)."""
-    gathered = np.diff(tids.indptr)[rows] + np.diff(postings.indptr)[items]
-    ends = np.cumsum(gathered)
-    blocks = []
-    start = 0
-    while start < len(rows):
-        limit = ends[start] - gathered[start] + GATHER_CHUNK_NNZ
-        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-        chunk = slice(start, stop)
-        blocks.append(tids[rows[chunk]].multiply(postings[items[chunk]]))
-        start = stop
-    return sparse.vstack(blocks, format="csr")
 
 
 def mine_parameter_domain(
@@ -166,9 +137,11 @@ def mine_parameter_domain(
     items, data, weights = _transactions_by_items(dataset, threshold)
     postings = data.T.tocsr()
     # The frequent sets of one order, in canonical order, with their tidsets
-    # (0/1 rows over the distinct transactions) and last items (columns of X).
+    # (CSR rows over the distinct transactions) and last items (columns of X).
     level = [(item,) for item in items.tolist()]
-    tids, last = postings, np.arange(len(level))
+    bounds = postings.indptr.tolist()
+    tids = [postings.indices[a:z] for a, z in zip(bounds, bounds[1:])]
+    last = np.arange(len(level))
     found: list[Pattern] = []
     for order in range(1, k + 1):
         found.extend(level)
@@ -179,15 +152,19 @@ def mine_parameter_domain(
             )
         if not level or order == k:
             break
+        tid_indptr = np.zeros(len(tids) + 1, dtype=np.int64)
+        np.cumsum([tid.size for tid in tids], out=tid_indptr[1:])
+        tid_indices = np.concatenate(tids)
         scaled = sparse.csr_matrix(
-            (weights[tids.indices], tids.indices, tids.indptr), shape=tids.shape
+            (weights[tid_indices], tid_indices, tid_indptr), shape=(len(level), data.shape[0])
         )
+        del tid_indices
         counts = scaled @ data
         counts.sort_indices()
         rows = np.repeat(np.arange(len(level)), np.diff(counts.indptr))
         keep = (counts.data >= threshold) & (counts.indices > last[rows])
         rows, last = rows[keep], counts.indices[keep]
         if len(rows) and order + 1 < k:
-            tids = _extend_tidsets(tids, postings, rows, last)
+            tids = extend_rows(tids, rows, postings.indptr, postings.indices, last, data.shape[0])
         level = [level[r] + (item,) for r, item in zip(rows.tolist(), items[last].tolist())]
     return ParameterDomain(patterns=tuple(found), sigma=sigma, k=k)

@@ -13,16 +13,26 @@ supports, model loads, ``GibbsModel.eta`` and the full-cube feasibility LP
 all read it.  A pattern's row is its prefix's row (the pattern without its
 last item) intersected with the posting of its last item, and the empty
 pattern's row is every outcome: the prefix tidset recurrence of vertical
-mining (Zaki, IEEE TKDE 2000).  Rows are kept by pattern, so a domain closed
-under prefixes, as a mined one is, pays one intersection per row instead of
-one per item.  The postings, ``SampleSpace.item_rows``, are built once per
-space.  Mining does not read them: it counts over its own sparse matrix of
-the distinct transactions (see :mod:`tbmlearn.mining`).
+mining (Zaki, IEEE TKDE 2000).  Rows are built one pattern length at a time
+and kept by pattern, so a domain closed under prefixes, as a mined one is,
+pays one intersection per row instead of one per item; each intersection
+filters the prefix's row through its item's posting, marked once per item
+(:func:`patterns.extend_rows`, which mining shares).  The postings,
+``SampleSpace.item_rows``, are the space's CSR transpose, built once per
+space.
+
+A :class:`SampleSpace` holds its outcomes as CSR arrays over compact item
+columns, sorted and deduplicated by :func:`patterns.canonical_ranks`, so
+building a space, its Z and the data's multiplicities walks no tuple; the
+tuple views ``outcomes`` and ``index`` are built only when asked for.  A
+space that :func:`build_sample_space` made from a dataset remembers where
+the data's rows went, which gives :func:`multiplicities` without a lookup.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -30,33 +40,70 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .patterns import BOTTOM, Pattern, TransactionDataset, sort_key
+from .patterns import (
+    BOTTOM,
+    Pattern,
+    TransactionDataset,
+    canonical_ranks,
+    compact,
+    extend_rows,
+    flatten,
+    split_rows,
+    take_rows,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSpace:
-    """Deterministically ordered set of outcome patterns, always containing bottom."""
+    """Deterministically ordered set of outcome patterns, always containing bottom.
 
-    outcomes: tuple[Pattern, ...]
-    index: dict[Pattern, int]
+    Outcome i is ``items[indices[indptr[i]:indptr[i + 1]]]``: ``items`` holds
+    the identifiers that occur, in increasing order, and ``indices`` their
+    compact int32 columns, so nothing here scales with the variable
+    universe.  Outcomes are in canonical order (:func:`patterns.sort_key`).
+    ``outcomes`` and ``index`` are tuple views built at first use; fitting
+    never builds them.
+    """
+
+    items: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[Pattern]) -> "SampleSpace":
-        outcomes = tuple(sorted(set(patterns) | {BOTTOM}, key=sort_key))
-        return cls(outcomes=outcomes, index={x: i for i, x in enumerate(outcomes)})
+        return cls.from_rows(*flatten(list(patterns)))[0]
+
+    @classmethod
+    def from_rows(cls, indptr: np.ndarray, ids: np.ndarray) -> tuple["SampleSpace", np.ndarray]:
+        """The space of the CSR rows ``(indptr, ids)`` (see :func:`patterns.flatten`)
+        and bottom, and the position of each given row in it."""
+        indptr = np.append(indptr, indptr[-1])
+        items, cols = compact(ids)
+        cols = cols.astype(np.int32, copy=False)
+        rank, firsts = canonical_ranks(indptr, cols)
+        out_indptr, indices = take_rows(indptr, cols, firsts)
+        return cls(items, out_indptr, indices), rank[:-1]
 
     @cached_property
-    def item_rows(self) -> dict[int, np.ndarray]:
-        """Item -> sorted int32 positions of the outcomes that contain it: the
-        postings that :func:`incidence_matrix` intersects."""
-        lists: dict[int, list[int]] = {}
-        for pos, outcome in enumerate(self.outcomes):
-            for item in outcome:
-                lists.setdefault(item, []).append(pos)
-        return {item: np.array(pos, dtype=np.int32) for item, pos in lists.items()}
+    def outcomes(self) -> tuple[Pattern, ...]:
+        return tuple(split_rows(self.items, self.indptr, self.indices))
+
+    @cached_property
+    def index(self) -> dict[Pattern, int]:
+        return dict(zip(self.outcomes, range(len(self))))
+
+    @cached_property
+    def item_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, positions)``: the space transposed, item column c holding
+        the sorted int32 positions of the outcomes that contain ``items[c]``.
+        These are the postings :func:`incidence_matrix` filters by."""
+        ones = np.ones(self.indices.size, dtype=bool)
+        shape = (len(self), len(self.items))
+        transposed = sparse.csr_matrix((ones, self.indices, self.indptr), shape=shape).tocsc()
+        return transposed.indptr, transposed.indices
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.indptr) - 1
 
     def __contains__(self, pattern: Pattern) -> bool:
         return pattern in self.index
@@ -72,7 +119,14 @@ def build_sample_space(
     domain: Iterable[Pattern], dataset: TransactionDataset
 ) -> SampleSpace:
     """Union of parameter domain, distinct transactions, and the empty pattern."""
-    return SampleSpace.from_patterns(list(domain) + list(dataset.entries))
+    domain_indptr, domain_ids = flatten(list(domain))
+    data_indptr, data_ids, _ = dataset.csr
+    indptr = np.concatenate([domain_indptr, data_indptr[1:] + domain_indptr[-1]])
+    space, at = SampleSpace.from_rows(indptr, np.concatenate([domain_ids, data_ids]))
+    # Where the data's rows went, for :func:`multiplicities`; the space does
+    # not keep the dataset alive.
+    space.__dict__["_data_rows"] = (weakref.ref(dataset), at[len(domain_indptr) - 1:])
+    return space
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -96,23 +150,47 @@ def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.
     """Sparse 0/1 matrix with rows indexed by ``patterns``, columns by outcomes.
 
     Entry (j, i) is one iff outcome i contains pattern j.  Built by the prefix
-    recurrence of the module docstring, starting from the postings as the rows
-    of single items; a prefix missing from ``patterns`` is built on the way.
-    The cost never depends on the size of the variable universe.
+    recurrence of the module docstring, one level of pattern length at a
+    time, starting from the postings as the rows of single items; a prefix
+    missing from ``patterns`` is built on the way.  Each level extends its
+    prefixes' rows through :func:`patterns.extend_rows`.  The cost never
+    depends on the size of the variable universe.
     """
-    empty = np.empty(0, dtype=np.int32)
-    rows = {(item,): cols for item, cols in space.item_rows.items()}
-    rows[BOTTOM] = np.arange(len(space), dtype=np.int32)
-    for pattern in patterns:
-        for end in range(1, len(pattern) + 1):
-            prefix = pattern[:end]
-            if prefix not in rows:
-                posting = space.item_rows.get(prefix[-1], empty)
-                rows[prefix] = np.intersect1d(rows[prefix[:-1]], posting, assume_unique=True)
-    chosen = [rows[p] for p in patterns]
+    column = dict(zip(space.items.tolist(), range(len(space.items))))
+    posting_indptr, postings = space.item_rows
+    # Items no outcome holds get the empty posting past the last column.
+    absent = len(column)
+    posting_indptr = np.append(posting_indptr, posting_indptr[-1])
+    # Each prefix's (length, row within its length), and per length the
+    # (parent row, item column) of every row.
+    where: dict[Pattern, tuple[int, int]] = {BOTTOM: (0, 0)}
+    levels: list[list[tuple[int, int]]] = [[]]
+
+    def place(pattern: Pattern) -> tuple[int, int]:
+        got = where.get(pattern)
+        if got is None:
+            parent = place(pattern[:-1])[1]
+            if len(levels) == len(pattern):
+                levels.append([])
+            level = levels[len(pattern)]
+            got = where[pattern] = (len(pattern), len(level))
+            level.append((parent, column.get(pattern[-1], absent)))
+        return got
+
+    placed = [place(p) for p in patterns]
+    n = len(space)
+    bounds = posting_indptr.tolist()
+    rows = [[np.arange(n, dtype=np.int32)]]
+    for depth, level in enumerate(levels[1:], start=1):
+        parents, items = np.array(level, dtype=np.int64).reshape(-1, 2).T
+        if depth == 1:
+            rows.append([postings[bounds[c]:bounds[c + 1]] for c in items.tolist()])
+        else:
+            rows.append(extend_rows(rows[-1], parents, posting_indptr, postings, items, n))
+    chosen = [rows[d][r] for d, r in placed]
     indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
     np.cumsum([cols.size for cols in chosen], out=indptr[1:])
-    indices = np.concatenate(chosen) if chosen else empty
+    indices = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int32)
     data = np.ones(len(indices), dtype=np.float64)
     return sparse.csr_matrix(
         (data, indices, indptr), shape=(len(patterns), len(space))
@@ -120,8 +198,15 @@ def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.
 
 
 def multiplicities(space: SampleSpace, dataset: TransactionDataset) -> np.ndarray:
-    """Count of each outcome in ``dataset``, in space order (``ValueError`` if outside)."""
+    """Count of each outcome in ``dataset``, in space order (``ValueError`` if outside).
+
+    A space that :func:`build_sample_space` made from ``dataset`` knows where
+    the data's rows went; any other space looks each transaction up."""
     counts = np.zeros(len(space))
+    source = space.__dict__.get("_data_rows")
+    if source is not None and source[0]() is dataset:
+        counts[source[1]] = dataset.csr[2]
+        return counts
     for t, mult in dataset.entries.items():
         counts[space.position(t)] = mult
     return counts
@@ -129,7 +214,7 @@ def multiplicities(space: SampleSpace, dataset: TransactionDataset) -> np.ndarra
 
 def supports(dataset: TransactionDataset, patterns: Sequence[Pattern]) -> np.ndarray:
     """Transactions containing each pattern, counted through Z over the distinct ones."""
-    space = SampleSpace.from_patterns(dataset.entries)
+    space = build_sample_space((), dataset)
     return incidence_matrix(space, patterns).dot(multiplicities(space, dataset))
 
 

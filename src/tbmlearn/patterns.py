@@ -5,17 +5,41 @@ strictly increasing tuple of non-negative integer identifiers.  The empty
 tuple is the all-zeros configuration (bottom).  Datasets are multisets of
 patterns with integer multiplicities, which keeps every support computation
 exact.  Containment is counted once, by ``model.incidence_matrix``.
+
+Datasets and sample spaces also keep their patterns as CSR arrays: row i is
+``ids[indptr[i]:indptr[i + 1]]``, the vertical layout of mining's matrix X
+(Zaki, IEEE TKDE 2000).  :func:`parse_fimi` scans the text's bytes straight
+into that layout, and the helpers below sort, gather and intersect rows
+without building a tuple per pattern.  Identifiers past the int64 range are
+kept as an object array of Python integers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 Pattern = tuple[int, ...]
 
 BOTTOM: Pattern = ()
+
+# A token of at most this many digits fits int64; longer ones, as in files
+# of 10^23-scale identifiers, are read line by line.
+_SCAN_MAX_DIGITS = 18
+_SCAN_BLOCK = 1 << 18
+_SPLIT_ROWS = 1 << 12
+_SPACE, _TAB, _LF, _CR = 32, 9, 10, 13
+# The bytes the scan reads: digits, spaces, tabs, line feeds and carriage
+# returns, the last only right before a line feed.
+_SCANNABLE = np.zeros(256, dtype=bool)
+_SCANNABLE[[_SPACE, _TAB, _LF, _CR]] = True
+_SCANNABLE[ord("0"):ord("9") + 1] = True
 
 
 class FimiFormatError(ValueError):
@@ -41,12 +65,169 @@ def sort_key(pattern: Pattern) -> tuple[int, Pattern]:
     return (len(pattern), pattern)
 
 
+def flatten(patterns: Collection[Pattern]) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, ids)`` of the patterns as CSR rows.
+
+    ``ids`` is int64 when every identifier is an integer in its range, and
+    otherwise an object array of the identifiers as given.
+    """
+    indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns)),
+              out=indptr[1:])
+    types = set(map(type, chain.from_iterable(patterns)))
+    if all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        try:
+            flat = chain.from_iterable(patterns)
+            return indptr, np.fromiter(flat, dtype=np.int64, count=int(indptr[-1]))
+        except OverflowError:
+            pass
+    ids = np.empty(int(indptr[-1]), dtype=object)
+    ids[:] = list(chain.from_iterable(patterns))
+    return indptr, ids
+
+
+def rows_are_canonical(indptr: np.ndarray, ids: np.ndarray) -> bool:
+    """Whether every row of integers is strictly increasing and non-negative."""
+    if ids.size == 0:
+        return True
+    rising = np.diff(ids) > 0
+    # Steps across a row boundary do not count.
+    bounds = indptr[1:-1] - 1
+    rising[bounds[(bounds >= 0) & (bounds < rising.size)]] = True
+    return bool(ids.min() >= 0 and rising.all())
+
+
+def compact(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct identifiers in increasing order, and the column of each
+    identifier among them: ``np.unique(ids, return_inverse=True)``.  Small
+    non-negative integer identifiers go through a presence table of at most
+    four entries per identifier, in linear time, instead of a sort."""
+    if ids.dtype.kind == "i" and ids.size and ids.min() >= 0 and ids.max() < 4 * ids.size:
+        present = np.zeros(int(ids.max()) + 1, dtype=bool)
+        present[ids] = True
+        column = np.cumsum(present, dtype=np.int32) - 1
+        return np.flatnonzero(present), column[ids]
+    return np.unique(ids, return_inverse=True)
+
+
+def take_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``rows``, in that order, as a new ``(indptr, indices)``."""
+    starts = indptr[rows]
+    new_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(indptr[rows + 1] - starts, out=new_indptr[1:])
+    position = np.int32 if max(indptr[-1], new_indptr[-1]) < 2**31 else np.int64
+    gather = np.repeat((starts - new_indptr[:-1]).astype(position), np.diff(new_indptr))
+    gather += np.arange(new_indptr[-1], dtype=position)
+    return new_indptr, indices[gather]
+
+
+def split_rows(items: np.ndarray, indptr: np.ndarray, cols: np.ndarray, make=tuple) -> list:
+    """CSR rows of columns into ``items``, each made a ``make`` of Python ints.
+
+    Every row that holds an identifier shares one int object for it.  Rows
+    are converted ``_SPLIT_ROWS`` at a time, so no flat list of every
+    identifier is held at once.
+    """
+    objects = items.astype(object)
+    bounds = indptr.tolist()
+    out = []
+    for first in range(0, len(bounds) - 1, _SPLIT_ROWS):
+        ends = bounds[first:first + _SPLIT_ROWS + 1]
+        flat = objects[cols[ends[0]:ends[-1]]].tolist()
+        out += [make(flat[a - ends[0]:z - ends[0]]) for a, z in zip(ends, ends[1:])]
+    return out
+
+
+def _row_keys(mat: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a non-negative integer matrix.  The key holds
+    the row's big-endian bytes, so keys order as the rows do lexicographically."""
+    big = np.ascontiguousarray(mat, dtype=mat.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * mat.shape[1]))).ravel()
+
+
+def canonical_ranks(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical order of CSR rows of non-negative integers, each row strictly
+    increasing: by length, then lexicographically (:func:`sort_key`).
+
+    Returns ``(rank, firsts)``: ``rank[i]`` is the position of row i among
+    the distinct rows in that order, and ``firsts[r]`` is the first input row
+    of rank r.  Rows of one length that are already in strictly increasing
+    order, as in a file tbmlearn wrote, are not sorted.
+    """
+    lengths = np.diff(indptr)
+    by_length = np.argsort(lengths, kind="stable")
+    groups = np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1)
+    rank = np.empty(len(lengths), dtype=np.int64)
+    firsts = []
+    done = 0
+    for rows in groups:
+        if rows.size == 0:
+            continue
+        length = int(lengths[rows[0]])
+        new = np.ones(rows.size, dtype=bool)
+        if length == 0:
+            new[1:] = False
+        else:
+            span = np.arange(length, dtype=np.int32 if indptr[-1] < 2**31 else np.int64)
+            mat = cols[indptr[rows].astype(span.dtype)[:, None] + span]
+            step = mat[1:] - mat[:-1]
+            differs = step != 0
+            lead = step[np.arange(step.shape[0]), differs.argmax(axis=1)]
+            if not (differs.any(axis=1).all() and (lead > 0).all()):
+                keys = _row_keys(mat)
+                order = np.argsort(keys, kind="stable")
+                rows, keys = rows[order], keys[order]
+                new[1:] = keys[1:] != keys[:-1]
+        rank[rows] = done + np.cumsum(new) - 1
+        firsts.append(rows[new])
+        done += len(firsts[-1])
+    if not firsts:
+        return rank, np.empty(0, dtype=np.int64)
+    return rank, np.concatenate(firsts)
+
+
+def extend_rows(
+    parents: list[np.ndarray],
+    rows: np.ndarray,
+    posting_indptr: np.ndarray,
+    postings: np.ndarray,
+    items: np.ndarray,
+    width: int,
+) -> list[np.ndarray]:
+    """Row i of the result is ``parents[rows[i]]`` kept where it meets the
+    posting of ``items[i]``: the prefix tidset recurrence of vertical mining.
+
+    Rows are grouped by item; each item's posting is marked once in a
+    boolean vector of ``width`` entries, and every parent row of the group is
+    filtered through it, so a heavy posting is read once, not once per row.
+    Sorted parent rows give sorted result rows.
+    """
+    out: list[np.ndarray] = [postings[:0]] * len(rows)
+    mask = np.zeros(width, dtype=bool)
+    bounds = posting_indptr.tolist()
+    order = np.argsort(items, kind="stable")
+    posting = postings[:0]
+    current = None
+    for i, item, r in zip(order.tolist(), items[order].tolist(), rows[order].tolist()):
+        if item != current:
+            mask[posting] = False
+            posting = postings[bounds[item]:bounds[item + 1]]
+            mask[posting] = True
+            current = item
+        parent = parents[r]
+        out[i] = parent[mask[parent]]
+    return out
+
+
 @dataclass(frozen=True)
 class TransactionDataset:
     """A multiset of transactions over variables ``0 .. n_variables - 1``.
 
     ``entries`` maps each distinct canonical pattern to its positive integer
-    multiplicity; ``n_samples`` is the multiset size N.
+    multiplicity; ``n_samples`` is the multiset size N.  ``csr`` holds the
+    same transactions as arrays, in ``entries`` order.
     """
 
     entries: dict[Pattern, int]
@@ -54,7 +235,23 @@ class TransactionDataset:
     n_samples: int = field(init=False)
 
     def __post_init__(self):
-        total = 0
+        indptr, ids, counts = self.csr
+        fast = (
+            ids.dtype.kind == "i"
+            and counts.dtype == np.int64
+            and rows_are_canonical(indptr, ids)
+            and (counts.size == 0 or counts.min() > 0)
+            and (ids.size == 0 or int(ids.max()) < self.n_variables)
+        )
+        if not fast:
+            self._check_each()
+        total = sum(self.entries.values())
+        if total < 1:
+            raise ValueError("dataset must contain at least one transaction")
+        object.__setattr__(self, "n_samples", total)
+
+    def _check_each(self) -> None:
+        """The checks of ``__post_init__``, one entry at a time, raising at the first failure."""
         for pattern, mult in self.entries.items():
             if not is_canonical(pattern):
                 raise ValueError(f"non-canonical pattern {pattern}")
@@ -64,10 +261,28 @@ class TransactionDataset:
                 raise ValueError(
                     f"pattern {pattern} exceeds variable universe of size {self.n_variables}"
                 )
-            total += mult
-        if total < 1:
-            raise ValueError("dataset must contain at least one transaction")
-        object.__setattr__(self, "n_samples", total)
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, ids, counts)``: the distinct transactions as CSR rows
+        (see :func:`flatten`) and their multiplicities, in ``entries`` order."""
+        indptr, ids = flatten(self.entries)
+        mults = list(self.entries.values())
+        if set(map(type, mults)) <= {int}:
+            return indptr, ids, np.array(mults, dtype=np.int64)
+        counts = np.empty(len(mults), dtype=object)
+        counts[:] = mults
+        return indptr, ids, counts
+
+    @classmethod
+    def _from_csr(cls, entries, n_variables, csr) -> "TransactionDataset":
+        """A dataset whose arrays were built with its entries, as the parser does."""
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "entries", entries)
+        object.__setattr__(dataset, "n_variables", n_variables)
+        dataset.__dict__["csr"] = csr
+        dataset.__post_init__()
+        return dataset
 
     @classmethod
     def from_transactions(
@@ -96,7 +311,7 @@ class TransactionDataset:
         """Same data embedded in a (larger) variable universe."""
         if n_variables < self.n_variables:
             raise ValueError("cannot shrink the variable universe")
-        return TransactionDataset(entries=dict(self.entries), n_variables=n_variables)
+        return TransactionDataset._from_csr(dict(self.entries), n_variables, self.csr)
 
 
 @dataclass(frozen=True)
@@ -129,7 +344,100 @@ def parse_fimi(
     identifiers; duplicates within a line are collapsed.  Empty lines are
     skipped unless ``empty_as_bottom`` is set, in which case each one counts
     as an observation of the empty pattern.
+
+    Text of ASCII digits, spaces, tabs and line feeds (a carriage return
+    only right before a line feed), with tokens of at most 18 digits, is
+    scanned as bytes with numpy.  Any other text is read line by line, with
+    Python's own line and token splitting; both give the same dataset.
     """
+    if isinstance(text, str):
+        data = text.encode("ascii") if text.isascii() else None
+    else:
+        data = text
+    dataset = _scan_fimi(data, empty_as_bottom) if data is not None else None
+    return dataset if dataset is not None else _read_fimi(text, empty_as_bottom)
+
+
+def _scan_tokens(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each token's value and each line's token count, of the bytes ``b``;
+    ``None`` when the scan cannot read them.  A line ends at a line feed,
+    and a last line needs none."""
+    if not _SCANNABLE[b].all():
+        return None
+    cr = np.flatnonzero(b == _CR)
+    if cr.size and (cr[-1] + 1 == b.size or np.any(b[cr + 1] != _LF)):
+        return None
+    zero = np.int8(0)
+    edges = np.diff(((b - np.uint8(48)) < 10).view(np.int8), prepend=zero, append=zero)
+    starts = np.flatnonzero(edges == 1).astype(np.int32)
+    widths = np.flatnonzero(edges == -1)
+    del edges
+    widths -= starts
+    longest = int(widths.max()) if widths.size else 0
+    if longest > _SCAN_MAX_DIGITS:
+        return None
+    widths = widths.astype(np.int8)
+    # Horner's rule, one digit position at a time, in place.
+    values = np.zeros(starts.size, dtype=np.int32 if longest <= 9 else np.int64)
+    for k in range(longest):
+        more = widths > k
+        at = starts + np.int32(k)
+        np.minimum(at, b.size - 1, out=at)
+        np.multiply(values, 10, out=values, where=more)
+        np.add(values, b[at] - np.uint8(48), out=values, where=more)
+    ends = np.searchsorted(starts, np.flatnonzero(b == _LF))
+    if b[-1] != _LF:
+        ends = np.append(ends, starts.size)
+    return values, np.diff(ends, prepend=0)
+
+
+def _scan_fimi(data: bytes, empty_as_bottom: bool) -> TransactionDataset | None:
+    """The byte scan of :func:`parse_fimi`; ``None`` when the text needs the line reader."""
+    # Blocks of whole lines keep the scan's per-byte arrays small.
+    values, sizes = [], []
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _SCAN_BLOCK) + 1 or len(data)
+        tokens = _scan_tokens(np.frombuffer(data, dtype=np.uint8, count=stop - start,
+                                            offset=start))
+        if tokens is None:
+            return None
+        values.append(tokens[0])
+        sizes.append(tokens[1])
+        start = stop
+    if not values:
+        return None
+    values, sizes = np.concatenate(values), np.concatenate(sizes)
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    if not rows_are_canonical(indptr, values):
+        line = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+        values = values[np.lexsort((values, line))]
+        repeated = np.flatnonzero((line[1:] == line[:-1]) & (values[1:] == values[:-1])) + 1
+        values = np.delete(values, repeated)
+        sizes = np.bincount(np.delete(line, repeated), minlength=sizes.size)
+        del line
+    if not empty_as_bottom:
+        sizes = sizes[sizes > 0]
+    if sizes.size == 0:
+        return None
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+
+    # Distinct transactions in order of first appearance, as a dict fills.
+    rank, firsts = canonical_ranks(indptr, values)
+    counts = np.bincount(rank)
+    appear = np.argsort(firsts)
+    indptr, values = take_rows(indptr, values, firsts[appear])
+    counts = counts[appear]
+    items, cols = compact(values)
+    entries = dict(zip(split_rows(items, indptr, cols), counts.tolist()))
+    n_variables = int(items[-1]) + 1 if items.size else 0
+    return TransactionDataset._from_csr(entries, n_variables, (indptr, values, counts))
+
+
+def _read_fimi(text: str | bytes, empty_as_bottom: bool) -> TransactionDataset:
+    """The line reader of :func:`parse_fimi`."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     entries: dict[Pattern, int] = {}

@@ -12,7 +12,7 @@ import numpy as np
 from .baselines import FULL_BM_MAX_VARIABLES, FullBMModel, RBMModel
 from .fitting import FitReport
 from .model import GibbsModel, SampleSpace
-from .patterns import is_canonical
+from .patterns import flatten, is_canonical, rows_are_canonical, split_rows
 
 SCHEMA_VERSION = 1
 _REQUIRED_KEYS = {
@@ -53,21 +53,27 @@ def _floats(obj: dict, field: str) -> np.ndarray:
         raise ValueError(f"{field} must hold numbers only") from None
 
 
-def _pattern_list(obj: dict, field: str) -> list[tuple]:
+def _pattern_list(obj: dict, field: str) -> list[list]:
     """The patterns under ``field``, which must be a list of lists."""
     if not isinstance(obj[field], list) or not all(isinstance(p, list) for p in obj[field]):
         raise ValueError(f"{field} must be a list of item lists")
-    return [tuple(p) for p in obj[field]]
+    return obj[field]
 
 
-def _canonical(patterns, field: str) -> None:
-    """Reject a pattern that is not strictly increasing non-negative integers:
-    a repeated or unsorted item would land on another outcome."""
-    for p in patterns:
-        if not (all(type(i) is int for i in p) and is_canonical(p)):
-            raise ValueError(
-                f"{field} pattern {p} is not strictly increasing non-negative integers"
-            )
+def _canonical(patterns: list, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The patterns as CSR rows (see :func:`patterns.flatten`), rejecting one
+    that is not strictly increasing non-negative integers: a repeated or
+    unsorted item would land on another outcome.  The check runs over the
+    flat arrays; only a file that fails it, or that holds identifiers past
+    the int64 range, is walked pattern by pattern."""
+    indptr, ids = flatten(patterns)
+    if ids.dtype != np.int64 or not rows_are_canonical(indptr, ids):
+        for p in patterns:
+            if not (all(type(i) is int for i in p) and is_canonical(p)):
+                raise ValueError(
+                    f"{field} pattern {tuple(p)} is not strictly increasing non-negative integers"
+                )
+    return indptr, ids
 
 
 def model_to_dict(
@@ -78,7 +84,8 @@ def model_to_dict(
     out: dict[str, Any] = {"schema": SCHEMA_VERSION, "meta": meta or {}}
     if isinstance(model, GibbsModel):
         out["kind"] = "tbm"
-        out["sample_space"] = [list(x) for x in model.space.outcomes]
+        space = model.space
+        out["sample_space"] = split_rows(space.items, space.indptr, space.indices, list)
         out["domain"] = [list(p) for p in model.domain]
         out["theta"] = [float(v) for v in model.theta]
         out["log_partition"] = model.log_partition
@@ -129,7 +136,7 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
         if not all(np.all(np.isfinite(a)) for a in (visible, hidden, weights)):
             raise ValueError("rbm values must be finite")
         return RBMModel(visible, hidden, weights), report, meta
-    domain = tuple(_pattern_list(obj, "domain"))
+    domain = tuple(map(tuple, _pattern_list(obj, "domain")))
     theta = _floats(obj, "theta")
     if theta.shape != (len(domain),):
         raise ValueError(f"theta has {theta.size} values for {len(domain)} patterns")
@@ -137,11 +144,11 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
         raise ValueError("theta values must be finite")
     if kind == "tbm":
         outcomes = _pattern_list(obj, "sample_space")
-        _canonical(outcomes, "sample_space")
+        space, _ = SampleSpace.from_rows(*_canonical(outcomes, "sample_space"))
         _canonical(domain, "domain")
         # A fit on a face keeps patterns that are not outcomes themselves,
         # but each one lies in some outcome: its row of Z is not empty.
-        model = GibbsModel(SampleSpace.from_patterns(outcomes), domain, theta)
+        model = GibbsModel(space, domain, theta)
         empty = np.flatnonzero(np.diff(model.incidence.indptr) == 0)
         if empty.size:
             raise ValueError(f"domain pattern {domain[empty[0]]} lies in no outcome")

@@ -769,3 +769,24 @@ class TestPipeline:
         assert domain.patterns == ((1,), (2,))
         assert report.converged
         assert model.domain == ((1,), (2,))
+
+    @pytest.mark.parametrize("face", [False, True])
+    def test_fit_builds_no_tuple_view_of_the_space(self, monkeypatch, worked_dataset, face):
+        # The fit works on the space's arrays: neither the outcome tuples nor
+        # their index is built, before or after the closure face.
+        built = []
+
+        def recording(domain, dataset):
+            built.append(build_sample_space(domain, dataset))
+            return built[-1]
+
+        monkeypatch.setattr(fitting, "build_sample_space", recording)
+        if face:
+            d = TestClosureFace.implication_dataset()
+            model, report, _ = fit_tbm(d, 0.0, 2)
+            assert report.removed_parameters and model.space is not built[0]
+        else:
+            model, report, _ = fit_tbm(worked_dataset, 0.45, 2)
+            assert model.space is built[0]
+        for space in (built[0], model.space):
+            assert "outcomes" not in space.__dict__ and "index" not in space.__dict__

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbmlearn import (
-    mining,
     DomainSizeError,
     ParameterDomain,
     TransactionDataset,
@@ -17,6 +16,8 @@ from tbmlearn import (
     parse_fimi,
     support_threshold,
 )
+
+from tbmlearn.patterns import extend_rows
 
 from oracles import brute_force_domain, contains, random_dataset
 
@@ -146,18 +147,31 @@ class TestBruteForceEquivalence:
                     slow = brute_force_domain(d, sigma, k)
                     assert fast.patterns == slow.patterns
 
-    def test_chunked_gathers_match(self, monkeypatch):
-        # One extension per chunk: every tidset is gathered on its own.
-        monkeypatch.setattr(mining, "GATHER_CHUNK_NNZ", 1)
-        rng = np.random.default_rng(12)
-        for trial in range(8):
-            n = int(rng.integers(4, 9))
-            entries = random_dataset(rng, n, int(rng.integers(20, 200)))
-            d = TransactionDataset(entries=entries, n_variables=n)
-            for sigma in (0.05, 0.25):
-                for k in (2, 3, 4):
-                    fast = mine_parameter_domain(d, sigma, k)
-                    assert fast.patterns == brute_force_domain(d, sigma, k).patterns
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sets(st.integers(0, 29)), min_size=1, max_size=8),
+        st.lists(st.sets(st.integers(0, 29)), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_extend_rows_matches_set_intersection(self, parents, postings, data):
+        # The helper behind mining's tidsets and the rows of Z: row i is
+        # parent rows[i] kept where it meets posting items[i].  Items repeat
+        # and come unsorted, so postings are marked and cleared in groups.
+        rows = data.draw(st.lists(st.integers(0, len(parents) - 1), max_size=12))
+        items = data.draw(st.lists(st.integers(0, len(postings) - 1), min_size=len(rows),
+                                   max_size=len(rows)))
+
+        posting_indptr = np.cumsum([0] + [len(x) for x in postings])
+        flat = np.array([i for x in postings for i in sorted(x)], dtype=np.int32)
+        got = extend_rows(
+            [np.array(sorted(x), dtype=np.int32) for x in parents],
+            np.array(rows, dtype=np.int64), posting_indptr, flat,
+            np.array(items, dtype=np.int64), 30,
+        )
+        assert len(got) == len(rows)
+        for row, r, item in zip(got, rows, items):
+            assert row.dtype == np.int32
+            assert row.tolist() == sorted(parents[r] & postings[item])
 
     def test_brute_force_guards_universe_size(self):
         d = parse_fimi(" ".join(str(i) for i in range(25)) + "\n")
@@ -224,8 +238,9 @@ class TestMiningMemory:
 
     def test_tidset_gathers_are_chunked(self):
         # Zipf baskets: the popular items' postings recur in thousands of
-        # extensions, about 6.3M gathered nonzeros against 0.45M kept.  Chunked,
-        # mining peaks near 32 MiB; gathered at once, near 150 MiB.
+        # extensions, about 6.3M nonzeros of prefix tidsets and postings against
+        # 0.45M kept.  Gathering them all would take near 150 MiB; marking each
+        # posting once per item copies only the kept nonzeros.
         rng = np.random.default_rng(0)
         popularity = 1.0 / np.arange(1, 201)
         popularity /= popularity.sum()

@@ -18,7 +18,8 @@ from tbmlearn import (
     mine_parameter_domain,
     uniform_model,
 )
-from tbmlearn.model import logsumexp
+from tbmlearn.model import logsumexp, multiplicities
+from tbmlearn.patterns import sort_key
 
 from conftest import WORKED_PHI, WORKED_PROBS, WORKED_PSI, WORKED_THETA1
 from oracles import brute_eta, contains
@@ -63,6 +64,57 @@ class TestSampleSpace:
         domain = mine_parameter_domain(worked_dataset, 0.1, 2)
         space = build_sample_space(domain, worked_dataset)
         assert len(space) <= len(domain) + len(worked_dataset.entries) + 1
+
+
+# Identifiers past the int32 range, and one past the int64 range, which
+# keeps the space's identifiers as Python integers.
+ITEMS = st.one_of(
+    st.integers(0, 6), st.integers(2**31 - 2, 2**31 + 2), st.just(2**63 + 5)
+)
+
+
+class TestSampleSpaceArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sets(ITEMS, max_size=5), max_size=14),
+        st.lists(st.tuples(st.sets(ITEMS, max_size=4), st.integers(1, 5)), min_size=1,
+                 max_size=8),
+    )
+    def test_equals_tuple_oracle(self, patterns, counted):
+        # The CSR space against sorted(set(patterns) | {()}): outcome order,
+        # position, postings and multiplicities, with duplicates and ().
+        pats = [canonicalize(p) for p in patterns]
+        pats += pats[: len(pats) // 2] + [()]
+        entries = {}
+        for items, mult in counted:
+            t = canonicalize(items)
+            entries[t] = entries.get(t, 0) + mult
+        dataset = TransactionDataset(entries=entries, n_variables=2**64)
+
+        for space, union in (
+            (SampleSpace.from_patterns(pats), set(pats)),
+            (build_sample_space(pats, dataset), set(pats) | set(entries)),
+        ):
+            expected = sorted(union | {()}, key=sort_key)
+            assert space.outcomes == tuple(expected)
+            assert len(space) == len(expected)
+            for i, x in enumerate(expected):
+                assert space.position(x) == i and x in space
+            items = sorted({i for x in expected for i in x})
+            assert space.items.tolist() == items
+            indptr, positions = space.item_rows
+            for c, item in enumerate(items):
+                got = positions[indptr[c]:indptr[c + 1]].tolist()
+                assert got == [i for i, x in enumerate(expected) if item in x]
+
+        # Built from the dataset, or looked up in a space that was not: one
+        # of the same outcomes, or one built from the data in another order.
+        wider = SampleSpace.from_patterns(pats + list(entries))
+        reordered = TransactionDataset(dict(reversed(entries.items())), 2**64)
+        for space in (build_sample_space(pats, dataset), wider,
+                      build_sample_space(pats, reordered)):
+            want = [entries.get(x, 0) for x in space.outcomes]
+            assert multiplicities(space, dataset).tolist() == want
 
 
 class TestIncidenceMatrix:

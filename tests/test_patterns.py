@@ -22,6 +22,7 @@ from tbmlearn import (
 )
 from tbmlearn.fitting import empirical_targets
 from tbmlearn.model import supports
+from tbmlearn.patterns import _read_fimi, _scan_fimi
 
 from oracles import brute_eta, enumerate_patterns
 
@@ -129,6 +130,80 @@ class TestParseFimi:
         again = parse_fimi(format_fimi(d))
         assert again.entries == d.entries
         assert again.n_variables == d.n_variables
+
+
+def read_or_error(reader, text, empty_as_bottom):
+    try:
+        d = reader(text, empty_as_bottom=empty_as_bottom)
+    except FimiFormatError as exc:
+        return "error", str(exc)
+    return list(d.entries.items()), d.n_variables, d.n_samples
+
+
+SCANNED_TOKENS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 40).map(lambda i: f"00{i}"),
+    st.integers(10**16, 10**18 - 1).map(str),
+)
+OTHER_TOKENS = st.sampled_from(
+    ["+5", "-3", "-0", "1_0", "x", "\u0663", "12345678901234567890", "7" * 25, "3\u00a04",
+     "2\u20033", "5\x0c6", "1\r2"]
+)
+
+
+def fimi_text(tokens):
+    line = st.lists(tokens, max_size=5).flatmap(
+        lambda toks: st.lists(st.sampled_from([" ", "\t", "  "]), min_size=len(toks),
+                              max_size=len(toks)).map(
+            lambda seps: "".join(s + t for s, t in zip(seps, toks))
+        )
+    )
+    return st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=8).flatmap(
+        lambda lines: st.booleans().map(
+            lambda last: "".join(l + e for l, e in lines)
+            + ("" if not lines or last else lines[-1][0])
+        )
+    )
+
+
+class TestByteScan:
+    """The byte scan of ``parse_fimi`` against its line reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fimi_text(SCANNED_TOKENS), st.booleans(), st.booleans())
+    def test_scan_equals_line_reader(self, text, empty_as_bottom, as_bytes):
+        # Tabs, CRLF, leading zeros, repeated items, empty lines, 18 digits.
+        data = text.encode() if as_bytes else text
+        scanned = _scan_fimi(text.encode(), empty_as_bottom)
+        line_read = read_or_error(_read_fimi, data, empty_as_bottom)
+        if scanned is None:
+            assert line_read[0] == "error"
+            assert line_read[1] == "no transactions found"
+        else:
+            got = list(scanned.entries.items()), scanned.n_variables, scanned.n_samples
+            assert got == line_read
+        assert read_or_error(parse_fimi, data, empty_as_bottom) == line_read
+
+    @settings(max_examples=300, deadline=None)
+    @given(fimi_text(SCANNED_TOKENS), OTHER_TOKENS, st.data(), st.booleans(), st.booleans())
+    def test_other_text_reads_as_the_line_reader_does(
+        self, text, other, data, empty_as_bottom, as_bytes
+    ):
+        # One sign, underscore, letter, non-ASCII digit or space, form feed,
+        # lone carriage return or 19+ digit identifier in scannable text: the
+        # same entries in the same order, or the same error at the same line.
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + " " + other + " " + text[at:]
+        data = text.encode() if as_bytes else text
+        assert read_or_error(parse_fimi, data, empty_as_bottom) == read_or_error(
+            _read_fimi, data, empty_as_bottom
+        )
+
+    def test_long_identifiers_stay_exact(self):
+        d = parse_fimi("0 100000000000000000000000\n100000000000000000000000\n")
+        assert d.entries == {(0, 10**23): 1, (10**23,): 1}
+        assert d.n_variables == 10**23 + 1
+        assert d.csr[1].dtype == object
 
 
 class TestTransactionDataset:

@@ -47,6 +47,19 @@ class TestGibbsRoundTrip:
         np.testing.assert_allclose(loaded.log_probs, model.log_probs, atol=1e-12)
         assert loaded_report == report
 
+    @pytest.mark.parametrize("edit", ["reversed", "repeated"])
+    def test_space_out_of_order_or_repeated_loads_canonical(self, worked_dataset, edit):
+        # tbmlearn writes the space in canonical order, which loads without a
+        # sort; any other order, or a repeated outcome, loads as the canonical set.
+        model, report = fit(worked_dataset, [(1,), (2,)], FitConfig(tol=1e-9))
+        obj = json.loads(dumps_model(model, report))
+        space = obj["sample_space"]
+        obj["sample_space"] = space[::-1] if edit == "reversed" else space + [space[2], space[0]]
+        loaded, _, _ = model_from_dict(obj)
+        assert loaded.space.outcomes == model.space.outcomes
+        assert loaded.domain == model.domain
+        np.testing.assert_array_equal(loaded.log_probs, model.log_probs)
+
     def test_dumps_deterministic(self, worked_dataset):
         model, report = fit(worked_dataset, [(1,), (2,)], None)
         assert dumps_model(model, report) == dumps_model(model, report)
@@ -175,6 +188,9 @@ class TestSchemaGuards:
             ("bm", "domain", [5, [1]], "domain must be a list of item lists"),
             ("tbm", "sample_space", [[], 5, [2], [1, 2]], "sample_space must be a list of"),
             ("tbm", "domain", 5, "domain must be a list of item lists"),
+            ("tbm", "sample_space", [[], [True], [2], [1, 2]], r"\(True,\) is not strictly"),
+            ("tbm", "sample_space", [[], [1.0], [2], [1, 2]], r"\(1.0,\) is not strictly"),
+            ("tbm", "domain", [[1], [2, True]], r"domain pattern \(2, True\) is not strictly"),
         ],
     )
     def test_non_canonical_pattern_rejected(
