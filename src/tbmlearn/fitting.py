@@ -119,7 +119,7 @@ from .mining import DomainSizeError, ParameterDomain, mine_parameter_domain
 from .model import (
     GibbsModel, SampleSpace, build_sample_space, incidence_matrix, logsumexp, multiplicities
 )
-from .patterns import Pattern, TransactionDataset, sort_key, take_rows
+from .patterns import Pattern, TransactionDataset, compact, sort_key, take_rows
 
 STEP_SHRINK = 0.5
 MIN_STEP_SIZE = 1e-16
@@ -629,9 +629,10 @@ def closure_face(
     face = sparse.csr_matrix(
         (incidence.data[:end], indices[:end], new_indptr), shape=(kept_rows.size, int(keep.sum()))
     )
-    face_space = SampleSpace(
-        space.items, *take_rows(space.indptr, space.indices, np.flatnonzero(keep))
-    )
+    # The kept rows, over the columns of the items they still hold.
+    kept_indptr, kept_cols = take_rows(space.indptr, space.indices, np.flatnonzero(keep))
+    held, kept_cols = compact(kept_cols)
+    face_space = SampleSpace(space.items[held], kept_indptr, kept_cols.astype(np.int32))
     aliases = [patterns[j] for j in np.flatnonzero(alias)]
     return face_space, [patterns[j] for j in kept_rows], face, targets[kept_rows], aliases
 

@@ -24,15 +24,15 @@ space.
 A :class:`SampleSpace` holds its outcomes as CSR arrays over compact item
 columns, sorted and deduplicated by :func:`patterns.canonical_ranks`, so
 building a space, its Z and the data's multiplicities walks no tuple; the
-tuple views ``outcomes`` and ``index`` are built only when asked for.  A
-space that :func:`build_sample_space` made from a dataset remembers where
-the data's rows went, which gives :func:`multiplicities` without a lookup.
+tuple views ``outcomes`` and ``index`` are built only when asked for.
+:func:`locate_rows` finds CSR rows of patterns, such as a dataset's, among
+the outcomes by ranking them together with the space's rows, which gives
+:func:`multiplicities` without a lookup per transaction.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -122,11 +122,27 @@ def build_sample_space(
     domain_indptr, domain_ids = flatten(list(domain))
     data_indptr, data_ids, _ = dataset.csr
     indptr = np.concatenate([domain_indptr, data_indptr[1:] + domain_indptr[-1]])
-    space, at = SampleSpace.from_rows(indptr, np.concatenate([domain_ids, data_ids]))
-    # Where the data's rows went, for :func:`multiplicities`; the space does
-    # not keep the dataset alive.
-    space.__dict__["_data_rows"] = (weakref.ref(dataset), at[len(domain_indptr) - 1:])
-    return space
+    return SampleSpace.from_rows(indptr, np.concatenate([domain_ids, data_ids]))[0]
+
+
+def locate_rows(space: SampleSpace, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The position in ``space`` of each CSR row ``(indptr, ids)`` of canonical
+    patterns (see :func:`patterns.flatten`), or -1 for a row that is no outcome.
+
+    The rows are ranked together with the space's own by
+    :func:`patterns.canonical_ranks`: a row is an outcome exactly when it
+    shares that outcome's rank.
+    """
+    n = len(space)
+    flat = np.concatenate([space.items[space.indices], ids])
+    if flat.dtype == object:
+        flat = np.unique(flat, return_inverse=True)[1]
+    rank, firsts = canonical_ranks(
+        np.concatenate([space.indptr, indptr[1:] + space.indptr[-1]]), flat
+    )
+    at = np.full(len(firsts), -1, dtype=np.int64)
+    at[rank[:n]] = np.arange(n)
+    return at[rank[n:]]
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -198,17 +214,15 @@ def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.
 
 
 def multiplicities(space: SampleSpace, dataset: TransactionDataset) -> np.ndarray:
-    """Count of each outcome in ``dataset``, in space order (``ValueError`` if outside).
-
-    A space that :func:`build_sample_space` made from ``dataset`` knows where
-    the data's rows went; any other space looks each transaction up."""
+    """Count of each outcome in ``dataset``, in space order (``ValueError`` if outside)."""
+    indptr, ids, mults = dataset.csr
+    at = locate_rows(space, indptr, ids)
+    outside = np.flatnonzero(at < 0)
+    if outside.size:
+        pattern = list(dataset.entries)[outside[0]]
+        raise ValueError(f"pattern {pattern} is outside the sample space")
     counts = np.zeros(len(space))
-    source = space.__dict__.get("_data_rows")
-    if source is not None and source[0]() is dataset:
-        counts[source[1]] = dataset.csr[2]
-        return counts
-    for t, mult in dataset.entries.items():
-        counts[space.position(t)] = mult
+    counts[at] = mults
     return counts
 
 

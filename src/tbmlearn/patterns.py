@@ -265,11 +265,16 @@ class TransactionDataset:
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, ids, counts)``: the distinct transactions as CSR rows
-        (see :func:`flatten`) and their multiplicities, in ``entries`` order."""
+        (see :func:`flatten`) and their multiplicities, in ``entries`` order.
+        ``counts`` is int64, or an object array of the multiplicities as given
+        when one is not an integer in that range."""
         indptr, ids = flatten(self.entries)
         mults = list(self.entries.values())
         if set(map(type, mults)) <= {int}:
-            return indptr, ids, np.array(mults, dtype=np.int64)
+            try:
+                return indptr, ids, np.array(mults, dtype=np.int64)
+            except OverflowError:
+                pass
         counts = np.empty(len(mults), dtype=object)
         counts[:] = mults
         return indptr, ids, counts

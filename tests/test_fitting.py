@@ -1,5 +1,6 @@
 """Moment-matching gradient ascent: convergence, guards, instrumentation."""
 
+import json
 import multiprocessing
 import os
 import threading
@@ -27,6 +28,7 @@ from tbmlearn.fitting import empirical_targets, fisher_matrix, interior_feasible
 from tbmlearn.geometry import m_projection
 from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix, supports
 from tbmlearn.patterns import sort_key
+from tbmlearn.serialize import dumps_model, model_from_dict
 
 from conftest import WORKED_PROBS, WORKED_PSI, WORKED_THETA1
 from oracles import brute_eta, contains, enumerate_patterns, random_dataset
@@ -281,6 +283,18 @@ class TestClosureFace:
         assert (0, 3) in model.domain
         assert report.converged
         assert whole_domain_gap(d, domain, model) <= FitConfig().tol
+
+    def test_face_space_lists_only_the_items_its_outcomes_hold(self):
+        # Item 3 never occurs, so every outcome that holds it leaves the face.
+        d = TransactionDataset({(): 1, (0,): 2, (1,): 3, (0, 1): 2, (0, 1, 2): 2}, 4)
+        domain = list(mine_parameter_domain(d, 0.0, 2))
+        assert 3 in build_sample_space(domain, d).items.tolist()
+        model, report = fit(d, domain)
+        held = sorted({i for x in model.space.outcomes for i in x})
+        assert model.space.items.tolist() == held == [0, 1, 2]
+        loaded = model_from_dict(json.loads(dumps_model(model, report)))[0]
+        assert loaded.space.items.tolist() == held
+        assert loaded.space.outcomes == model.space.outcomes
 
     def test_without_a_pair_inputs_come_back_untouched(self, worked_dataset):
         space = build_sample_space([(1,), (2,)], worked_dataset)

@@ -1,6 +1,7 @@
 """Sample-space construction and Gibbs-model bookkeeping."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tbmlearn import (
     TransactionDataset,
     build_sample_space,
     canonicalize,
+    fit_tbm,
     incidence_matrix,
     mine_parameter_domain,
     uniform_model,
@@ -115,6 +117,34 @@ class TestSampleSpaceArrays:
                       build_sample_space(pats, reordered)):
             want = [entries.get(x, 0) for x in space.outcomes]
             assert multiplicities(space, dataset).tolist() == want
+
+
+    def test_multiplicities_reject_a_transaction_outside(self):
+        dataset = TransactionDataset(entries={(0,): 2, (0, 7): 1, (5,): 3}, n_variables=8)
+        space = SampleSpace.from_patterns([(0,), (5,), (0, 5)])
+        with pytest.raises(ValueError, match=r"pattern \(0, 7\) is outside the sample space"):
+            multiplicities(space, dataset)
+
+    @pytest.mark.parametrize(
+        "entries, sigma, face",
+        [
+            ({(): 2, (1,): 3, (2,): 1, (1, 2): 4}, 0.45, False),
+            # Item 3 occurs only with item 0, so the fit moves to a face.
+            ({(): 1, (0,): 2, (0, 3): 4, (1,): 3, (0, 1, 3): 2, (1, 2): 1}, 0.0, True),
+        ],
+    )
+    def test_spaces_and_fitted_models_pickle(self, entries, sigma, face):
+        dataset = TransactionDataset(entries=entries, n_variables=4)
+        space = build_sample_space([(1,), (0, 1)], dataset)
+        again = pickle.loads(pickle.dumps(space))
+        assert again.outcomes == space.outcomes
+        assert multiplicities(again, dataset).tolist() == multiplicities(space, dataset).tolist()
+        model, report, _ = fit_tbm(dataset, sigma, 2)
+        assert bool(report.removed_parameters) == face
+        loaded = pickle.loads(pickle.dumps(model))
+        assert loaded.space.outcomes == model.space.outcomes
+        assert loaded.domain == model.domain
+        np.testing.assert_array_equal(loaded.log_probs, model.log_probs)
 
 
 class TestIncidenceMatrix:

@@ -215,6 +215,14 @@ class TestTransactionDataset:
         with pytest.raises(ValueError):
             TransactionDataset(entries={(1,): 0}, n_variables=2)
 
+    def test_multiplicity_past_int64(self):
+        d = TransactionDataset(entries={(0,): 2**63, (1,): 1}, n_variables=2)
+        assert d.n_samples == 2**63 + 1
+        assert d.csr[2].tolist() == [2**63, 1]
+        assert supports(d, [(0,), (1,)]).tolist() == [float(2**63), 1.0]
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            TransactionDataset(entries={(0,): 2**63, (1,): 0}, n_variables=2)
+
     def test_rejects_out_of_universe(self):
         with pytest.raises(ValueError):
             TransactionDataset(entries={(5,): 1}, n_variables=3)
