@@ -4,7 +4,9 @@ The fully visible machine runs the transductive fitter's engine,
 ``fitting.ascend``, over :class:`FullCube`: a normalizer over the complete
 binary cube, through fast subset/superset sum transforms, so it is limited
 to small variable counts.  Only the normalizer differs, so the guard and the
-Newton steps behave the same in both learners by construction.
+Newton steps behave the same in both learners by construction; on a
+boundary the face LP runs over the cube's Z, and the fit moves to a
+``fitting.ReducedSpace`` over the face, whose Gibbs model it returns.
 The RBM is trained with persistent contrastive divergence using a single
 alternating Gibbs sweep per update.
 """
@@ -18,13 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .fitting import FitConfig, FitReport, ascend, interior_feasible, solve_fisher
+from .fitting import (
+    FEASIBILITY_CHECK_MAX_NNZ, FitConfig, FitReport, ReducedSpace, ascend, interior_feasible,
+    solve_fisher,
+)
 from .mining import ParameterDomain
-from .model import SampleSpace, incidence_matrix, logsumexp, supports
+from .model import GibbsModel, SampleSpace, incidence_matrix, logsumexp, supports
 from .patterns import Pattern, TransactionDataset, sort_key
 
 FULL_BM_MAX_VARIABLES = 25
-FEASIBILITY_CHECK_MAX_OUTCOMES = 1 << 12
 RBM_INIT_SCALE = 0.01
 RBM_MAX_BYTES = 1 << 30
 
@@ -89,11 +93,9 @@ class FullCube:
     """Normalizer over all ``2^n`` configurations, for :func:`fitting.ascend`.
 
     The log-probabilities are recomputed from θ at every step: subset sums
-    give the energies and superset sums the expectations.  The feasibility
-    LP runs only up to ``FEASIBILITY_CHECK_MAX_OUTCOMES`` (2^12)
-    configurations: with the order-<=2 patterns and uniform targets one LP
-    took 0.03 s at n=8, 0.22 s at n=10, 0.88 s at n=11 and 3.39 s at n=12,
-    about x4 per variable, and one call at n=16 ran for over 2 minutes.
+    give the energies and superset sums the expectations.  The face LP runs
+    over the cube's Z under the reduced space's nonzero cap, which the
+    singletons alone exceed from 13 variables on.
     """
 
     def __init__(self, n_variables: int, patterns):
@@ -117,13 +119,16 @@ class FullCube:
         g = sup[self.masks[:, None] | self.masks[None, :]] - np.outer(etas, etas)
         return solve_fisher(g)
 
-    def feasible(self, targets: np.ndarray) -> bool | None:
+    def face(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | None:
+        """:meth:`fitting.ReducedSpace.face` over the cube's Z, built only
+        when its nonzeros, one per pattern and superset, are within the cap."""
         n = self.n_variables
-        if 1 << n > FEASIBILITY_CHECK_MAX_OUTCOMES:
+        patterns = [tuple(i for i in range(n) if m >> i & 1) for m in self.masks.tolist()]
+        if sum(1 << (n - len(p)) for p in patterns) > FEASIBILITY_CHECK_MAX_NNZ:
             return None
         cube = SampleSpace.from_patterns(c for r in range(n + 1) for c in combinations(range(n), r))
-        patterns = [tuple(i for i in range(n) if m >> i & 1) for m in self.masks.tolist()]
-        return interior_feasible(incidence_matrix(cube, patterns), targets)
+        incidence = incidence_matrix(cube, patterns)
+        return ReducedSpace(cube, incidence).restrict(interior_feasible(incidence, targets))
 
     def drop(self, indices) -> None:
         self.masks = np.delete(self.masks, indices)
@@ -133,11 +138,12 @@ def fit_full_bm(
     dataset: TransactionDataset,
     domain: ParameterDomain | list[Pattern],
     config: FitConfig | None = None,
-) -> tuple[FullBMModel, FitReport]:
+) -> tuple[FullBMModel | GibbsModel, FitReport]:
     """Exact maximum-likelihood fit over all binary configurations.
 
     Runs :func:`fitting.ascend` over the full cube, so moment matching and
-    the divergence guard behave exactly as in the transductive fitter.
+    the boundary guard behave exactly as in the transductive fitter; a fit
+    that the face LP moves to a face returns a :class:`GibbsModel` over it.
     Refuses more than 25 variables, where exact enumeration stops being
     practical; use the transductive model instead at that scale.
     """
@@ -151,6 +157,9 @@ def fit_full_bm(
     pats = sorted(domain, key=sort_key)
     targets = supports(dataset, pats) / dataset.n_samples
     run = ascend(FullCube(n, pats), pats, targets, cfg)
+    if isinstance(run.space, ReducedSpace):
+        face = run.space
+        return GibbsModel(face.sample_space, run.patterns, run.theta, face.incidence), run.report
     return FullBMModel.from_theta(n, run.patterns, run.theta), run.report
 
 

@@ -1,9 +1,10 @@
 """Command-line interface: mining, fitting, evaluation, and experiments.
 
 Exit codes: 0 success, 2 usage error, 3 data or resource error, 4 numeric
-failure (divergence removed every parameter).  Every stochastic subcommand
-takes a seed and produces identical primary output for identical inputs;
-measured wall-clock columns are the one exception.
+failure (every parameter removed: targets of 0 or 1, aliases on a face, or
+``--theta-max`` as the last resort after the face LP).  Every stochastic
+subcommand takes a seed and produces identical primary output for identical
+inputs; measured wall-clock columns are the one exception.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def _add_fit_options(parser) -> None:
         "--max-iters", type=_non_negative_int, default=10_000, help="iteration budget"
     )
     parser.add_argument(
-        "--theta-max", type=_positive_float, default=30.0, help="divergence threshold on parameters"
+        "--theta-max", type=_positive_float, default=30.0,
+        help="parameter magnitude whose first crossing runs the face LP; a later one removes it",
     )
 
 
@@ -136,7 +138,7 @@ def _write_fit(args, model, report, meta) -> int:
     """Write a fitted model; warn on stderr when the fit did not converge."""
     _write_text(args.out, dumps_model(model, report, meta))
     if report.domain_emptied:
-        print("warning: divergence guard removed every parameter", file=sys.stderr)
+        print("warning: the fit removed every parameter", file=sys.stderr)
         return EXIT_NUMERIC
     if not report.converged:
         print(f"warning: fit stopped unconverged after {report.iterations} iterations: "

@@ -182,8 +182,8 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
 
     true_dist = {x: float(p) for x, p in zip(space.outcomes, pvec)}
     projection, proj_report = m_projection(true_dist, patterns, BIAS_VARIANCE_FIT)
-    if proj_report.removed_parameters:
-        patterns = [p for p in patterns if p not in set(proj_report.removed_parameters)]
+    removed = set(proj_report.removed_parameters)
+    patterns = [p for p in patterns if p not in removed]
     bias = float(np.dot(pvec, np.log(pvec) - projection.log_probs))
     p_proj = np.exp(projection.log_probs)
 

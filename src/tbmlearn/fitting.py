@@ -25,83 +25,62 @@ factor only when all three of these hold, and each has its reason:
 - the fit has more than ``FISHER_BLOCK_ROWS`` parameters.  Below that a
   build costs about as much as a trial step, so small fits (the
   bias-variance harness among them) build G at every step;
-- the step moved no parameter by ``DRIFT_STEP`` or more.  That is the
-  guard's drift signature (below), so a drifting boundary fit keeps its
-  fresh Newton steps and its LP trigger.  Without this rule one such fit,
-  which removes 51 parameters through ``theta_max`` in 365 iterations,
-  removed 53 in 571;
+- the step moved no parameter by ``DRIFT_STEP`` or more, the drift
+  signature of a boundary (below), which keeps such a fit's Newton steps
+  fresh until its LP trigger;
 - the residual norm fell to at most ``CHORD_RATIO`` (one half) of its
   value before the step, so a factor is kept only while it contracts.
 
 A trial from a reused factor must raise the log-likelihood strictly;
 otherwise G is built at the same point and the full step is tried from it,
 since a stale factor near float resolution can make plateau steps forever.
-On ``basket`` (seed 0) the factor built at θ = 0 serves all 6 steps of the
-fit, where Newton built G for each of 3 steps; the traced fit takes 0.69 s
-instead of 1.37 s.
 
 Over the reduced space G is one sparse product ``Z diag(p) Z^T``, built in
 blocks of rows on a thread pool with one worker per usable core, and
 factored by Cholesky.  Every row of G is the same sum, in the same order, as
-in the serial product, so G does not depend on the core count.  G is
-symmetric bit for bit as built: Z's rows have sorted indices and 0/1 data,
-so entries (s, u) and (u, s) add the same probabilities in the same order.
+in the serial product, so G does not depend on the core count, and it is
+symmetric bit for bit as built (Z's rows have sorted indices and 0/1 data).
 The Cholesky solve runs in the BLAS, whose threads split its sums
-differently: the same fit's θ moved by up to 1e-9 between one and two
-OpenBLAS threads, so fits (and ``fit-tbm`` files) are reproducible bit for
-bit only at a fixed BLAS thread count.  The solve is dense.  Matrix-free
-Jacobi-preconditioned conjugate gradients were measured when fits still ran
-off the face (below), where implication-rule targets left G nearly singular:
-on the 12 Fisher systems of one fit of the bench's ``basket`` workload
-(|B| = 2048) they took 163 to 2524 iterations at rtol 1e-4 and up to the
-5000 cap at rtol 1e-8, against 11-12 s for the dense builds and solves.  On
-the face that cause is gone (one CG solve to rtol 1e-8 took 336 iterations
-there, against 1726 off it), and Newton-CG took 1.8 s on the ``basket`` fit
-against 1.65-2.0 s for dense Newton with one build per step.  That fit now
-builds G once, so a matrix-free path must be measured against that.  A trial
-state costs two sparse matrix-vector products over the reduced space
-(through Z and through its transpose, built once per fit), one exp and one
-``model.logsumexp``.
+differently, so fits (and ``fit-tbm`` files) are reproducible bit for bit
+only at a fixed BLAS thread count.  G takes ``8 |B|^2`` bytes: parameters
+that, after the up-front filter below, would need more than
+``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) are refused with
+:class:`~tbmlearn.mining.DomainSizeError` before any iteration.
 
-:func:`fit`, whose targets are integer counts over N, first fits on a face
-of the space (:func:`closure_face`).  When domain patterns s ⊂ u, u one
-item longer, have equal counts (s is not a closed itemset; Pasquier et al.,
-ICDT 1999), every outcome that contains s but not u has probability 0 in
-every distribution matching the targets.  No maximizer exists over the
-space that keeps them: θ drifts, and Newton steps converge at a linear rate
-toward the interior maximizer over the outcomes that remain (the facial set
-of Geyer, EJS 2009, and of Fienberg & Rinaldo, Ann. Statist. 2012).  So
-those outcomes are dropped, the rows of Z that then coincide are merged
-into one parameter each, and the fit is interior: on ``basket``, 3 Newton
-steps instead of 8 and max|θ| 0.33 instead of 7.7.  Data transactions and
-bottom are never dropped, so log Z = -log p(bottom) still holds.  Targets
-that are not counts (``m_projection``, the bias-variance harness) go
-straight to :func:`fit_to_moments`, and the guard below handles every
-boundary the pairs do not certify, p(bottom) = 0 among them, which no face
-that keeps bottom expresses.
+Targets on the boundary of what the parameters can match have no maximizer
+over the whole space: every matching distribution gives some outcomes no
+mass, and the maximizer lies on the face of the others (the facial set of
+Geyer, EJS 2009, and of Fienberg & Rinaldo, Ann. Statist. 2012).  Off the
+face θ drifts, each Newton step moves it by about 1, and the gap falls by a
+constant factor per step instead of quadratically.  The face step drops the
+outcomes off the face and merges the rows of Z that then coincide, and two
+rules find the face:
 
-G takes ``8 |B|^2`` bytes.  A fit whose parameters, after the up-front
-filter below, would need more than ``FISHER_MAX_BYTES`` (256 MiB, |B| up to
-5792) is refused with :class:`~tbmlearn.mining.DomainSizeError` before any
-iteration and before G is allocated; a larger sigma or a smaller k gives a
-smaller domain.
+- :func:`closure_face`, in :func:`fit`, whose targets are integer counts:
+  domain patterns s ⊂ u, u one item longer, with equal counts (s is not a
+  closed itemset; Pasquier et al., ICDT 1999) rule out every outcome that
+  holds s but not u.  On ``basket`` the fit is then interior, with no LP;
+- in :func:`ascend`, after the up-front filter (targets of 0 or 1, and
+  patterns no outcome holds), the first drift signal, a step that reaches
+  tol moving some parameter by at least ``DRIFT_STEP`` while the largest
+  magnitude exceeds ``min(DRIFT_GATE, theta_max / 2)``, or a parameter
+  crossing ``theta_max``, runs the LP :func:`interior_feasible` once.  The
+  fit restarts from θ = 0 on the face it finds, where the rows that other
+  rows span, found by pivoted Cholesky of the face's G, alias too.
 
-Targets on the boundary of the achievable moment set have no maximizer: some
-parameter drifts without bound.  Newton steps then keep moving the drifting
-parameters by about 1 each, and the gap falls by a constant factor per step
-instead of quadratically.  The guard handles this in three layers, all
-inside :func:`ascend`: before the first step it removes the patterns whose
-target is 0 or 1 or that no outcome contains (η = 0 under the uniform
-start); a parameter whose magnitude crosses ``theta_max`` is removed
-outright; and when a step reaches tol at that linear rate, moving some
-parameter by at least ``DRIFT_STEP`` while the largest magnitude exceeds
-``min(DRIFT_GATE, theta_max / 2)``, a linear-programming feasibility check
-decides whether any strictly positive distribution can match the targets at
-all.  If not, the largest-magnitude parameter is removed and fitting
-restarts from θ = 0 on the survivors.  The LP runs only on incidence
-matrices of at most ``FEASIBILITY_CHECK_MAX_NNZ`` nonzeros; above that it
-gives no verdict, and a boundary fit that reaches tol keeps its drifted
-parameters.
+Bottom stays on the face even where no matching distribution gives it mass
+(data without the empty transaction, at a k that pins p(bottom) to 0), so
+log Z = -log p(bottom) holds for every fitted model.  That boundary is then
+one direction, rows that sum to a constant on the face, along which
+bottom's mass falls by a constant factor per step while the rest converges,
+and the fit stops when the gap, which that mass bounds, reaches tol.  On
+``tbmlearn synth --n-vars 10 --support-size 60 --n 3000 --seed 3`` at
+σ = 0.02, k = 3, 60 of the 175 parameters stay and the fit takes 23
+iterations to a KL of 7.3e-7 to the data, where removing drifting
+parameters one at a time took 365 iterations and left a KL of 0.32.  The LP
+runs only on incidence matrices of at most ``FEASIBILITY_CHECK_MAX_NNZ``
+nonzeros.  A parameter that crosses ``theta_max`` after the LP has run, or
+where it gives no proper face, is removed as the last resort.
 """
 
 from __future__ import annotations
@@ -114,6 +93,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpstrf
 
 from .mining import DomainSizeError, ParameterDomain, mine_parameter_domain
 from .model import (
@@ -123,7 +103,6 @@ from .patterns import Pattern, TransactionDataset, compact, sort_key, take_rows
 
 STEP_SHRINK = 0.5
 MIN_STEP_SIZE = 1e-16
-LP_MIN_PROBABILITY = 1e-11
 FEASIBILITY_CHECK_MAX_NNZ = 1 << 15
 DRIFT_GATE = 5.0
 DRIFT_STEP = 0.5
@@ -154,9 +133,10 @@ class FitConfig:
     """Ascent settings.
 
     ``max_sweeps`` caps the iterations, trial steps included.
-    ``theta_max`` bounds parameter magnitudes; exceeding it is treated as
-    divergence and removes that parameter from the domain.  A fit converges
-    when its largest moment gap is at most ``tol``.
+    ``theta_max`` bounds parameter magnitudes: the first crossing runs the
+    face LP, and a crossing after it, or with no face found, removes that
+    parameter from the domain.  A fit converges when its largest moment gap
+    is at most ``tol``.
     """
 
     tol: float = 1e-6
@@ -176,13 +156,11 @@ class FitConfig:
 class FitReport:
     """Outcome bookkeeping for one fitting run.
 
-    ``iterations`` counts trial steps, from a freshly built Fisher factor or
-    from a reused one, including rejected ones that were retried shorter or
-    from a fresh factor.  ``final_gap`` is the largest remaining moment
-    mismatch over the surviving domain, and ``evaluations`` counts
-    probability-cell touches for complexity instrumentation: one per nonzero
-    of Z for every Fisher matrix, and the state, expectation and log-sum-exp
-    work of every trial step.
+    ``iterations`` counts trial steps, rejected ones included.  ``final_gap``
+    is the largest moment mismatch over the surviving domain, and
+    ``evaluations`` counts probability-cell touches for complexity
+    instrumentation: one per nonzero of Z for every Fisher matrix, and the
+    state, expectation and log-sum-exp work of every trial step.
     """
 
     iterations: int
@@ -206,8 +184,7 @@ def fisher_matrix(
     ``FISHER_BLOCK_ROWS`` rows are filled concurrently, the first in the
     calling thread and the rest on the pool; scipy's sparse product releases
     the interpreter lock.  Each row is the same sum, in the same order, as in
-    the one-piece product, so the result does not depend on the number of
-    workers; it is symmetric bit for bit when Z has sorted indices and 0/1 data.
+    the one-piece product, so the result does not depend on the workers.
     """
     scaled = sparse.csr_matrix(
         (incidence.data * p[incidence.indices], incidence.indices, incidence.indptr),
@@ -237,9 +214,8 @@ def solve_fisher(g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     The diagonal is lightly regularized so that collinear parameters cannot
     blow the solve up.  The Cholesky factor overwrites one triangle of ``g``;
-    if rounding leaves the system not positive definite, ``g`` is rebuilt
-    from the other, untouched triangle and solved by least squares.  The
-    returned solve holds its own matrix, so it can be reused.
+    if rounding leaves it not positive definite, ``g`` is rebuilt from the
+    other and solved by least squares.  Either solve keeps its own matrix.
     """
     diag = np.diag(g) + 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
     g[np.diag_indices_from(g)] = diag
@@ -261,12 +237,9 @@ def natural_direction(
     log_probs: np.ndarray,
     etas: np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Fisher-preconditioned ascent over a reduced sample space.
-
-    Builds G, the covariance of the containment indicators under the current
-    distribution (see :func:`fisher_matrix`), and returns its factored solve,
-    which maps a moment residual to the Newton direction.
-    """
+    """Builds G under the current distribution (:func:`fisher_matrix`) and
+    returns its factored solve, which maps a moment residual to the Newton
+    direction."""
     g = fisher_matrix(incidence, rows_of, np.exp(log_probs), etas)
     return solve_fisher(g)
 
@@ -278,42 +251,38 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> bool | None:
-    """Whether some strictly positive distribution attains the target moments.
+def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> np.ndarray | None:
+    """The face on which the targets are attained: a mask of the outcomes that
+    some distribution matching them gives mass, empty when none matches.
 
-    Maximizes the smallest outcome probability subject to the moment
-    constraints; a maximum below the positivity floor means the targets sit
-    on (or outside) the boundary of the achievable set.  Returns ``None``
-    when the solver fails to reach a verdict.  The first call of a process
-    imports ``scipy.optimize``, about 0.2 s, so that importing tbmlearn
-    does not.
+    One homogeneous LP over p >= 0, tau >= 0 and 0 <= s <= 1, with
+    ``Z p = tau targets``, ``1^T p = tau`` and ``s <= p``, maximizes the sum
+    of s: scaling a solution scales p, so one solution marks the whole face
+    with s = 1.  ``None`` when Z has more than ``FEASIBILITY_CHECK_MAX_NNZ``
+    nonzeros, or when the solver reaches no verdict.  The first call of a
+    process imports ``scipy.optimize`` (about 0.2 s).
     """
+    if incidence.nnz > FEASIBILITY_CHECK_MAX_NNZ:
+        return None
     m, n_out = incidence.shape
-    cost = np.zeros(n_out + 1)
-    cost[-1] = -1.0
-    a_eq = sparse.hstack(
-        [
-            sparse.vstack([incidence, np.ones((1, n_out))]),
-            sparse.csr_matrix((m + 1, 1)),
-        ],
-        format="csr",
-    )
-    b_eq = np.append(targets, 1.0)
-    a_ub = sparse.hstack(
-        [-sparse.identity(n_out, format="csr"), np.ones((n_out, 1))], format="csr"
-    )
+    zeros = sparse.csr_matrix((m + 1, n_out))
+    # Columns: p, tau, s.
+    a_eq = sparse.hstack([sparse.vstack([incidence, np.ones((1, n_out))]),
+                          -np.append(targets, 1.0)[:, None], zeros], format="csr")
+    eye = sparse.identity(n_out, format="csr")
+    a_ub = sparse.hstack([-eye, sparse.csr_matrix((n_out, 1)), eye], format="csr")
     result = linprog(
-        cost,
+        np.concatenate([np.zeros(n_out + 1), -np.ones(n_out)]),
         A_ub=a_ub,
         b_ub=np.zeros(n_out),
         A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * n_out + [(0, 1)],
+        b_eq=np.zeros(m + 1),
+        bounds=[(0, None)] * (n_out + 1) + [(0, 1)] * n_out,
         method="highs",
     )
     if not result.success:
-        return False if result.status == 2 else None
-    return bool(result.x[-1] > LP_MIN_PROBABILITY)
+        return None
+    return result.x[n_out + 1:] > 0.5
 
 
 class ReducedSpace:
@@ -321,18 +290,16 @@ class ReducedSpace:
     log-probabilities are ``Z^T θ`` minus their log-sum-exp, as in
     :class:`GibbsModel`, and a removed parameter takes its row of Z with it."""
 
-    def __init__(self, incidence: sparse.csr_matrix):
+    def __init__(self, sample_space: SampleSpace, incidence: sparse.csr_matrix):
+        self.sample_space = sample_space
+        self._use(incidence)
+
+    def _use(self, incidence: sparse.csr_matrix) -> None:
         self.incidence = incidence
         self._transposed = incidence.T
         self._rows_of = None  # the transpose as CSR, built at the first Fisher step
-
-    @property
-    def step_cost(self) -> int:
-        return 2 * self.incidence.nnz + self.incidence.shape[1]
-
-    @property
-    def fisher_cost(self) -> int:
-        return self.incidence.nnz
+        self.step_cost = 2 * incidence.nnz + incidence.shape[1]
+        self.fisher_cost = incidence.nnz
 
     def state(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
         raw = self._transposed.dot(theta)
@@ -347,24 +314,41 @@ class ReducedSpace:
             self._rows_of = self._transposed.tocsr()
         return natural_direction(self.incidence, self._rows_of, log_probs, etas)
 
-    def feasible(self, targets: np.ndarray) -> bool | None:
-        # The LP's cost grows with the nonzeros of Z: one LP took 10 s at
-        # 108032 (the bench's synth workload at k=3) and ran for minutes at
-        # 1078322 (basket at k=2).  Beyond the cap it gives no verdict.
-        if self.incidence.nnz > FEASIBILITY_CHECK_MAX_NNZ:
+    def face(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:
+        return self.restrict(interior_feasible(self.incidence, targets))
+
+    def restrict(self, keep: np.ndarray | None) -> tuple["ReducedSpace", np.ndarray] | None:
+        """The normalizer over the outcomes ``keep`` marks (and bottom), and the
+        indices of the parameters that alias there; ``None`` for no proper face.
+
+        Past the face step's merge, the rank of G at the uniform distribution
+        over the face, from pivoted Cholesky, counts the identifiable
+        parameters, and its pivots are the basis kept.
+        """
+        if keep is None or not keep.any():
             return None
-        return interior_feasible(self.incidence, targets)
+        keep[0] |= self.sample_space.indptr[1] == 0  # bottom, if an outcome, stays
+        if keep.all():
+            return None
+        space, face, rows = _face(self.sample_space, self.incidence.copy(), keep)
+        p = np.full(face.shape[1], 1.0 / face.shape[1])
+        g = fisher_matrix(face, face.T.tocsr(), p, face.dot(p))
+        _, pivots, rank, _ = dpstrf(g, tol=1e-9 * max(float(np.max(np.diag(g))), 1e-30))
+        if rank < rows.size:
+            basis = np.sort(pivots[:rank] - 1)
+            face, rows = face[basis], rows[basis]
+        aliases = np.setdiff1d(np.arange(self.incidence.shape[0]), rows)
+        return ReducedSpace(space, face), aliases
 
     def drop(self, indices) -> None:
-        self.incidence = self.incidence[np.delete(np.arange(self.incidence.shape[0]), indices)]
-        self._transposed = self.incidence.T
-        self._rows_of = None
+        self._use(self.incidence[np.delete(np.arange(self.incidence.shape[0]), indices)])
 
 
 @dataclass
 class Ascent:
-    """Where :func:`ascend` stopped: the surviving parameters and the report."""
+    """Where :func:`ascend` stopped: its normalizer, surviving parameters and report."""
 
+    space: object
     patterns: list[Pattern]
     theta: np.ndarray
     report: FitReport
@@ -376,15 +360,17 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
     Takes damped Newton and chord steps under the rules and the guard
     described in the module docstring, and reports the gap of the returned
     θ.  ``space`` is a :class:`ReducedSpace` or a ``baselines.FullCube``; its
-    ``fisher_solve`` builds and factors G and returns the solve, and its
-    ``drop`` removes parameters from it by index.  Raises :class:`DomainSizeError`, before any
-    iteration, when the parameters left after the up-front filter need a
-    Fisher matrix over ``FISHER_MAX_BYTES``.
+    ``fisher_solve`` builds and factors G and returns the solve, its
+    ``drop`` removes parameters by index, and its ``face`` returns the
+    :class:`ReducedSpace` of the LP's face and the aliases there, or ``None``.
+    Raises :class:`DomainSizeError`, before any iteration, when the
+    parameters left after the up-front filter need G over ``FISHER_MAX_BYTES``.
     """
     pats = list(patterns)
     removed: list[Pattern] = []
     iterations = 0
     evaluations = 0
+    lp_ran = False
 
     def restart() -> None:
         nonlocal theta, log_probs, psi, etas, avg_loglik, gap, err2, step, direction, solve
@@ -397,22 +383,27 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
         step = 1.0
         direction = solve = None
 
-    def drop(indices) -> None:
-        # θ keeps its other entries until the next restart, so repeated
-        # removals still pick the worst drifter.
-        nonlocal targets, theta, solve
-        solve = None
+    def drop(indices, face=None) -> None:
+        # Removes parameters, from the normalizer or with it, and restarts.
+        nonlocal space, targets
         removed.extend(pats[j] for j in indices)
         for j in sorted(indices, reverse=True):
             del pats[j]
-        space.drop(indices)
         targets = np.delete(targets, indices)
-        theta = np.delete(theta, indices)
+        if face is None:
+            space.drop(indices)
+        else:
+            space = face
+        restart()
 
-    def remove_parameter(j: int) -> None:
-        nonlocal evaluations
-        drop([j])
-        evaluations += space.step_cost
+    def to_face() -> bool:
+        # The face LP runs at most once per fit.
+        nonlocal lp_ran
+        found = None if lp_ran else space.face(targets)
+        lp_ran = True
+        if found is not None:
+            drop(found[1], face=found[0])
+        return found is not None
 
     restart()
     # A target of 0 or 1, or a pattern no outcome contains (η = 0 under the
@@ -420,7 +411,6 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
     unfit = np.flatnonzero((targets <= 0.0) | (targets >= 1.0) | (etas <= 0.0))
     if unfit.size:
         drop(unfit)
-        restart()
     if 8 * len(pats) ** 2 > FISHER_MAX_BYTES:
         raise DomainSizeError(
             f"{len(pats)} parameters need a {8 * len(pats) ** 2 / 2**20:.0f} MiB Fisher "
@@ -482,29 +472,16 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
 
         worst = int(np.argmax(np.abs(theta)))
         if abs(theta[worst]) > cfg.theta_max:
-            remove_parameter(worst)
-            restart()
+            if not to_face():  # the last resort: no LP face to move to
+                drop([worst])
+                evaluations += space.step_cost
             continue
 
-        # Newton steps converge quadratically to an interior maximizer, and
-        # chord steps linearly but fast, so the last steps are short.  On
-        # boundary targets each full step still moves the drifting parameters
-        # by about 1 when the gap reaches tol; such a step never keeps its
-        # factor, so a drifting fit takes fresh Newton steps.
-        if (
-            gap <= cfg.tol
-            and moved >= DRIFT_STEP
-            and abs(theta[worst]) > min(DRIFT_GATE, cfg.theta_max / 2)
-        ):
-            verdict = space.feasible(targets)
-            removed_any = verdict is False
-            while verdict is False and theta.size:
-                # Boundary targets: drop the worst drifter, then re-test
-                # so one boundary event clears the whole degenerate set.
-                remove_parameter(int(np.argmax(np.abs(theta))))
-                verdict = space.feasible(targets) if theta.size else None
-            if removed_any:
-                restart()
+        # Interior fits end on short steps; on boundary targets each full
+        # step still moves the drifting parameters by about 1 at tol.
+        drifting = moved >= DRIFT_STEP and abs(theta[worst]) > min(DRIFT_GATE, cfg.theta_max / 2)
+        if gap <= cfg.tol and drifting:
+            to_face()
 
     report = FitReport(
         iterations=iterations,
@@ -514,7 +491,7 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
         domain_emptied=bool(removed) and not pats,
         evaluations=evaluations,
     )
-    return Ascent(pats, theta, report)
+    return Ascent(space, pats, theta, report)
 
 
 def fit_to_moments(
@@ -526,10 +503,10 @@ def fit_to_moments(
 ) -> tuple[GibbsModel, FitReport]:
     """Fit parameters on ``patterns`` so model expectations match ``targets``.
 
-    Runs :func:`ascend` over the reduced space.  If the guard removes every
-    parameter, the uniform distribution over the space is returned and
-    flagged in the report.  A given ``incidence`` is copied only to put its
-    rows in canonical order.
+    Runs :func:`ascend` over the reduced space, and returns the model over
+    the space, or the face, it ended on (uniform, and flagged in the report,
+    if every parameter was removed).  A given ``incidence`` is copied only
+    to put its rows in canonical order.
     """
     cfg = config or FitConfig()
     targets = np.asarray(targets, dtype=np.float64)
@@ -545,10 +522,9 @@ def fit_to_moments(
         incidence = incidence_matrix(space, pats)
     elif order != list(range(len(order))):
         incidence = incidence[np.array(order, dtype=np.intp)]
-    reduced = ReducedSpace(incidence)
-    run = ascend(reduced, pats, targets, cfg)
-    model = GibbsModel(space, run.patterns, run.theta, incidence=reduced.incidence)
-    return model, run.report
+    run = ascend(ReducedSpace(space, incidence), pats, targets, cfg)
+    face = run.space
+    return GibbsModel(face.sample_space, run.patterns, run.theta, face.incidence), run.report
 
 
 def empirical_targets(
@@ -560,47 +536,21 @@ def empirical_targets(
     return incidence.dot(multiplicities(space, dataset)) / dataset.n_samples
 
 
-def closure_face(
-    space: SampleSpace,
-    patterns: list[Pattern],
-    incidence: sparse.csr_matrix,
-    targets: np.ndarray,
-) -> tuple[SampleSpace, list[Pattern], sparse.csr_matrix, np.ndarray, list[Pattern]]:
-    """The face the closure pairs certify, and the parameters that alias on it.
+def _row_of(z: sparse.csr_matrix) -> Callable[[int], np.ndarray]:
+    """Row j of Z's index array, as a view."""
+    return lambda j: z.indices[z.indptr[j]:z.indptr[j + 1]]
 
-    A closure pair is s ⊂ u in ``patterns`` with u one item longer and the
-    same target: every outcome that contains s but not u then has
-    probability 0 in every distribution that matches the targets, so those
-    outcomes are dropped.  No data transaction lies among them, and neither
-    does bottom.  Rows of Z that become identical are aliases, and each
-    class keeps its last member in canonical order (for a pair, u).  Z is
-    compacted in place, rows and columns in one pass, so it must not be used
-    after this call; without a pair everything is returned as given.
-    Returns the face's space, the kept patterns, their Z and targets, and
-    the aliases in canonical order.
-    """
-    row = {p: j for j, p in enumerate(patterns)}
-    # The targets of ``fit`` are integer counts divided by one N, so equal
-    # floats are equal counts.
-    pairs = [
-        (row[s], j)
-        for j, u in enumerate(patterns)
-        if len(u) > 1
-        for s in (u[:i] + u[i + 1:] for i in range(len(u)))
-        if s in row and targets[row[s]] == targets[j]
-    ]
-    if not pairs:
-        return space, patterns, incidence, targets, []
+
+def _face(
+    space: SampleSpace, incidence: sparse.csr_matrix, keep: np.ndarray
+) -> tuple[SampleSpace, sparse.csr_matrix, np.ndarray]:
+    """The face step: the outcomes ``keep`` marks, as a space, Z over them,
+    and the rows kept when each class of rows that coincide there keeps its
+    last member.  Z is compacted in place, rows and columns in one pass, so
+    it must not be used after this call."""
     indptr, indices = incidence.indptr, incidence.indices
-    m, n_out = incidence.shape
-
-    def cols(j: int) -> np.ndarray:
-        return indices[indptr[j]:indptr[j + 1]]
-
-    keep = np.ones(n_out, dtype=bool)
-    for s, u in pairs:
-        keep[np.setdiff1d(cols(s), cols(u), assume_unique=True)] = False
-
+    m = incidence.shape[0]
+    cols = _row_of(incidence)
     # Identical rows on the face, found from the last row back so that the
     # first member seen is the one kept.  Rows are keyed by the hash of their
     # kept columns, not by the columns, so no second copy of Z is held.
@@ -633,7 +583,42 @@ def closure_face(
     kept_indptr, kept_cols = take_rows(space.indptr, space.indices, np.flatnonzero(keep))
     held, kept_cols = compact(kept_cols)
     face_space = SampleSpace(space.items[held], kept_indptr, kept_cols.astype(np.int32))
-    aliases = [patterns[j] for j in np.flatnonzero(alias)]
+    return face_space, face, kept_rows
+
+
+def closure_face(
+    space: SampleSpace,
+    patterns: list[Pattern],
+    incidence: sparse.csr_matrix,
+    targets: np.ndarray,
+) -> tuple[SampleSpace, list[Pattern], sparse.csr_matrix, np.ndarray, list[Pattern]]:
+    """The face the closure pairs certify: the face's space, the kept
+    patterns, their Z and targets, and the aliases in canonical order.
+
+    A closure pair is s ⊂ u in ``patterns`` with u one item longer and the
+    same target: every outcome that holds s but not u has probability 0 in
+    every distribution that matches the targets (no data transaction is one
+    of them).  Z goes through the face step (:func:`_face`; for a pair, u
+    stays), so it must not be used after this call unless there is no pair.
+    """
+    row = {p: j for j, p in enumerate(patterns)}
+    # The targets of ``fit`` are integer counts divided by one N, so equal
+    # floats are equal counts.
+    pairs = [
+        (row[s], j)
+        for j, u in enumerate(patterns)
+        if len(u) > 1
+        for s in (u[:i] + u[i + 1:] for i in range(len(u)))
+        if s in row and targets[row[s]] == targets[j]
+    ]
+    if not pairs:
+        return space, patterns, incidence, targets, []
+    cols = _row_of(incidence)
+    keep = np.ones(incidence.shape[1], dtype=bool)
+    for s, u in pairs:
+        keep[np.setdiff1d(cols(s), cols(u), assume_unique=True)] = False
+    face_space, face, kept_rows = _face(space, incidence, keep)
+    aliases = [patterns[j] for j in np.setdiff1d(np.arange(len(patterns)), kept_rows)]
     return face_space, [patterns[j] for j in kept_rows], face, targets[kept_rows], aliases
 
 

@@ -1,15 +1,16 @@
 """Reduced sample spaces and the Gibbs distributions defined over them.
 
 The sample space of a transductive model is the union of the parameter
-domain, the distinct transactions of the dataset, and the empty pattern;
-``fitting.fit`` then drops the outcomes its data rule out (see
-``fitting.closure_face``), so a fitted model's space may lack some domain
-patterns, though each of them lies in some outcome.
-Probabilities are kept in log space; the log-partition value is always the
-negative log-probability of the empty pattern.
+domain, the distinct transactions of the dataset, and the empty pattern,
+which :func:`build_sample_space` lists like any other row.  The fit then
+drops the outcomes its data rule out (see ``fitting.closure_face`` and
+``fitting.interior_feasible``), so a fitted model's space may lack some
+domain patterns, though each lies in some outcome.  Probabilities are kept
+in log space; the log-partition value is the negative log-probability of
+the empty pattern in every space that holds it, as fitted spaces do.
 
 :func:`incidence_matrix` is the package's one count of containment; fits,
-supports, model loads, ``GibbsModel.eta`` and the full-cube feasibility LP
+supports, model loads, ``GibbsModel.eta`` and the full-cube face LP
 all read it.  A pattern's row is its prefix's row (the pattern without its
 last item) intersected with the posting of its last item, and the empty
 pattern's row is every outcome: the prefix tidset recurrence of vertical
@@ -55,7 +56,7 @@ from .patterns import (
 
 @dataclass(frozen=True, eq=False)
 class SampleSpace:
-    """Deterministically ordered set of outcome patterns, always containing bottom.
+    """Deterministically ordered set of distinct outcome patterns.
 
     Outcome i is ``items[indices[indptr[i]:indptr[i + 1]]]``: ``items`` holds
     the identifiers that occur, in increasing order, and ``indices`` their
@@ -71,18 +72,17 @@ class SampleSpace:
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[Pattern]) -> "SampleSpace":
-        return cls.from_rows(*flatten(list(patterns)))[0]
+        return cls.from_rows(*flatten(list(patterns)))
 
     @classmethod
-    def from_rows(cls, indptr: np.ndarray, ids: np.ndarray) -> tuple["SampleSpace", np.ndarray]:
-        """The space of the CSR rows ``(indptr, ids)`` (see :func:`patterns.flatten`)
-        and bottom, and the position of each given row in it."""
-        indptr = np.append(indptr, indptr[-1])
+    def from_rows(cls, indptr: np.ndarray, ids: np.ndarray) -> "SampleSpace":
+        """The space of the distinct CSR rows ``(indptr, ids)`` (see
+        :func:`patterns.flatten`), and of nothing else."""
         items, cols = compact(ids)
         cols = cols.astype(np.int32, copy=False)
-        rank, firsts = canonical_ranks(indptr, cols)
+        _, firsts = canonical_ranks(indptr, cols)
         out_indptr, indices = take_rows(indptr, cols, firsts)
-        return cls(items, out_indptr, indices), rank[:-1]
+        return cls(items, out_indptr, indices)
 
     @cached_property
     def outcomes(self) -> tuple[Pattern, ...]:
@@ -118,11 +118,12 @@ class SampleSpace:
 def build_sample_space(
     domain: Iterable[Pattern], dataset: TransactionDataset
 ) -> SampleSpace:
-    """Union of parameter domain, distinct transactions, and the empty pattern."""
+    """Union of parameter domain, distinct transactions and the empty pattern (a last empty row)."""
     domain_indptr, domain_ids = flatten(list(domain))
     data_indptr, data_ids, _ = dataset.csr
-    indptr = np.concatenate([domain_indptr, data_indptr[1:] + domain_indptr[-1]])
-    return SampleSpace.from_rows(indptr, np.concatenate([domain_ids, data_ids]))[0]
+    shifted = data_indptr + domain_indptr[-1]
+    indptr = np.concatenate([domain_indptr, shifted[1:], shifted[-1:]])
+    return SampleSpace.from_rows(indptr, np.concatenate([domain_ids, data_ids]))
 
 
 def locate_rows(space: SampleSpace, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -237,7 +238,7 @@ class GibbsModel:
 
     The log-probability of an outcome is the sum of the parameters of its
     contained domain patterns minus the log-partition value, so the empty
-    pattern always carries probability ``exp(-log_partition)``.
+    pattern, if an outcome, carries probability ``exp(-log_partition)``.
     """
 
     def __init__(
@@ -253,6 +254,8 @@ class GibbsModel:
             raise ValueError("theta must align with the domain patterns")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta values must be finite")
+        if not len(space):
+            raise ValueError("the sample space has no outcome")
         if incidence is None:
             incidence = incidence_matrix(space, domain)
         self.space = space

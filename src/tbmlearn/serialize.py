@@ -144,7 +144,7 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
         raise ValueError("theta values must be finite")
     if kind == "tbm":
         outcomes = _pattern_list(obj, "sample_space")
-        space, _ = SampleSpace.from_rows(*_canonical(outcomes, "sample_space"))
+        space = SampleSpace.from_rows(*_canonical(outcomes, "sample_space"))
         _canonical(domain, "domain")
         # A fit on a face keeps patterns that are not outcomes themselves,
         # but each one lies in some outcome: its row of Z is not empty.

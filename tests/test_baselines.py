@@ -5,6 +5,7 @@ import pytest
 
 from tbmlearn import (
     FitConfig,
+    GibbsModel,
     RBMConfig,
     RBMModel,
     SampleSpace,
@@ -77,8 +78,9 @@ class TestFullBM:
             np.testing.assert_allclose(bm.theta, tbm.theta, atol=1e-6)
 
         # Boundary inputs: a support of 9 of the 16 cells leaves some targets
-        # unattainable by a positive distribution, so the guard removes
-        # parameters, and it must remove the same ones in the same iterations.
+        # unattainable by a positive distribution.  Both learners run the face
+        # LP over the cube's Z at the same iteration and fit the same face,
+        # with the same aliases, from there on.
         cube = SampleSpace.from_patterns(enumerate_patterns(4))
         domain = [p for p in enumerate_patterns(4) if 1 <= len(p) <= 3]
         cfg = FitConfig(tol=1e-10)
@@ -94,8 +96,12 @@ class TestFullBM:
             assert bm_report.removed_parameters
             assert bm_report.removed_parameters == tbm_report.removed_parameters
             assert bm_report.iterations == tbm_report.iterations
+            assert bm_report.converged and tbm_report.converged
+            assert isinstance(bm, GibbsModel) and bm.space.outcomes == tbm.space.outcomes
+            assert len(bm.space) < len(cube)
             for x in cube.outcomes:
-                assert bm.prob(x) == pytest.approx(tbm.prob(x), abs=1e-12)
+                p = bm.prob(x) if x in bm.space else 0.0
+                assert p == pytest.approx(tbm.prob(x) if x in tbm.space else 0.0, abs=1e-12)
 
     def test_fisher_matrix_symmetric_as_built(self, monkeypatch):
         handed = []
@@ -134,8 +140,10 @@ class TestFullBM:
             raise AssertionError("linprog called above the cap")
 
         monkeypatch.setattr(fitting, "linprog", refuse)
+        monkeypatch.setattr(baselines, "incidence_matrix", refuse)
+        # The singletons of 13 variables alone hold 13 * 2^12 nonzeros.
         cube = FullCube(13, [(i,) for i in range(13)])
-        assert cube.feasible(np.full(13, 0.5)) is None
+        assert cube.face(np.full(13, 0.5)) is None
 
     def test_refuses_large_universe(self):
         d = TransactionDataset(entries={(25,): 1}, n_variables=26)

@@ -2,10 +2,24 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from tbmlearn import baselines, fitting, load_model
+from tbmlearn import (
+    SampleSpace,
+    baselines,
+    dumps_model,
+    evaluate_gibbs,
+    fit_tbm,
+    fit_to_moments,
+    fitting,
+    format_fimi,
+    load_model,
+    parse_fimi,
+    save_model,
+    synth_dataset,
+)
 from tbmlearn.cli import main
 
 from conftest import WORKED_KL
@@ -261,7 +275,7 @@ class TestEval:
         "damage, message",
         [
             (lambda obj: obj.pop("theta"), "lacks theta"),
-            (lambda obj: obj["theta"].pop(), "theta has 1 values for 2 patterns"),
+            (lambda obj: obj["theta"].pop(), "theta has 2 values for 3 patterns"),
             (lambda obj: obj["domain"].insert(0, 5), "domain must be a list of item lists"),
             (lambda obj: obj.update(theta={"a": 1.0}), "theta must hold numbers only"),
             (lambda obj: obj.update(fit_report=[1, 2]), "fit_report must be a JSON object"),
@@ -316,6 +330,64 @@ class TestEval:
         capsys.readouterr()
         assert run("eval", "--model", model_path, "--input", data) == 3
         assert "(0, 0) is not strictly increasing" in capsys.readouterr().err
+
+
+class TestFaces:
+    """Models fitted on a face, and spaces without bottom, go through the
+    model file and ``eval`` unchanged."""
+
+    def test_lp_face_round_trips(self, tmp_path):
+        # A boundary fit that runs the face LP: 60 of its 175 parameters
+        # stay, on a face of the data's 60 transactions and bottom.
+        d, _ = synth_dataset(10, 60, 3000, seed=3)
+        data = tmp_path / "synth.fimi"
+        data.write_text(format_fimi(d))
+        model_path = tmp_path / "m.json"
+        assert run("fit-tbm", "--input", data, "--sigma", "0.02", "--k", "3",
+                   "--out", model_path) == 0
+        fitted, report, _ = fit_tbm(parse_fimi(data.read_text()), 0.02, 3)
+        assert len(fitted.domain) == 60 and len(fitted.space) == 61
+        loaded, loaded_report, _ = load_model(model_path)
+        assert loaded.space.outcomes == fitted.space.outcomes
+        assert loaded.log_probs.tobytes() == fitted.log_probs.tobytes()
+        assert loaded_report == report
+        out = tmp_path / "eval.json"
+        assert run("eval", "--model", model_path, "--input", data, "--out", out) == 0
+        result = json.loads(out.read_text())
+        evaluation = evaluate_gibbs(fitted, d)
+        assert (result["kl"], result["loglik"]) == (evaluation.kl, evaluation.log_likelihood)
+
+    def test_space_without_bottom(self, tmp_path, capsys):
+        space = SampleSpace.from_patterns([(1,), (2,), (1, 2)])
+        model, report = fit_to_moments(space, [(1,), (2,)], [0.8, 0.6])
+        model_path = tmp_path / "m.json"
+        save_model(model_path, model, report)
+        loaded, _, _ = load_model(model_path)
+        assert loaded.space.outcomes == ((1,), (2,), (1, 2))
+        assert loaded.log_probs.tobytes() == model.log_probs.tobytes()
+        data = tmp_path / "d.fimi"
+        data.write_text("1\n2\n1 2\n1 2\n1\n")
+        out = tmp_path / "eval.json"
+        assert run("eval", "--model", model_path, "--input", data, "--out", out) == 0
+        evaluation = evaluate_gibbs(model, parse_fimi(data.read_text()))
+        assert json.loads(out.read_text())["kl"] == evaluation.kl
+        data.write_text("1\n\n2\n")
+        capsys.readouterr()
+        assert run("eval", "--model", model_path, "--input", data,
+                   "--empty-transactions", "bottom") == 3
+        err = capsys.readouterr().err
+        assert "outside the sample space" in err and "Traceback" not in err
+
+    def test_file_of_an_earlier_release_loads_unchanged(self, worked_file, tmp_path):
+        # Written by commit eceda1a, whose spaces always appended bottom:
+        # ``fit-tbm --empty-transactions bottom --sigma 0.3 --k 2 --tol 1e-9``.
+        path = Path(__file__).parent / "data" / "worked_tbm_schema1.json"
+        model, report, meta = load_model(path)
+        assert dumps_model(model, report, meta) == path.read_text()
+        out = tmp_path / "m.json"
+        assert run("fit-tbm", "--input", worked_file, "--empty-transactions", "bottom",
+                   "--sigma", "0.3", "--k", "2", "--tol", "1e-9", "--out", out) == 0
+        assert out.read_text() == path.read_text()
 
 
 class TestSynthAndBiasvar:

@@ -403,7 +403,7 @@ class TestFisherSteps:
     """Fits that take Fisher steps do not depend on the pool's worker count."""
 
     @staticmethod
-    def counted_fit(monkeypatch, dataset, cfg):
+    def counted_fit(monkeypatch, dataset, cfg, k=2):
         calls = []
         original = fitting.natural_direction
 
@@ -413,15 +413,15 @@ class TestFisherSteps:
 
         with monkeypatch.context() as patch:
             patch.setattr(fitting, "natural_direction", counting)
-            model, report, _ = fit_tbm(dataset, 0.0, 2, cfg)
+            model, report, _ = fit_tbm(dataset, 0.0, k, cfg)
         return model, report, calls
 
-    def fit_by_worker_count(self, monkeypatch, dataset, cfg):
+    def fit_by_worker_count(self, monkeypatch, dataset, cfg, k=2):
         fits = []
         for workers in (1, 4):
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 monkeypatch.setattr(fitting, "_fisher_pool", pool)
-                fits.append(self.counted_fit(monkeypatch, dataset, cfg))
+                fits.append(self.counted_fit(monkeypatch, dataset, cfg, k))
         (model, report, calls), (other, other_report, other_calls) = fits
         assert report.converged
         assert calls and calls == other_calls
@@ -437,19 +437,14 @@ class TestFisherSteps:
         assert calls[0] > 2 * fitting.FISHER_BLOCK_ROWS
 
     def test_fisher_steps_after_a_removal(self, monkeypatch):
-        # Every transaction holds item 0 or item 4, so p(bottom) = 0: a
-        # boundary no closure pair certifies, which the loop's LP removes a
-        # parameter for.
-        rng = np.random.default_rng(0)
-        entries = {}
-        for x, c in random_dataset(rng, 5, 500).items():
-            if 0 not in x and 4 not in x:
-                x = x + (4,)
-            entries[x] = entries.get(x, 0) + c
-        d = TransactionDataset(entries=entries, n_variables=5)
-        report, calls = self.fit_by_worker_count(monkeypatch, d, FitConfig())
-        assert len(report.removed_parameters) == 1
-        assert sorted(set(calls)) == [14, 15]
+        # Item 3 occurs only with item 0 or item 1: a boundary no closure
+        # pair certifies.  The face LP drops the outcomes that hold 3 but
+        # neither 0 nor 1, and (0, 3) aliases there.
+        report, calls = self.fit_by_worker_count(
+            monkeypatch, TestLpBudget.either_parent_dataset(), FitConfig(), k=3
+        )
+        assert report.removed_parameters == ((0, 3),)
+        assert sorted(set(calls)) == [24, 25]
 
     def test_one_block_fisher_steps_start_no_pool(self, monkeypatch, worked_dataset):
         monkeypatch.setattr(fitting, "_fisher_pool", None)
@@ -508,13 +503,14 @@ class TestChordSteps:
         np.testing.assert_allclose(model.log_probs, rebuilt.log_probs, rtol=0, atol=1e-6)
 
     def test_drifting_boundary_fit_unchanged(self, monkeypatch):
-        # The fit removes 51 of its 175 parameters through theta_max; the
-        # drift rule keeps each of its steps a fresh Newton step.
+        # The fit drifts until the face LP runs, then keeps 60 of its 175
+        # parameters on the face; the drift rule keeps each step before the
+        # LP a fresh Newton step.
         d, _ = synth_dataset(10, 60, 3000, seed=3)
         model, report, _ = fit_tbm(d, 0.02, 3)
         monkeypatch.setattr(fitting, "CHORD_RATIO", 0.0)
         rebuilt, rebuilt_report, _ = fit_tbm(d, 0.02, 3)
-        assert len(report.removed_parameters) == 51
+        assert len(report.removed_parameters) == 175 - 60
         assert model.theta.tobytes() == rebuilt.theta.tobytes()
         assert report.removed_parameters == rebuilt_report.removed_parameters
         assert report.iterations == rebuilt_report.iterations
@@ -555,7 +551,7 @@ class TestChordSteps:
         space = build_sample_space(patterns, d)
         z = incidence_matrix(space, patterns)
         targets = empirical_targets(d, space, z)
-        run = fitting.ascend(SpoiledReuse(z), patterns, targets, FitConfig(tol=1e-9))
+        run = fitting.ascend(SpoiledReuse(space, z), patterns, targets, FitConfig(tol=1e-9))
         assert run.report.converged
         kinds = [kind for kind, _ in events]
         # The first reuse follows the state of an accepted step.  Its downhill
@@ -565,7 +561,7 @@ class TestChordSteps:
         assert kinds[reuse + 1:reuse + 5] == ["state", "build", "solve", "state"]
         accepted = events[reuse - 1][1]
         (_, at), (_, direction), (_, trial) = events[reuse + 2:reuse + 5]
-        assert at.tobytes() == fitting.ReducedSpace(z).state(accepted)[0].tobytes()
+        assert at.tobytes() == fitting.ReducedSpace(space, z).state(accepted)[0].tobytes()
         assert trial.tobytes() == (accepted + direction).tobytes()
 
 
@@ -614,25 +610,127 @@ class TestDenseGate:
 
 
 class TestInteriorFeasibility:
+    """The face LP marks the outcomes some distribution matching the targets
+    gives mass."""
+
+    space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
+
+    def face(self, patterns, targets):
+        z = incidence_matrix(self.space, patterns)
+        return interior_feasible(z, np.array(targets))
+
     def test_degenerate_targets_infeasible(self):
-        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        z = incidence_matrix(space, [(1,), (1, 2)])
-        assert interior_feasible(z, np.array([0.4, 0.4])) is False
+        # eta(1) = eta(1, 2): no outcome holds 1 without 2.
+        assert self.face([(1,), (1, 2)], [0.4, 0.4]).tolist() == [True, False, True, True]
 
     def test_interior_targets_feasible(self):
-        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        z = incidence_matrix(space, [(1,), (2,)])
-        assert interior_feasible(z, np.array([0.7, 0.5])) is True
+        assert self.face([(1,), (2,)], [0.7, 0.5]).all()
+
+    def test_bottom_can_leave_the_face(self):
+        # eta(1) + eta(2) - eta(1, 2) = 1: every outcome holds 1 or 2.
+        assert self.face([(1,), (2,), (1, 2)], [0.875, 0.625, 0.5]).tolist() == [
+            False, True, True, True
+        ]
+
+    def test_unattainable_targets_give_an_empty_face(self):
+        assert not self.face([(1,), (1, 2)], [0.3, 0.5]).any()
 
     def test_lp_capped_by_incidence_size(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("linprog called above the cap")
 
-        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        reduced = fitting.ReducedSpace(incidence_matrix(space, [(1,), (1, 2)]))
-        monkeypatch.setattr(fitting, "FEASIBILITY_CHECK_MAX_NNZ", reduced.incidence.nnz - 1)
+        z = incidence_matrix(self.space, [(1,), (1, 2)])
+        monkeypatch.setattr(fitting, "FEASIBILITY_CHECK_MAX_NNZ", z.nnz - 1)
         monkeypatch.setattr(fitting, "linprog", refuse)
-        assert reduced.feasible(np.array([0.4, 0.4])) is None
+        assert interior_feasible(z, np.array([0.4, 0.4])) is None
+
+
+class TestUnattainableTargets:
+    def test_empty_face_falls_through_to_theta_max(self, monkeypatch):
+        # eta(1, 2) > eta(1): no distribution matches, so the LP's face is
+        # empty, and the fit removes a parameter through theta_max instead of
+        # fitting over an empty space.
+        lps = []
+        original = fitting.interior_feasible
+
+        def recording(*args):
+            lps.append(original(*args))
+            return lps[-1]
+
+        monkeypatch.setattr(fitting, "interior_feasible", recording)
+        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
+        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5])
+        assert len(lps) == 1 and not lps[0].any()
+        assert len(model.space) == 4 and len(report.removed_parameters) == 1
+        assert report.converged and np.all(np.isfinite(model.log_probs))
+
+
+class TestLpBudget:
+    """The face LP runs at most once per fit, and never on an interior fit."""
+
+    @staticmethod
+    def either_parent_dataset():
+        # Item 3 occurs only with item 0 or item 1.
+        rng = np.random.default_rng(0)
+        entries = {}
+        for x, c in random_dataset(rng, 5, 500).items():
+            if 3 in x and 0 not in x and 1 not in x:
+                x = tuple(sorted(x + (0,)))
+            entries[x] = entries.get(x, 0) + c
+        return TransactionDataset(entries=entries, n_variables=5)
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        for module in (fitting, baselines):
+            original = module.interior_feasible
+
+            def counting(*args, original=original):
+                calls.append(None)
+                return original(*args)
+
+            monkeypatch.setattr(module, "interior_feasible", counting)
+        return calls
+
+    def test_criterion_5_space(self, lp_calls):
+        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
+        _, report = fit_to_moments(space, [(1,), (1, 2)], [0.4, 0.4])
+        assert len(lp_calls) == 1 and report.converged
+
+    def test_implication_datasets(self, lp_calls):
+        implication = TestClosureFace.implication_dataset()
+        for d, k in [(implication, 2), (implication, 3), (self.either_parent_dataset(), 3)]:
+            before = len(lp_calls)
+            _, report, _ = fit_tbm(d, 0.0, k)
+            assert len(lp_calls) - before <= 1 and report.converged
+        assert len(lp_calls) - before == 1
+
+    def test_synth_boundary_fit(self, lp_calls):
+        d, _ = synth_dataset(10, 60, 3000, seed=3)
+        _, report, _ = fit_tbm(d, 0.02, 3)
+        assert len(lp_calls) == 1 and report.converged
+
+    def test_boundary_cubes(self, lp_calls):
+        domain = [p for p in enumerate_patterns(4) if 1 <= len(p) <= 3]
+        for seed in range(8):
+            d = TransactionDataset(
+                entries=random_dataset(np.random.default_rng(seed), 4, 400, support_size=9),
+                n_variables=4,
+            )
+            before = len(lp_calls)
+            fit_full_bm(d, domain, FitConfig(tol=1e-10))
+            assert len(lp_calls) - before <= 1
+            before = len(lp_calls)
+            fit(d, domain, FitConfig(tol=1e-10))
+            assert len(lp_calls) - before <= 1
+
+    def test_interior_fits_run_none(self, lp_calls, worked_dataset):
+        fit(worked_dataset, [(1,), (2,)])
+        # The benchmark's synthetic protocol at k=1: Z is under the LP's cap.
+        d, _ = synth_dataset(16, 1000, 20_000, seed=0)
+        model, report, _ = fit_tbm(d, 0.1, 1)
+        assert 0 < model.incidence.nnz <= fitting.FEASIBILITY_CHECK_MAX_NNZ
+        assert report.converged and lp_calls == []
 
 
 class TestInstrumentation:

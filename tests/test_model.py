@@ -39,9 +39,12 @@ class TestSampleSpace:
         assert space.outcomes == ((), (1,), (2,), (1, 2))
         assert len(space) == 4
 
-    def test_always_contains_bottom(self):
-        space = SampleSpace.from_patterns([(0, 1)])
-        assert () in space
+    def test_holds_only_the_given_patterns(self):
+        # Bottom is an outcome only when listed; build_sample_space lists it.
+        space = SampleSpace.from_patterns([(0, 1), (0, 1)])
+        assert space.outcomes == ((0, 1),) and () not in space
+        d = TransactionDataset(entries={(0, 1): 2}, n_variables=2)
+        assert build_sample_space([], d).outcomes == ((), (0, 1))
 
     def test_degenerate_point_mass(self):
         d = TransactionDataset(entries={(): 3}, n_variables=0)
@@ -54,7 +57,7 @@ class TestSampleSpace:
         assert space.outcomes == ((), (2,), (0, 1))
 
     def test_ordering_cardinality_then_lexicographic(self):
-        space = SampleSpace.from_patterns([(5,), (1, 2), (0,), (0, 3)])
+        space = SampleSpace.from_patterns([(5,), (1, 2), (0,), (), (0, 3)])
         assert space.outcomes == ((), (0,), (5,), (0, 3), (1, 2))
 
     def test_position_error_outside(self):

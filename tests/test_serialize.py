@@ -107,6 +107,7 @@ class TestSchemaGuards:
             ("theta", {"a": 0.5, "b": 0.1}, "theta must hold numbers only"),
             ("fit_report", [1, 2], "fit_report must be a JSON object, not list"),
             ("kind", ["tbm"], r"unknown model kind \['tbm'\]"),
+            ("sample_space", [], "the sample space has no outcome"),
         ],
     )
     def test_malformed_tbm_rejected(self, worked_dataset, key, value, message):
