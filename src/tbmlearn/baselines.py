@@ -26,7 +26,7 @@ from .fitting import (
 )
 from .mining import ParameterDomain
 from .model import GibbsModel, SampleSpace, incidence_matrix, logsumexp, supports
-from .patterns import Pattern, TransactionDataset, sort_key
+from .patterns import Pattern, TransactionDataset, row_pattern, sort_key
 
 FULL_BM_MAX_VARIABLES = 25
 RBM_INIT_SCALE = 0.01
@@ -74,6 +74,19 @@ class FullBMModel:
         if x and x[-1] >= self.n_variables:
             raise ValueError(f"pattern {x} exceeds {self.n_variables} variables")
         return float(self.log_probs[pattern_bitmask(x)])
+
+    def log_probs_of_rows(self, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """:meth:`log_prob` of each CSR row ``(indptr, ids)`` of canonical
+        patterns, through the rows' bitmasks: a row's mask is the difference
+        of the running sum of ``1 << id`` across its bounds."""
+        outside = np.flatnonzero(ids >= self.n_variables)
+        if outside.size:
+            row = int(np.searchsorted(indptr, outside[0], side="right")) - 1
+            raise ValueError(
+                f"pattern {row_pattern(indptr, ids, row)} exceeds {self.n_variables} variables"
+            )
+        running = np.cumsum(np.append(0, np.left_shift(1, ids.astype(np.int64))))
+        return self.log_probs[running[indptr[1:]] - running[indptr[:-1]]]
 
     def prob(self, x: Pattern) -> float:
         return float(np.exp(self.log_prob(x)))

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .baselines import (
     FULL_BM_MAX_VARIABLES,
-    FullBMModel,
     RBMConfig,
     RBMModel,
     _check_rbm_budget,
@@ -29,16 +28,9 @@ from .baselines import (
 )
 from .experiments import BiasVarianceConfig, bias_variance_experiment, synth_dataset
 from .fitting import FitConfig, fit, fit_tbm
-from .metrics import (
-    entropy,
-    evaluate_gibbs,
-    kl_divergence,
-    reconstruction_error_proxy,
-)
+from .metrics import entropy, evaluate_gibbs, reconstruction_error_proxy
 from .mining import DomainSizeError, mine_parameter_domain
-from .model import GibbsModel
 from .patterns import (
-    EmpiricalDistribution,
     FimiFormatError,
     TransactionDataset,
     format_fimi,
@@ -200,26 +192,13 @@ def cmd_fit_rbm(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _ = load_model(args.model)
     dataset = _read_dataset(args)
-    p_hat = EmpiricalDistribution.from_dataset(dataset)
-    if isinstance(model, GibbsModel):
-        evaluation = evaluate_gibbs(model, dataset)
-        kl, loglik = evaluation.kl, evaluation.log_likelihood
-        energy_fn = model.energy
-    elif isinstance(model, FullBMModel):
-        kl = kl_divergence(p_hat, {x: model.prob(x) for x in p_hat.probs})
-        loglik = sum(m * model.log_prob(t) for t, m in dataset.entries.items())
-        energy_fn = model.energy
-    elif isinstance(model, RBMModel):
+    if isinstance(model, RBMModel):
         kl = loglik = None
-        energy_fn = model.free_energy
+        proxy = reconstruction_error_proxy(model.free_energy, dataset)
     else:
-        raise ValueError("unsupported model kind")
-    result = {
-        "kl": kl,
-        "loglik": loglik,
-        "entropy": entropy(p_hat),
-        "proxy_error": reconstruction_error_proxy(energy_fn, dataset),
-    }
+        evaluation = evaluate_gibbs(model, dataset)
+        kl, loglik, proxy = evaluation.kl, evaluation.log_likelihood, evaluation.proxy_error
+    result = {"kl": kl, "loglik": loglik, "entropy": entropy(dataset), "proxy_error": proxy}
     _write_text(args.out, json.dumps(result, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -306,7 +285,7 @@ def cmd_compare(args) -> int:
     _check_rbm_budget(dataset, n_hidden, rbm_config)
     tbm_model, _ = fit(dataset, domain, _fit_config(args))
     tbm_time = time.perf_counter() - start
-    tbm_error = reconstruction_error_proxy(tbm_model.energy, dataset)
+    tbm_error = reconstruction_error_proxy(tbm_model, dataset)
     rows.append(
         {
             "method": "tbm",
@@ -325,7 +304,7 @@ def cmd_compare(args) -> int:
             {
                 "method": "bm",
                 "param_count": len(domain),
-                "proxy_error": reconstruction_error_proxy(bm_model.energy, dataset),
+                "proxy_error": reconstruction_error_proxy(bm_model, dataset),
                 "wall_time_sec": bm_time,
                 "status": "ok",
             }

@@ -10,18 +10,29 @@ between models: the sample space (the domain B, the distinct transactions
 and the empty pattern) grows with the interaction order k, and with it the
 mass held outside D, so proxies at different k are not the exact
 divergences shifted by one constant.
+
+A Gibbs model, transductive or full BM, is scored on one array path: its
+``log_probs_of_rows`` gives the log-probabilities of a dataset's distinct
+CSR rows, in ``entries`` order, and the divergence, log-likelihood and proxy
+sum terms of those arrays.  The sums run left to right
+(:func:`model.left_sum`), term by term as a loop over patterns adds them, so
+the results do not depend on whether a value was looked up once per pattern
+or for all rows at once.  A per-pattern energy function, as an RBM's free
+energy, still scores the proxy one pattern at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import GibbsModel, logsumexp
-from .patterns import EmpiricalDistribution, Pattern, TransactionDataset
+from .baselines import FullBMModel
+from .model import GibbsModel, left_sum, logsumexp
+from .patterns import EmpiricalDistribution, Pattern, TransactionDataset, flatten, row_pattern
 
 
 @dataclass(frozen=True)
@@ -29,6 +40,7 @@ class Evaluation:
     kl: float
     log_likelihood: float
     n_eval_patterns: int
+    proxy_error: float
 
 
 def _prob_items(p: Mapping[Pattern, float] | EmpiricalDistribution):
@@ -37,34 +49,54 @@ def _prob_items(p: Mapping[Pattern, float] | EmpiricalDistribution):
     return p
 
 
+def _frequencies(dataset: TransactionDataset) -> np.ndarray:
+    """Relative frequency of each distinct transaction, in ``entries`` order."""
+    return dataset.csr[2].astype(np.float64) / dataset.n_samples
+
+
+def _ratio_divergence(w: np.ndarray, q: np.ndarray, pattern: Callable[[int], Pattern]) -> float:
+    """The sum of ``w log(w / q)``; ``pattern(i)`` names term i if its ``q`` is not positive."""
+    zero = np.flatnonzero(q <= 0.0)
+    if zero.size:
+        raise ValueError(f"model assigns zero probability to observed pattern {pattern(zero[0])}")
+    return left_sum(w * np.log(w / q))
+
+
+def _model_divergence(
+    model: GibbsModel | FullBMModel,
+    w: np.ndarray,
+    log_q: np.ndarray,
+    pattern: Callable[[int], Pattern],
+) -> float:
+    """Divergence from weights ``w`` to a model whose log-probabilities there
+    are ``log_q``: in log space for a transductive model, as a ratio of
+    probabilities for the full BM."""
+    if isinstance(model, GibbsModel):
+        return left_sum(w * (np.log(w) - log_q))
+    return _ratio_divergence(w, np.exp(log_q), pattern)
+
+
 def kl_divergence(
     p_hat: Mapping[Pattern, float] | EmpiricalDistribution,
-    p: Mapping[Pattern, float] | GibbsModel,
+    p: Mapping[Pattern, float] | GibbsModel | FullBMModel,
 ) -> float:
     """Divergence from ``p_hat`` to ``p`` over the support of ``p_hat``."""
     ref = _prob_items(p_hat)
-    if isinstance(p, GibbsModel):
-        model = p
-        total = 0.0
-        for x, w in ref.items():
-            if w == 0.0:
-                continue
-            total += w * (np.log(w) - model.log_prob(x))
-        return float(total)
-    total = 0.0
-    for x, w in ref.items():
-        if w == 0.0:
-            continue
-        q = p.get(x, 0.0)
-        if q <= 0.0:
-            raise ValueError(f"model assigns zero probability to observed pattern {x}")
-        total += w * np.log(w / q)
-    return float(total)
+    support = [x for x, w in ref.items() if w != 0.0]
+    w = np.array([ref[x] for x in support], dtype=np.float64)
+    if isinstance(p, Mapping):
+        q = np.array([p.get(x, 0.0) for x in support], dtype=np.float64)
+        return _ratio_divergence(w, q, support.__getitem__)
+    return _model_divergence(p, w, p.log_probs_of_rows(*flatten(support)), support.__getitem__)
 
 
-def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution) -> float:
-    """Shannon entropy in nats, with 0 log 0 taken as 0."""
-    values = np.array(list(_prob_items(p).values()), dtype=np.float64)
+def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution | TransactionDataset) -> float:
+    """Shannon entropy in nats, with 0 log 0 taken as 0; a dataset's is
+    that of its frequencies, in ``entries`` order."""
+    if isinstance(p, TransactionDataset):
+        values = _frequencies(p)
+    else:
+        values = np.array(list(_prob_items(p).values()), dtype=np.float64)
     total = math.fsum(values)
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {total}, expected 1")
@@ -72,30 +104,50 @@ def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution) -> float:
     return float(-np.dot(nonzero, np.log(nonzero)))
 
 
+def _proxy(energies: np.ndarray, dataset: TransactionDataset) -> float:
+    """:func:`reconstruction_error_proxy` of the energies of the distinct
+    transactions, given in ``entries`` order; the terms are taken in the
+    transactions' sorted order."""
+    keys = list(dataset.entries)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    energies = energies[order]
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("model energies must be finite on the observed patterns")
+    log_proxy = -energies - logsumexp(-energies)
+    weights = _frequencies(dataset)[order]
+    return float(np.dot(weights, np.log(weights) - log_proxy))
+
+
 def reconstruction_error_proxy(
-    model_energy: Callable[[Pattern], float], dataset: TransactionDataset
+    model_energy: Callable[[Pattern], float] | GibbsModel | FullBMModel,
+    dataset: TransactionDataset,
 ) -> float:
     """Divergence from the data frequencies to proxy-normalized model probabilities.
 
     The model energies of the distinct observed transactions are normalized
     among themselves, so the same procedure applies whether or not the
-    model's true partition function is computable.
+    model's true partition function is computable.  ``model_energy`` is a
+    function of one pattern, or a Gibbs model, whose energies are read for
+    all transactions at once.
     """
-    uniques = sorted(dataset.entries)
-    energies = np.array([model_energy(x) for x in uniques], dtype=np.float64)
-    if not np.all(np.isfinite(energies)):
-        raise ValueError("model energies must be finite on the observed patterns")
-    log_proxy = -energies - logsumexp(-energies)
-    weights = np.array([dataset.entries[x] for x in uniques], dtype=np.float64)
-    weights /= dataset.n_samples
-    return float(np.dot(weights, np.log(weights) - log_proxy))
+    if callable(model_energy):
+        energies = np.array([model_energy(x) for x in dataset.entries], dtype=np.float64)
+    else:
+        log_probs = model_energy.log_probs_of_rows(*dataset.csr[:2])
+        energies = -(log_probs + model_energy.log_partition)
+    return _proxy(energies, dataset)
 
 
-def evaluate_gibbs(model: GibbsModel, dataset: TransactionDataset) -> Evaluation:
-    """Exact divergence and log-likelihood of a fitted transductive model."""
-    p_hat = EmpiricalDistribution.from_dataset(dataset)
+def evaluate_gibbs(model: GibbsModel | FullBMModel, dataset: TransactionDataset) -> Evaluation:
+    """Exact divergence, log-likelihood and proxy error of a fitted Gibbs
+    model, transductive or full BM, from one lookup of the data's rows."""
+    indptr, ids, counts = dataset.csr
+    log_probs = model.log_probs_of_rows(indptr, ids)
     return Evaluation(
-        kl=kl_divergence(p_hat, model),
-        log_likelihood=model.log_likelihood(dataset),
-        n_eval_patterns=len(p_hat.support),
+        kl=_model_divergence(
+            model, _frequencies(dataset), log_probs, partial(row_pattern, indptr, ids)
+        ),
+        log_likelihood=left_sum(counts * log_probs),
+        n_eval_patterns=len(counts),
+        proxy_error=_proxy(-(log_probs + model.log_partition), dataset),
     )

@@ -28,7 +28,8 @@ building a space, its Z and the data's multiplicities walks no tuple; the
 tuple views ``outcomes`` and ``index`` are built only when asked for.
 :func:`locate_rows` finds CSR rows of patterns, such as a dataset's, among
 the outcomes by ranking them together with the space's rows, which gives
-:func:`multiplicities` without a lookup per transaction.
+:func:`multiplicities` and :meth:`GibbsModel.log_probs_of_rows` without a
+lookup per transaction.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .patterns import (
     compact,
     extend_rows,
     flatten,
+    row_pattern,
     split_rows,
     take_rows,
 )
@@ -62,8 +64,8 @@ class SampleSpace:
     the identifiers that occur, in increasing order, and ``indices`` their
     compact int32 columns, so nothing here scales with the variable
     universe.  Outcomes are in canonical order (:func:`patterns.sort_key`).
-    ``outcomes`` and ``index`` are tuple views built at first use; fitting
-    never builds them.
+    ``outcomes`` and ``index`` are tuple views built at first use; fitting,
+    the model writer and the array scoring of ``metrics`` never build them.
     """
 
     items: np.ndarray
@@ -128,7 +130,8 @@ def build_sample_space(
 
 def locate_rows(space: SampleSpace, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The position in ``space`` of each CSR row ``(indptr, ids)`` of canonical
-    patterns (see :func:`patterns.flatten`), or -1 for a row that is no outcome.
+    patterns (see :func:`patterns.flatten`); ``ValueError`` names the first
+    row that is no outcome.
 
     The rows are ranked together with the space's own by
     :func:`patterns.canonical_ranks`: a row is an outcome exactly when it
@@ -141,9 +144,21 @@ def locate_rows(space: SampleSpace, indptr: np.ndarray, ids: np.ndarray) -> np.n
     rank, firsts = canonical_ranks(
         np.concatenate([space.indptr, indptr[1:] + space.indptr[-1]]), flat
     )
-    at = np.full(len(firsts), -1, dtype=np.int64)
-    at[rank[:n]] = np.arange(n)
-    return at[rank[n:]]
+    position = np.full(len(firsts), -1, dtype=np.int64)
+    position[rank[:n]] = np.arange(n)
+    at = position[rank[n:]]
+    outside = np.flatnonzero(at < 0)
+    if outside.size:
+        raise ValueError(
+            f"pattern {row_pattern(indptr, ids, outside[0])} is outside the sample space"
+        )
+    return at
+
+
+def left_sum(terms: np.ndarray) -> float:
+    """``0.0 + terms[0] + terms[1] + ...`` added left to right, as Python's
+    ``sum`` adds floats, where ``np.sum`` adds pairwise."""
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -217,13 +232,8 @@ def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.
 def multiplicities(space: SampleSpace, dataset: TransactionDataset) -> np.ndarray:
     """Count of each outcome in ``dataset``, in space order (``ValueError`` if outside)."""
     indptr, ids, mults = dataset.csr
-    at = locate_rows(space, indptr, ids)
-    outside = np.flatnonzero(at < 0)
-    if outside.size:
-        pattern = list(dataset.entries)[outside[0]]
-        raise ValueError(f"pattern {pattern} is outside the sample space")
     counts = np.zeros(len(space))
-    counts[at] = mults
+    counts[locate_rows(space, indptr, ids)] = mults
     return counts
 
 
@@ -279,6 +289,11 @@ class GibbsModel:
     def log_prob(self, x: Pattern) -> float:
         return float(self.log_probs[self.space.position(x)])
 
+    def log_probs_of_rows(self, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """:meth:`log_prob` of each CSR row ``(indptr, ids)``, located at once
+        by :func:`locate_rows`."""
+        return self.log_probs[locate_rows(self.space, indptr, ids)]
+
     def prob(self, x: Pattern) -> float:
         return float(np.exp(self.log_prob(x)))
 
@@ -303,9 +318,8 @@ class GibbsModel:
 
     def log_likelihood(self, dataset: TransactionDataset) -> float:
         """Total data log-likelihood; every transaction must lie in the space."""
-        return sum(
-            mult * self.log_prob(t) for t, mult in dataset.entries.items()
-        )
+        indptr, ids, counts = dataset.csr
+        return left_sum(counts * self.log_probs_of_rows(indptr, ids))
 
 
 def uniform_model(space: SampleSpace) -> GibbsModel:

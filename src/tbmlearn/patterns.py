@@ -140,6 +140,11 @@ def split_rows(items: np.ndarray, indptr: np.ndarray, cols: np.ndarray, make=tup
     return out
 
 
+def row_pattern(indptr: np.ndarray, ids: np.ndarray, row: int) -> Pattern:
+    """CSR row ``row`` of identifiers as a pattern, as error messages name it."""
+    return tuple(ids[indptr[row]:indptr[row + 1]].tolist())
+
+
 def _row_keys(mat: np.ndarray) -> np.ndarray:
     """One opaque key per row of a non-negative integer matrix.  The key holds
     the row's big-endian bytes, so keys order as the rows do lexicographically."""

@@ -1,4 +1,15 @@
-"""Versioned JSON persistence for fitted models."""
+"""Versioned JSON persistence for fitted models.
+
+A model file is ``json.dumps(model_to_dict(model, report, meta), indent=2,
+sort_keys=True)`` plus a line feed, byte for byte; :func:`model_to_dict` is
+the dict view of it.  :func:`dumps_model` writes that layout itself, straight
+from the model's arrays (the sample space's CSR rows, the domain, θ, the
+RBM's biases and weights), so no list per outcome is built and Python's
+pure-Python indenting encoder never runs.  Numbers are written by ``json``'s
+own compact encoder (floats as ``float.__repr__``, ints as ``int.__repr__``,
+non-finite floats as ``NaN`` and ``Infinity``) and strings, ``meta`` and the
+fit report by ``json.dumps`` itself, re-indented to their depth.
+"""
 
 from __future__ import annotations
 
@@ -165,8 +176,63 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     return FullBMModel.from_theta(n, domain, theta), report, meta
 
 
+def _json(value: Any) -> str:
+    """``value`` laid out by ``json.dumps(indent=2, sort_keys=True)`` as a
+    top-level field of a model file."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _block(parts: list[str], depth: int, brackets: str = "[]") -> str:
+    """An array (or object) of already laid out ``parts`` at nesting ``depth``,
+    one part per line, as ``json.dumps(indent=2)`` writes it."""
+    if not parts:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(parts) + "\n" + "  " * depth + brackets[1]
+
+
+def _numbers(values: list) -> list[str]:
+    """Each number as ``json`` writes it, through its compact encoder."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _rows(cells: list[str], indptr: np.ndarray) -> str:
+    """The CSR rows of written identifiers as the array of arrays of a field.
+    Each row is ``_block(row, 2)`` written out, as this runs once per outcome."""
+    bounds = indptr.tolist()
+    inner = ",\n      "
+    return _block([f"[\n      {inner.join(cells[a:z])}\n    ]" if z > a else "[]"
+                   for a, z in zip(bounds, bounds[1:])], 1)
+
+
 def dumps_model(model, report=None, meta=None) -> str:
-    return json.dumps(model_to_dict(model, report, meta), indent=2, sort_keys=True) + "\n"
+    """The model file of ``model``, in the layout of the module docstring."""
+    fields = {"schema": _json(SCHEMA_VERSION), "meta": _json(meta or {}),
+              "fit_report": _json(_report_dict(report))}
+    if isinstance(model, (GibbsModel, FullBMModel)):
+        domain_indptr, domain_ids = flatten(model.domain)
+        fields["domain"] = _rows(_numbers(domain_ids.tolist()), domain_indptr)
+        fields["theta"] = _block(_numbers(model.theta.tolist()), 1)
+        fields["log_partition"] = _json(model.log_partition)
+    if isinstance(model, GibbsModel):
+        space = model.space
+        items = np.array(_numbers(space.items.tolist()), dtype=object)
+        fields["kind"] = _json("tbm")
+        fields["sample_space"] = _rows(items[space.indices].tolist(), space.indptr)
+    elif isinstance(model, FullBMModel):
+        fields["kind"] = _json("bm")
+        fields["n_variables"] = _json(model.n_variables)
+    elif isinstance(model, RBMModel):
+        fields["kind"] = _json("rbm")
+        fields["n_variables"] = _json(model.n_visible)
+        fields["n_hidden"] = _json(model.n_hidden)
+        fields["visible_bias"] = _block(_numbers(model.visible_bias.tolist()), 1)
+        fields["hidden_bias"] = _block(_numbers(model.hidden_bias.tolist()), 1)
+        fields["weights"] = _block([_block(_numbers(row), 2) for row in model.weights.tolist()], 1)
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    lines = [f"{json.dumps(key)}: {text}" for key, text in sorted(fields.items())]
+    return _block(lines, 0, "{}") + "\n"
 
 
 def save_model(path: str | Path, model, report=None, meta=None) -> None:

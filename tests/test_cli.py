@@ -20,6 +20,7 @@ from tbmlearn import (
     save_model,
     synth_dataset,
 )
+from tbmlearn import cli
 from tbmlearn.cli import main
 
 from conftest import WORKED_KL
@@ -319,6 +320,52 @@ class TestEval:
         assert run("eval", "--model", model_path, "--input", data) == 3
         assert "(9,) has an item outside 0..1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [("1\n5\n\n2\n7\n", "(5,)"), ("1\n\n5\n", "()")],
+        ids=["item", "bottom"],
+    )
+    def test_tbm_names_the_first_transaction_outside(self, tmp_path, capsys, text, named):
+        # A face without bottom: the empty line read as () lies outside it too.
+        space = SampleSpace.from_patterns([(1,), (2,), (1, 2)])
+        model, report = fit_to_moments(space, [(1,), (2,)], [0.8, 0.6])
+        model_path = tmp_path / "m.json"
+        save_model(model_path, model, report)
+        data = tmp_path / "d.fimi"
+        data.write_text(text)
+        capsys.readouterr()
+        assert run("eval", "--model", model_path, "--input", data,
+                   "--empty-transactions", "bottom") == 3
+        err = capsys.readouterr().err
+        assert err == f"error: pattern {named} is outside the sample space\n"
+
+    def test_bm_names_the_first_transaction_past_its_variables(self, tmp_path, capsys):
+        data = tmp_path / "d.fimi"
+        data.write_text("0\n0 1\n1\n0\n")
+        model_path = tmp_path / "bm.json"
+        assert run("fit-bm", "--input", data, "--sigma", "0.2", "--k", "2",
+                   "--out", model_path) == 0
+        data.write_text("0\n1 5\n3\n")
+        capsys.readouterr()
+        assert run("eval", "--model", model_path, "--input", data) == 3
+        assert capsys.readouterr().err == "error: pattern (1, 5) exceeds 2 variables\n"
+
+    def test_tbm_eval_builds_no_tuple_view(self, worked_file, tmp_path, monkeypatch):
+        model_path = tmp_path / "m.json"
+        assert run("fit-tbm", "--input", worked_file, "--empty-transactions", "bottom",
+                   "--sigma", "0.3", "--k", "2", "--out", model_path) == 0
+        loaded = []
+
+        def recording(path):
+            loaded.append(load_model(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_model", recording)
+        assert run("eval", "--model", model_path, "--input", worked_file,
+                   "--empty-transactions", "bottom", "--out", tmp_path / "eval.json") == 0
+        space = loaded[0][0].space
+        assert "index" not in space.__dict__ and "outcomes" not in space.__dict__
+
     def test_bm_repeated_item_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.fimi"
         data.write_text("0\n0 1\n1\n0\n")
@@ -388,6 +435,31 @@ class TestFaces:
         assert run("fit-tbm", "--input", worked_file, "--empty-transactions", "bottom",
                    "--sigma", "0.3", "--k", "2", "--tol", "1e-9", "--out", out) == 0
         assert out.read_text() == path.read_text()
+
+    def test_eval_of_an_earlier_release_file_unchanged(self, worked_file, tmp_path):
+        # The eval file commit d3f2918 wrote for worked_tbm_schema1.json on the
+        # same data, before eval scored through arrays.
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "eval.json"
+        assert run("eval", "--model", data / "worked_tbm_schema1.json", "--input", worked_file,
+                   "--empty-transactions", "bottom", "--out", out) == 0
+        assert out.read_text() == (data / "worked_tbm_schema1_eval.json").read_text()
+
+    def test_bm_files_of_an_earlier_release_unchanged(self, worked_file, tmp_path):
+        # Written by commit d3f2918, before the model writer and the bm eval
+        # worked on arrays: ``fit-bm --empty-transactions bottom --sigma 0.3
+        # --k 2 --tol 1e-9``, then ``eval`` of that file on the same data.
+        data = Path(__file__).parent / "data"
+        model, report, meta = load_model(data / "worked_bm_schema1.json")
+        assert dumps_model(model, report, meta) == (data / "worked_bm_schema1.json").read_text()
+        out = tmp_path / "bm.json"
+        assert run("fit-bm", "--input", worked_file, "--empty-transactions", "bottom",
+                   "--sigma", "0.3", "--k", "2", "--tol", "1e-9", "--out", out) == 0
+        assert out.read_text() == (data / "worked_bm_schema1.json").read_text()
+        scored = tmp_path / "eval.json"
+        assert run("eval", "--model", out, "--input", worked_file,
+                   "--empty-transactions", "bottom", "--out", scored) == 0
+        assert scored.read_text() == (data / "worked_bm_schema1_eval.json").read_text()
 
 
 class TestSynthAndBiasvar:

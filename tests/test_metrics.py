@@ -6,10 +6,12 @@ import pytest
 from tbmlearn import (
     EmpiricalDistribution,
     FitConfig,
+    GibbsModel,
     TransactionDataset,
     entropy,
     evaluate_gibbs,
     fit,
+    fit_full_bm,
     fit_to_moments,
     kl_divergence,
     mine_parameter_domain,
@@ -131,6 +133,37 @@ class TestLikelihoodRelation:
         assert ev.log_likelihood == pytest.approx(
             -worked_dataset.n_samples * (ev.kl + WORKED_ENTROPY), abs=1e-7
         )
+
+
+class TestArrayScoring:
+    """The array path sums the terms the per-pattern loops summed, in the same
+    order, so every score is bit for bit what those loops gave."""
+
+    @pytest.mark.parametrize("learner", [fit, fit_full_bm])
+    def test_bit_identical_to_per_pattern_loops(self, learner):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            n = int(rng.integers(2, 7))
+            d = TransactionDataset(entries=random_dataset(rng, n, int(rng.integers(30, 400))),
+                                   n_variables=n)
+            model, _ = learner(d, mine_parameter_domain(d, 0.1, 2), TIGHT)
+            kl = 0.0
+            for x, mult in d.entries.items():
+                w = mult / d.n_samples
+                if isinstance(model, GibbsModel):
+                    kl += w * (np.log(w) - model.log_prob(x))
+                else:
+                    kl += w * np.log(w / model.prob(x))
+            loglik = sum(mult * model.log_prob(x) for x, mult in d.entries.items())
+            ev = evaluate_gibbs(model, d)
+            assert (ev.kl, ev.log_likelihood) == (kl, loglik)
+            assert ev.proxy_error == reconstruction_error_proxy(model.energy, d)
+            assert reconstruction_error_proxy(model, d) == ev.proxy_error
+            p_hat = EmpiricalDistribution.from_dataset(d)
+            assert kl_divergence(p_hat, model) == kl
+            assert entropy(d) == entropy(p_hat)
+            if isinstance(model, GibbsModel):
+                assert model.log_likelihood(d) == loglik
 
 
 class TestNestedDomainMonotonicity:

@@ -4,17 +4,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbmlearn import (
     FitConfig,
+    FitReport,
+    FullBMModel,
+    GibbsModel,
     RBMConfig,
+    RBMModel,
+    SampleSpace,
     TransactionDataset,
     dumps_model,
     fit,
     fit_full_bm,
     fit_rbm_pcd1,
+    fit_tbm,
     load_model,
     model_from_dict,
+    model_to_dict,
     save_model,
 )
 
@@ -217,3 +226,70 @@ class TestSchemaGuards:
         assert obj["schema"] == 1
         assert obj["kind"] == "tbm"
         assert obj["fit_report"]["converged"] is True
+
+
+# Identifiers from small ones up to past the int64 range.
+_ids = st.one_of(st.integers(0, 6), st.integers(2**63 - 2, 2**63 + 2))
+_patterns = st.lists(_ids, max_size=4, unique=True).map(lambda p: tuple(sorted(p)))
+_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_meta = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(st.text(alphabet=st.sampled_from('a"\\\n\té€😀/'), max_size=6),
+              st.integers(-(2**70), 2**70), st.floats(), st.booleans(), st.none(),
+              st.lists(st.integers(0, 9), max_size=3)),
+    max_size=4,
+)
+_reports = st.one_of(
+    st.none(),
+    st.builds(
+        FitReport,
+        iterations=st.integers(0, 10**6),
+        final_gap=st.one_of(st.floats(), st.sampled_from([np.inf, np.nan])),
+        removed_parameters=st.lists(_patterns, max_size=3).map(tuple),
+        converged=st.booleans(),
+        domain_emptied=st.booleans(),
+        evaluations=st.integers(0, 10**12),
+    ),
+)
+
+
+@st.composite
+def _models(draw):
+    kind = draw(st.sampled_from(["tbm", "bm", "rbm"]))
+    if kind == "tbm":
+        # The space may hold bottom, () written as [], and the domain may be empty.
+        outcomes = draw(st.lists(_patterns, min_size=1, max_size=8, unique=True))
+        domain = draw(st.lists(st.sampled_from(outcomes), max_size=4, unique=True))
+        domain = [p for p in domain if p]
+        theta = draw(st.lists(_floats.map(lambda v: v % 30), min_size=len(domain),
+                              max_size=len(domain)))
+        return GibbsModel(SampleSpace.from_patterns(outcomes), domain, theta)
+    if kind == "bm":
+        n = draw(st.integers(0, 4))
+        domain = draw(st.lists(
+            st.lists(st.integers(0, max(n - 1, 0)), min_size=1, max_size=n, unique=True)
+            .map(lambda p: tuple(sorted(p))), max_size=3, unique=True)) if n else []
+        theta = np.array(draw(st.lists(_floats.map(lambda v: v % 30), min_size=len(domain),
+                                       max_size=len(domain))))
+        return FullBMModel.from_theta(n, domain, theta)
+    # An rbm may have no visible or no hidden units.
+    n_visible, n_hidden = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    values = st.lists(_floats, min_size=n_visible * n_hidden + n_visible + n_hidden,
+                      max_size=n_visible * n_hidden + n_visible + n_hidden)
+    flat = np.array(draw(values), dtype=np.float64)
+    return RBMModel(flat[:n_visible], flat[n_visible:n_visible + n_hidden],
+                    flat[n_visible + n_hidden:].reshape(n_visible, n_hidden))
+
+
+class TestWriterLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(model=_models(), report=_reports, meta=st.one_of(st.none(), _meta))
+    def test_dumps_is_the_json_layout_of_the_dict(self, model, report, meta):
+        want = json.dumps(model_to_dict(model, report, meta), indent=2, sort_keys=True) + "\n"
+        assert dumps_model(model, report, meta) == want
+
+    def test_fitted_model_written_without_the_tuple_view(self, worked_dataset):
+        model, report, _ = fit_tbm(worked_dataset, 0.3, 2)
+        model_to_dict(model, report)
+        dumps_model(model, report)
+        assert "outcomes" not in model.space.__dict__ and "index" not in model.space.__dict__
