@@ -8,15 +8,16 @@ exact.  Containment is counted once, by ``model.incidence_matrix``.
 
 Datasets and sample spaces also keep their patterns as CSR arrays: row i is
 ``ids[indptr[i]:indptr[i + 1]]``, the vertical layout of mining's matrix X
-(Zaki, IEEE TKDE 2000).  :func:`parse_fimi` scans the text's bytes straight
-into that layout, and the helpers below sort, gather and intersect rows
-without building a tuple per pattern.  Identifiers past the int64 range are
-kept as an object array of Python integers.
+(Zaki, IEEE TKDE 2000).  :func:`parse_fimi` reads the text with numpy's own
+text reader straight into that layout, and the helpers below sort, gather
+and intersect rows without building a tuple per pattern.  Identifiers past
+the int64 range are kept as an object array of Python integers.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,17 +30,11 @@ Pattern = tuple[int, ...]
 
 BOTTOM: Pattern = ()
 
-# A token of at most this many digits fits int64; longer ones, as in files
-# of 10^23-scale identifiers, are read line by line.
-_SCAN_MAX_DIGITS = 18
 _SCAN_BLOCK = 1 << 18
 _SPLIT_ROWS = 1 << 12
-_SPACE, _TAB, _LF, _CR = 32, 9, 10, 13
-# The bytes the scan reads: digits, spaces, tabs, line feeds and carriage
-# returns, the last only right before a line feed.
-_SCANNABLE = np.zeros(256, dtype=bool)
-_SCANNABLE[[_SPACE, _TAB, _LF, _CR]] = True
-_SCANNABLE[ord("0"):ord("9") + 1] = True
+# The bytes numpy's reader reads as the line reader does, with a carriage
+# return only right before a line feed.
+_SCANNABLE = b"0123456789 \t\n\r"
 
 
 class FimiFormatError(ValueError):
@@ -356,60 +351,49 @@ def parse_fimi(
     as an observation of the empty pattern.
 
     Text of ASCII digits, spaces, tabs and line feeds (a carriage return
-    only right before a line feed), with tokens of at most 18 digits, is
-    scanned as bytes with numpy.  Any other text is read line by line, with
-    Python's own line and token splitting; both give the same dataset.
+    only right before a line feed), with identifiers below 2^63, is read by
+    numpy's text reader, ``np.fromstring``.  Any other text is read line by
+    line, with Python's own line and token splitting; both give the same
+    dataset.
     """
-    if isinstance(text, str):
-        data = text.encode("ascii") if text.isascii() else None
-    else:
-        data = text
-    dataset = _scan_fimi(data, empty_as_bottom) if data is not None else None
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "replace")
+    dataset = _scan_fimi(data, empty_as_bottom)
     return dataset if dataset is not None else _read_fimi(text, empty_as_bottom)
 
 
-def _scan_tokens(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each token's value and each line's token count, of the bytes ``b``;
-    ``None`` when the scan cannot read them.  A line ends at a line feed,
-    and a last line needs none."""
-    if not _SCANNABLE[b].all():
+def _scan_tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each token's value and each line's token count, of the whole lines
+    ``block``; ``None`` when numpy's reader would not read them as the line
+    reader does.  A line ends at a line feed, and a last line needs none."""
+    if block.translate(None, _SCANNABLE) or block.count(b"\r") != block.count(b"\r\n"):
         return None
-    cr = np.flatnonzero(b == _CR)
-    if cr.size and (cr[-1] + 1 == b.size or np.any(b[cr + 1] != _LF)):
+    # -1 marks each line's end, the last line's too: numpy reads a text of
+    # blanks alone as one 0.
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    # numpy 1.x warns where numpy 2 raises when it stops before the end.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(block.replace(b"\n", b" -1 "), dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    ends = np.flatnonzero(values < 0)
+    values = np.delete(values, ends)
+    top = values.max(initial=0)
+    if top == np.iinfo(np.int64).max:  # numpy clips tokens past int64 to it
         return None
-    zero = np.int8(0)
-    edges = np.diff(((b - np.uint8(48)) < 10).view(np.int8), prepend=zero, append=zero)
-    starts = np.flatnonzero(edges == 1).astype(np.int32)
-    widths = np.flatnonzero(edges == -1)
-    del edges
-    widths -= starts
-    longest = int(widths.max()) if widths.size else 0
-    if longest > _SCAN_MAX_DIGITS:
-        return None
-    widths = widths.astype(np.int8)
-    # Horner's rule, one digit position at a time, in place.
-    values = np.zeros(starts.size, dtype=np.int32 if longest <= 9 else np.int64)
-    for k in range(longest):
-        more = widths > k
-        at = starts + np.int32(k)
-        np.minimum(at, b.size - 1, out=at)
-        np.multiply(values, 10, out=values, where=more)
-        np.add(values, b[at] - np.uint8(48), out=values, where=more)
-    ends = np.searchsorted(starts, np.flatnonzero(b == _LF))
-    if b[-1] != _LF:
-        ends = np.append(ends, starts.size)
-    return values, np.diff(ends, prepend=0)
+    return values.astype(np.int32) if top < 2**31 else values, np.diff(ends, prepend=-1) - 1
 
 
 def _scan_fimi(data: bytes, empty_as_bottom: bool) -> TransactionDataset | None:
-    """The byte scan of :func:`parse_fimi`; ``None`` when the text needs the line reader."""
-    # Blocks of whole lines keep the scan's per-byte arrays small.
+    """The numpy reader of :func:`parse_fimi`; ``None`` when the text needs the line reader."""
+    # Blocks of whole lines keep numpy's int64 tokens few.
     values, sizes = [], []
     start = 0
     while start < len(data):
         stop = data.find(b"\n", start + _SCAN_BLOCK) + 1 or len(data)
-        tokens = _scan_tokens(np.frombuffer(data, dtype=np.uint8, count=stop - start,
-                                            offset=start))
+        tokens = _scan_tokens(data[start:stop])
         if tokens is None:
             return None
         values.append(tokens[0])

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,16 @@ WORKED_PSI = float(-np.log(0.15))
 WORKED_KL = 0.024157256781171421
 WORKED_ENTROPY = 1.2798542258336676
 WORKED_PHI = -1.3040114826148388
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Parameter-domain mining against exhaustive enumeration."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from tbmlearn import (
 
 from tbmlearn.patterns import extend_rows
 
+from conftest import traced_peak
 from oracles import brute_force_domain, contains, random_dataset
 
 
@@ -219,22 +219,13 @@ class TestParameterDomain:
             assert support / worked_dataset.n_samples >= 0.45
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMiningMemory:
     def test_cost_ignores_the_variable_universe(self):
         # A universe of 10^9 + 1 variables, of which two occur.
         d = parse_fimi("0 1000000000\n0\n1000000000\n0 1000000000\n")
         domain = mine_parameter_domain(d, 0.2, 2)
         assert domain.patterns == ((0,), (1000000000,), (0, 1000000000))
-        assert _traced_peak(lambda: mine_parameter_domain(d, 0.2, 2)) < 1 << 20
+        assert traced_peak(lambda: mine_parameter_domain(d, 0.2, 2)) < 1 << 20
 
     def test_tidset_gathers_are_chunked(self):
         # Zipf baskets: the popular items' postings recur in thousands of
@@ -249,5 +240,5 @@ class TestMiningMemory:
             (rng.choice(200, size=n, replace=False, p=popularity).tolist() for n in lengths),
             n_variables=200,
         )
-        peak = _traced_peak(lambda: mine_parameter_domain(d, 0.01, 3))
+        peak = traced_peak(lambda: mine_parameter_domain(d, 0.01, 3))
         assert peak < 64 << 20

@@ -4,6 +4,8 @@ Containment and empirical expectations are read through the package's one
 count, ``model.incidence_matrix``, and checked against the set oracles.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,12 @@ from tbmlearn import (
     incidence_matrix,
     parse_fimi,
 )
+from tbmlearn import patterns
 from tbmlearn.fitting import empirical_targets
 from tbmlearn.model import supports
 from tbmlearn.patterns import _read_fimi, _scan_fimi
 
+from conftest import traced_peak
 from oracles import brute_eta, enumerate_patterns
 
 
@@ -144,10 +148,14 @@ SCANNED_TOKENS = st.one_of(
     st.integers(0, 40).map(str),
     st.integers(0, 40).map(lambda i: f"00{i}"),
     st.integers(10**16, 10**18 - 1).map(str),
+    # 19 digits below 2^63, and zero-padded past 19 digits.
+    st.integers(10**18, 2**63 - 2).map(str),
+    st.tuples(st.integers(0, 2**63 - 2), st.integers(20, 30)).map(lambda t: str(t[0]).zfill(t[1])),
 )
 OTHER_TOKENS = st.sampled_from(
     ["+5", "-3", "-0", "1_0", "x", "\u0663", "12345678901234567890", "7" * 25, "3\u00a04",
-     "2\u20033", "5\x0c6", "1\r2"]
+     "2\u20033", "5\x0c6", "1\r2", "9223372036854775807", "9223372036854775808",
+     "18446744073709551617"]
 )
 
 
@@ -158,6 +166,8 @@ def fimi_text(tokens):
             lambda seps: "".join(s + t for s, t in zip(seps, toks))
         )
     )
+    # Some lines end in blanks, so some blank lines are not empty.
+    line = st.tuples(line, st.sampled_from(["", "", " ", "\t "])).map("".join)
     return st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=8).flatmap(
         lambda lines: st.booleans().map(
             lambda last: "".join(l + e for l, e in lines)
@@ -166,13 +176,26 @@ def fimi_text(tokens):
     )
 
 
+def _refuse(text, empty_as_bottom):
+    raise AssertionError("the text went to the line reader")
+
+
+def synth_like_text() -> str:
+    """100k lines drawn from 300 distinct item sets over 16 items, as the
+    bench's ``synth`` workload reads."""
+    rng = np.random.default_rng(0)
+    masks = rng.choice(np.arange(1, 1 << 16), size=300, replace=False).tolist()
+    lines = [" ".join(str(i) for i in range(16) if m >> i & 1) for m in masks]
+    return "\n".join(lines[d] for d in rng.integers(0, 300, size=100_000)) + "\n"
+
+
 class TestByteScan:
-    """The byte scan of ``parse_fimi`` against its line reader."""
+    """numpy's reader in ``parse_fimi`` against its line reader."""
 
     @settings(max_examples=300, deadline=None)
     @given(fimi_text(SCANNED_TOKENS), st.booleans(), st.booleans())
     def test_scan_equals_line_reader(self, text, empty_as_bottom, as_bytes):
-        # Tabs, CRLF, leading zeros, repeated items, empty lines, 18 digits.
+        # Tabs, CRLF, leading zeros, repeated items, empty lines, 19 digits.
         data = text.encode() if as_bytes else text
         scanned = _scan_fimi(text.encode(), empty_as_bottom)
         line_read = read_or_error(_read_fimi, data, empty_as_bottom)
@@ -190,8 +213,9 @@ class TestByteScan:
         self, text, other, data, empty_as_bottom, as_bytes
     ):
         # One sign, underscore, letter, non-ASCII digit or space, form feed,
-        # lone carriage return or 19+ digit identifier in scannable text: the
-        # same entries in the same order, or the same error at the same line.
+        # lone carriage return or identifier of 2^63 - 1 or more in scannable
+        # text: the same entries in the same order, or the same error at the
+        # same line.
         at = data.draw(st.integers(0, len(text)))
         text = text[:at] + " " + other + " " + text[at:]
         data = text.encode() if as_bytes else text
@@ -204,6 +228,40 @@ class TestByteScan:
         assert d.entries == {(0, 10**23): 1, (10**23,): 1}
         assert d.n_variables == 10**23 + 1
         assert d.csr[1].dtype == object
+
+    @pytest.mark.parametrize("text", [" ", "\t ", "1 2\n ", "1 2\r\n\t "])
+    def test_last_line_of_blanks(self, monkeypatch, text):
+        # numpy reads a text of blanks alone as one 0; with 1-byte blocks the
+        # last line is a block of its own.
+        want = [read_or_error(_read_fimi, text, e) for e in (False, True)]
+        monkeypatch.setattr(patterns, "_SCAN_BLOCK", 1)
+        assert [read_or_error(parse_fimi, text, e) for e in (False, True)] == want
+
+    @pytest.mark.parametrize("empty_as_bottom", [False, True])
+    def test_everyday_files_stay_on_numpys_path(self, monkeypatch, empty_as_bottom):
+        # Tabs, CRLF, blank lines, leading zeros, a 19-digit identifier, no
+        # final line feed, and lines that straddle 16-byte blocks.  A numpy
+        # that deprecates text-mode ``fromstring`` fails here rather than
+        # sending every file to the line reader.
+        body = b"3\t1 2\r\n\r\n0007 1  3\n9223372036854775806 2\r\n \t\n01\t\t1\n"
+        text = body * 20 + b"12 5"
+        want = _read_fimi(text, empty_as_bottom)
+        monkeypatch.setattr(patterns, "_SCAN_BLOCK", 16)
+        monkeypatch.setattr(patterns, "_read_fimi", _refuse)
+        for data in (text, text.decode()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = parse_fimi(data, empty_as_bottom=empty_as_bottom)
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert (got.n_variables, got.n_samples) == (want.n_variables, want.n_samples)
+
+    def test_blocks_bound_the_memory(self):
+        # Blocks of whole lines keep numpy's int64 tokens, the text with its
+        # line marks and their copies to a few hundred KiB at a time: about
+        # 12.4 MiB peak here, where reading the whole text at once takes
+        # 16.4 MiB.
+        text = synth_like_text()
+        assert traced_peak(lambda: parse_fimi(text)) < 14 << 20
 
 
 class TestTransactionDataset:
