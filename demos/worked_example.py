@@ -48,5 +48,5 @@ print(f"proxy reconstruction error = "
 
 ## Fisher information at the optimum: covariance of the indicators
 g = fisher_information(model)
-print(f"Fisher matrix over {g.basis}:")
-print(np.array_str(g.entries, precision=4))
+print(f"Fisher matrix over {model.domain}:")
+print(np.array_str(g, precision=4))

@@ -24,7 +24,6 @@ from .experiments import (
 )
 from .fitting import FitConfig, FitReport, fit, fit_tbm, fit_to_moments
 from .geometry import (
-    FisherMatrix,
     fisher_information,
     m_projection,
     pythagorean_residual,
@@ -48,7 +47,6 @@ from .model import (
     SampleSpace,
     build_sample_space,
     incidence_matrix,
-    uniform_model,
 )
 from .patterns import (
     BOTTOM,
@@ -60,7 +58,7 @@ from .patterns import (
     format_fimi,
     parse_fimi,
 )
-from .serialize import dumps_model, load_model, model_from_dict, model_to_dict, save_model
+from .serialize import dumps_model, load_model, model_from_dict, save_model
 
 __version__ = "0.1.0"
 
@@ -72,7 +70,6 @@ __all__ = [
     "EmpiricalDistribution",
     "Evaluation",
     "FimiFormatError",
-    "FisherMatrix",
     "FitConfig",
     "FitReport",
     "FullBMModel",
@@ -104,7 +101,6 @@ __all__ = [
     "matched_hidden_units",
     "mine_parameter_domain",
     "model_from_dict",
-    "model_to_dict",
     "parse_fimi",
     "pythagorean_residual",
     "reconstruction_error_proxy",
@@ -112,6 +108,5 @@ __all__ = [
     "support_threshold",
     "synth_dataset",
     "tune_sigma",
-    "uniform_model",
     "variance_lower_bound",
 ]

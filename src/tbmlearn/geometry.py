@@ -8,39 +8,26 @@ with respect to parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fitting import FitConfig, FitReport, fisher_matrix, fit_to_moments
-from .metrics import kl_divergence
+from .metrics import _prob_items, kl_divergence
 from .model import GibbsModel, SampleSpace, incidence_matrix
 from .patterns import BOTTOM, Pattern, sort_key
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
-    """Covariance of containment indicators under the model, indexed by the domain."""
-
-    entries: np.ndarray
-    basis: tuple[Pattern, ...]
-
-    def __post_init__(self):
-        if self.entries.shape != (len(self.basis), len(self.basis)):
-            raise ValueError("entries must be square over the basis")
-
-
-def fisher_information(model: GibbsModel) -> FisherMatrix:
-    """Fisher information of a model at its current parameters.
+def fisher_information(model: GibbsModel) -> np.ndarray:
+    """Fisher information of a model at its current parameters, the
+    |B| x |B| array over ``model.domain`` in that order.
 
     Entry (s, u) is ``eta(s | u) - eta(s) eta(u)`` where the joint term uses
     that an outcome contains both patterns exactly when it contains their
     union.
     """
     z = model.incidence
-    g = fisher_matrix(z, z.T.tocsr(), np.exp(model.log_probs), model.etas())
-    return FisherMatrix(entries=g, basis=tuple(model.domain))
+    return fisher_matrix(z, z.T.tocsr(), np.exp(model.log_probs), model.etas())
 
 
 def m_projection(
@@ -84,8 +71,6 @@ def pythagorean_residual(
     """
     if p_mle.space.outcomes != q.space.outcomes:
         raise ValueError("models must share one sample space")
-    from .metrics import _prob_items
-
     ref = _prob_items(p_hat)
     for x in ref:
         if x not in p_mle.space:

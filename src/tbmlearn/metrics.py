@@ -17,8 +17,9 @@ CSR rows, in ``entries`` order, and the divergence, log-likelihood and proxy
 sum terms of those arrays.  The sums run left to right
 (:func:`model.left_sum`), term by term as a loop over patterns adds them, so
 the results do not depend on whether a value was looked up once per pattern
-or for all rows at once.  A per-pattern energy function, as an RBM's free
-energy, still scores the proxy one pattern at a time.
+or for all rows at once.  :func:`reconstruction_error_proxy` scores a
+per-pattern energy function, as an RBM's free energy, one pattern at a time;
+a Gibbs model's proxy is :func:`evaluate_gibbs`'s ``proxy_error``.
 """
 
 from __future__ import annotations
@@ -119,22 +120,17 @@ def _proxy(energies: np.ndarray, dataset: TransactionDataset) -> float:
 
 
 def reconstruction_error_proxy(
-    model_energy: Callable[[Pattern], float] | GibbsModel | FullBMModel,
-    dataset: TransactionDataset,
+    model_energy: Callable[[Pattern], float], dataset: TransactionDataset
 ) -> float:
     """Divergence from the data frequencies to proxy-normalized model probabilities.
 
-    The model energies of the distinct observed transactions are normalized
-    among themselves, so the same procedure applies whether or not the
-    model's true partition function is computable.  ``model_energy`` is a
-    function of one pattern, or a Gibbs model, whose energies are read for
-    all transactions at once.
+    The energies ``model_energy(x)`` of the distinct observed transactions
+    are normalized among themselves, so the same procedure applies whether
+    or not the model's true partition function is computable.  A Gibbs
+    model's proxy is also ``evaluate_gibbs(model, dataset).proxy_error``,
+    which reads the energies for all transactions at once.
     """
-    if callable(model_energy):
-        energies = np.array([model_energy(x) for x in dataset.entries], dtype=np.float64)
-    else:
-        log_probs = model_energy.log_probs_of_rows(*dataset.csr[:2])
-        energies = -(log_probs + model_energy.log_partition)
+    energies = np.array([model_energy(x) for x in dataset.entries], dtype=np.float64)
     return _proxy(energies, dataset)
 
 

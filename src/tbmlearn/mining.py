@@ -38,16 +38,21 @@ class DomainSizeError(RuntimeError):
 
 
 def support_threshold(sigma: float, n_samples: int) -> int:
-    """Integer count implementing ``support >= sigma`` reproducibly.
+    """The smallest count c >= 1 with ``c / n_samples >= sigma``.
 
     A zero threshold is only produced by ``sigma == 0``, where every pattern
-    within the cardinality bound qualifies regardless of support.
+    within the cardinality bound qualifies regardless of support.  The
+    product ``sigma * n_samples`` may land an ulp off an integer, so the
+    count steps up from one below its ceiling.
     """
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
     if sigma == 0.0:
         return 0
-    return max(1, math.ceil(sigma * n_samples))
+    count = max(1, math.ceil(sigma * n_samples) - 1)
+    while count / n_samples < sigma:
+        count += 1
+    return count
 
 
 @dataclass(frozen=True)

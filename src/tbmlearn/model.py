@@ -315,12 +315,3 @@ class GibbsModel:
         """Sum of p log p over the sample space (the dual potential)."""
         p = np.exp(self.log_probs)
         return float(np.dot(p, self.log_probs))
-
-    def log_likelihood(self, dataset: TransactionDataset) -> float:
-        """Total data log-likelihood; every transaction must lie in the space."""
-        indptr, ids, counts = dataset.csr
-        return left_sum(counts * self.log_probs_of_rows(indptr, ids))
-
-
-def uniform_model(space: SampleSpace) -> GibbsModel:
-    return GibbsModel(space, domain=(), theta=np.zeros(0))

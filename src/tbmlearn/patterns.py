@@ -22,7 +22,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -434,29 +434,26 @@ def _read_fimi(text: str | bytes, empty_as_bottom: bool) -> TransactionDataset:
     """The line reader of :func:`parse_fimi`."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    entries: dict[Pattern, int] = {}
-    max_id = -1
-    n_lines = 0
+    lines = _checked_lines(text, empty_as_bottom)
+    first = next(lines, None)
+    if first is None:
+        raise FimiFormatError("no transactions found")
+    return TransactionDataset.from_transactions(chain((first,), lines))
+
+
+def _checked_lines(text: str, empty_as_bottom: bool) -> Iterator[list[int]]:
+    """The item identifiers of each transaction line, checked as they are read."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        if not tokens:
-            if not empty_as_bottom:
-                continue
-            pattern: Pattern = BOTTOM
-        else:
-            try:
-                ids = [int(tok) for tok in tokens]
-            except ValueError as exc:
-                raise FimiFormatError(f"line {lineno}: malformed token in {line!r}") from exc
-            if any(i < 0 for i in ids):
-                raise FimiFormatError(f"line {lineno}: negative item identifier")
-            pattern = canonicalize(ids)
-            max_id = max(max_id, pattern[-1])
-        entries[pattern] = entries.get(pattern, 0) + 1
-        n_lines += 1
-    if n_lines == 0:
-        raise FimiFormatError("no transactions found")
-    return TransactionDataset(entries=entries, n_variables=max_id + 1)
+        if not tokens and not empty_as_bottom:
+            continue
+        try:
+            ids = [int(tok) for tok in tokens]
+        except ValueError as exc:
+            raise FimiFormatError(f"line {lineno}: malformed token in {line!r}") from exc
+        if any(i < 0 for i in ids):
+            raise FimiFormatError(f"line {lineno}: negative item identifier")
+        yield ids
 
 
 def format_fimi(dataset: TransactionDataset) -> str:

@@ -1,14 +1,18 @@
 """Versioned JSON persistence for fitted models.
 
-A model file is ``json.dumps(model_to_dict(model, report, meta), indent=2,
-sort_keys=True)`` plus a line feed, byte for byte; :func:`model_to_dict` is
-the dict view of it.  :func:`dumps_model` writes that layout itself, straight
-from the model's arrays (the sample space's CSR rows, the domain, θ, the
-RBM's biases and weights), so no list per outcome is built and Python's
-pure-Python indenting encoder never runs.  Numbers are written by ``json``'s
-own compact encoder (floats as ``float.__repr__``, ints as ``int.__repr__``,
-non-finite floats as ``NaN`` and ``Infinity``) and strings, ``meta`` and the
-fit report by ``json.dumps`` itself, re-indented to their depth.
+A model file is one JSON object as ``json.dumps(obj, indent=2,
+sort_keys=True)`` lays it out, plus a line feed.  It holds ``schema``,
+``kind``, ``meta`` and ``fit_report``, and then ``sample_space`` (outcomes
+as item lists), ``domain``, ``theta`` and ``log_partition`` for a tbm;
+``n_variables``, ``domain``, ``theta`` and ``log_partition`` for a bm;
+``n_variables``, ``n_hidden``, ``visible_bias``, ``hidden_bias`` and
+``weights`` (a row per visible unit) for an rbm.  :func:`dumps_model` writes
+that layout itself, straight from the model's arrays, so no list per
+outcome is built and Python's pure-Python indenting encoder never runs.
+Numbers are written by ``json``'s own compact encoder (floats as
+``float.__repr__``, ints as ``int.__repr__``, non-finite floats as ``NaN``
+and ``Infinity``) and strings, ``meta`` and the fit report by ``json.dumps``
+itself, re-indented to their depth.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .baselines import FULL_BM_MAX_VARIABLES, FullBMModel, RBMModel
 from .fitting import FitReport
 from .model import GibbsModel, SampleSpace
-from .patterns import flatten, is_canonical, rows_are_canonical, split_rows
+from .patterns import flatten, is_canonical, rows_are_canonical
 
 SCHEMA_VERSION = 1
 _REQUIRED_KEYS = {
@@ -85,38 +89,6 @@ def _canonical(patterns: list, field: str) -> tuple[np.ndarray, np.ndarray]:
                     f"{field} pattern {tuple(p)} is not strictly increasing non-negative integers"
                 )
     return indptr, ids
-
-
-def model_to_dict(
-    model: GibbsModel | FullBMModel | RBMModel,
-    report: FitReport | None = None,
-    meta: dict[str, Any] | None = None,
-) -> dict:
-    out: dict[str, Any] = {"schema": SCHEMA_VERSION, "meta": meta or {}}
-    if isinstance(model, GibbsModel):
-        out["kind"] = "tbm"
-        space = model.space
-        out["sample_space"] = split_rows(space.items, space.indptr, space.indices, list)
-        out["domain"] = [list(p) for p in model.domain]
-        out["theta"] = [float(v) for v in model.theta]
-        out["log_partition"] = model.log_partition
-    elif isinstance(model, FullBMModel):
-        out["kind"] = "bm"
-        out["n_variables"] = model.n_variables
-        out["domain"] = [list(p) for p in model.domain]
-        out["theta"] = [float(v) for v in model.theta]
-        out["log_partition"] = model.log_partition
-    elif isinstance(model, RBMModel):
-        out["kind"] = "rbm"
-        out["n_variables"] = model.n_visible
-        out["n_hidden"] = model.n_hidden
-        out["visible_bias"] = model.visible_bias.tolist()
-        out["hidden_bias"] = model.hidden_bias.tolist()
-        out["weights"] = model.weights.tolist()
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    out["fit_report"] = _report_dict(report)
-    return out
 
 
 def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:

@@ -2,16 +2,27 @@
 
 Everything here is deliberately written against plain sets and dense numpy
 arrays, sharing no code path with the package internals it validates.  The
-one exception is the brute-force domain, which takes the miner's support
-threshold and result type so that the two enumerations compare directly.
+exceptions are the brute-force domain, which takes the miner's support
+threshold and result type so that the two enumerations compare directly,
+and the model file's dict, which reads the models' own fields.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
-from tbmlearn import ParameterDomain, TransactionDataset, support_threshold
+from tbmlearn import (
+    FullBMModel,
+    GibbsModel,
+    ParameterDomain,
+    RBMModel,
+    TransactionDataset,
+    support_threshold,
+)
 from tbmlearn.patterns import Pattern, sort_key
+from tbmlearn.serialize import SCHEMA_VERSION
 
 
 def contains(s, x) -> bool:
@@ -117,3 +128,36 @@ def brute_force_domain(
     return ParameterDomain(
         patterns=tuple(sorted(found, key=sort_key)), sigma=sigma, k=k
     )
+
+
+def model_to_dict(model, report=None, meta=None) -> dict:
+    """The object a model file holds; ``json.dumps(..., indent=2,
+    sort_keys=True)`` of it plus a line feed is the file's text."""
+    out = {"schema": SCHEMA_VERSION, "meta": meta or {}}
+    if isinstance(model, GibbsModel):
+        space = model.space
+        bounds = space.indptr.tolist()
+        out["kind"] = "tbm"
+        out["sample_space"] = [space.items[space.indices[a:z]].tolist()
+                               for a, z in zip(bounds, bounds[1:])]
+    elif isinstance(model, FullBMModel):
+        out["kind"] = "bm"
+        out["n_variables"] = model.n_variables
+    elif isinstance(model, RBMModel):
+        out["kind"] = "rbm"
+        out["n_variables"] = model.n_visible
+        out["n_hidden"] = model.n_hidden
+        out["visible_bias"] = model.visible_bias.tolist()
+        out["hidden_bias"] = model.hidden_bias.tolist()
+        out["weights"] = model.weights.tolist()
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    if not isinstance(model, RBMModel):
+        out["domain"] = [list(p) for p in model.domain]
+        out["theta"] = [float(v) for v in model.theta]
+        out["log_partition"] = model.log_partition
+    out["fit_report"] = None
+    if report is not None:
+        out["fit_report"] = asdict(report)
+        out["fit_report"]["removed_parameters"] = [list(p) for p in report.removed_parameters]
+    return out

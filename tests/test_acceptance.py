@@ -402,9 +402,9 @@ def test_criterion_10_fisher_matrix():
         if not report.converged:
             continue
         g = fisher_information(model)
-        symmetric = symmetric and bool(np.array_equal(g.entries, g.entries.T))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(g.entries).min()))
-        basis = list(g.basis)
+        symmetric = symmetric and bool(np.array_equal(g, g.T))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(g).min()))
+        basis = list(model.domain)
         h = 1e-5
         for u_idx in range(len(basis)):
             up = np.array(model.theta, copy=True)
@@ -415,7 +415,7 @@ def test_criterion_10_fisher_matrix():
                 GibbsModel(model.space, basis, up).etas()
                 - GibbsModel(model.space, basis, dn).etas()
             ) / (2 * h)
-            worst_fd = max(worst_fd, float(np.max(np.abs(g.entries[:, u_idx] - fd))))
+            worst_fd = max(worst_fd, float(np.max(np.abs(g[:, u_idx] - fd))))
         checked += 1
     ok = worst_fd <= 1e-6 and symmetric and min_eig >= -1e-9
     assert verdict(

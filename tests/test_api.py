@@ -9,6 +9,7 @@ import pytest
 
 import tbmlearn
 import tbmlearn.patterns
+import tbmlearn.serialize
 
 ORACLE_NAMES = (
     "is_subpattern",
@@ -32,6 +33,17 @@ def test_all_is_sorted_unique_and_resolvable():
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_oracles_stay_out_of_the_package(module, name):
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("name", ["model_to_dict", "FisherMatrix", "uniform_model"])
+def test_removed_names_stay_out_of_the_package(name):
+    # A model file's dict is a test oracle, the Fisher matrix is a plain
+    # array over ``model.domain``, and a uniform model is GibbsModel(space, (), ()).
+    assert not hasattr(tbmlearn, name)
+
+
+def test_model_to_dict_is_not_in_serialize():
+    assert not hasattr(tbmlearn.serialize, "model_to_dict")
 
 
 def test_import_loads_neither_scipy_optimize_nor_special():

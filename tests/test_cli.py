@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -585,6 +586,38 @@ class TestCompare:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert {r["method"] for r in rows} == {"tbm", "bm", "rbm"}
+
+
+class TestCompareGolden:
+    """``compare`` output as commit 9946361 wrote it, before its three learner
+    blocks became one loop: ``compare --empty-transactions bottom --sigma 0.1
+    --k 2 --rbm-updates 300`` in both formats, wall times masked."""
+
+    WIDE_TEXT = "".join(
+        " ".join(map(str, sorted({i % 5, 5 + i % 7, 12 + i % 3, 27 + i % 2}))) + "\n"
+        for i in range(60)
+    )
+
+    @staticmethod
+    def masked(text: str) -> str:
+        """The text with each measured wall time, a json field or the csv
+        column before the status, replaced by ``T``."""
+        text = re.sub(r'("wall_time_sec": )[0-9.e+-]+', r"\1T", text)
+        return re.sub(r"^((?:[^,\n]*,){3})[0-9.]+,", r"\1T,", text, flags=re.M)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", ["worked", "wide"])
+    def test_output_unchanged(self, name, fmt, worked_file, tmp_path):
+        data = worked_file
+        if name == "wide":  # 29 variables: the bm row is infeasible
+            data = tmp_path / "wide.fimi"
+            data.write_text(self.WIDE_TEXT)
+        out = tmp_path / f"cmp.{fmt}"
+        assert run("compare", "--input", data, "--empty-transactions", "bottom",
+                   "--sigma", "0.1", "--k", "2", "--rbm-updates", "300",
+                   "--format", fmt, "--out", out) == 0
+        golden = Path(__file__).parent / "data" / f"compare_{name}.{fmt}"
+        assert self.masked(out.read_text()) == self.masked(golden.read_text())
 
 
 class TestPlumbing:

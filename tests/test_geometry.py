@@ -14,7 +14,6 @@ from tbmlearn import (
     m_projection,
     mine_parameter_domain,
     pythagorean_residual,
-    uniform_model,
     variance_lower_bound,
 )
 from oracles import contains, pattern_union, random_dataset
@@ -36,30 +35,30 @@ class TestFisherInformation:
         rng = np.random.default_rng(0)
         model, _ = random_fitted_model(rng)
         g = fisher_information(model)
-        for j, s in enumerate(g.basis):
+        for j, s in enumerate(model.domain):
             eta = model.eta(s)
-            assert g.entries[j, j] == pytest.approx(eta * (1 - eta), abs=1e-10)
+            assert g[j, j] == pytest.approx(eta * (1 - eta), abs=1e-10)
 
     def test_uniform_two_bit_cross_entry_vanishes(self):
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
         model = GibbsModel(space, [(1,), (2,)], [0.0, 0.0])
         g = fisher_information(model)
-        assert g.entries[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert g[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_mle_diagonal(self, worked_dataset):
         model, _ = fit(worked_dataset, [(1,), (2,)], TIGHT)
         g = fisher_information(model)
-        j = g.basis.index((1,))
-        assert g.entries[j, j] == pytest.approx(0.21, abs=1e-8)
+        j = model.domain.index((1,))
+        assert g[j, j] == pytest.approx(0.21, abs=1e-8)
 
     def test_entries_equal_union_covariance(self):
         rng = np.random.default_rng(1)
         model, _ = random_fitted_model(rng)
         g = fisher_information(model)
-        for a, s in enumerate(g.basis):
-            for b, u in enumerate(g.basis):
+        for a, s in enumerate(model.domain):
+            for b, u in enumerate(model.domain):
                 expected = model.eta(pattern_union(s, u)) - model.eta(s) * model.eta(u)
-                assert g.entries[a, b] == pytest.approx(expected, abs=1e-10)
+                assert g[a, b] == pytest.approx(expected, abs=1e-10)
 
     def test_matches_finite_differences_of_expectations(self):
         rng = np.random.default_rng(2)
@@ -75,13 +74,13 @@ class TestFisherInformation:
             m_up = GibbsModel(model.space, basis, up)
             m_dn = GibbsModel(model.space, basis, dn)
             fd = (m_up.etas() - m_dn.etas()) / (2 * h)
-            np.testing.assert_allclose(g.entries[:, u_idx], fd, atol=1e-6)
+            np.testing.assert_allclose(g[:, u_idx], fd, atol=1e-6)
 
     def test_symmetric_and_psd(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             model, _ = random_fitted_model(rng)
-            g = fisher_information(model).entries
+            g = fisher_information(model)
             np.testing.assert_array_equal(g, g.T)
             assert np.linalg.eigvalsh(g).min() >= -1e-9
 
@@ -166,7 +165,7 @@ class TestPythagoreanIdentity:
 
     def test_space_mismatch_rejected(self, worked_dataset):
         model, _ = fit(worked_dataset, [(1,), (2,)], TIGHT)
-        other = uniform_model(SampleSpace.from_patterns([(), (9,)]))
+        other = GibbsModel(SampleSpace.from_patterns([(), (9,)]), (), ())
         with pytest.raises(ValueError):
             pythagorean_residual({(): 1.0}, model, other)
 

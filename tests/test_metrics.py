@@ -122,7 +122,7 @@ class TestLikelihoodRelation:
             model, report = fit(d, mine_parameter_domain(d, 0.2, 2), TIGHT)
             p_hat = EmpiricalDistribution.from_dataset(d)
             kl = kl_divergence(p_hat, model)
-            relation = -model.log_likelihood(d) / d.n_samples - entropy(p_hat)
+            relation = -evaluate_gibbs(model, d).log_likelihood / d.n_samples - entropy(p_hat)
             assert kl == pytest.approx(relation, abs=1e-9)
 
     def test_evaluate_gibbs_fields(self, worked_dataset):
@@ -158,12 +158,9 @@ class TestArrayScoring:
             ev = evaluate_gibbs(model, d)
             assert (ev.kl, ev.log_likelihood) == (kl, loglik)
             assert ev.proxy_error == reconstruction_error_proxy(model.energy, d)
-            assert reconstruction_error_proxy(model, d) == ev.proxy_error
             p_hat = EmpiricalDistribution.from_dataset(d)
             assert kl_divergence(p_hat, model) == kl
             assert entropy(d) == entropy(p_hat)
-            if isinstance(model, GibbsModel):
-                assert model.log_likelihood(d) == loglik
 
 
 class TestNestedDomainMonotonicity:

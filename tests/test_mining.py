@@ -34,6 +34,19 @@ class TestSupportThreshold:
         assert support_threshold(0.31, 10) == 4
         assert support_threshold(1.0, 7) == 7
 
+    def test_smallest_count_reaching_sigma(self):
+        # 0.07 * 100 == 7.000000000000001, yet 7 / 100 >= 0.07.
+        assert support_threshold(0.07, 100) == 7
+        assert support_threshold(0.28, 25) == 7
+        # 3 * nextafter(1/3, 1) rounds to 1.0, yet 1 / 3 < sigma.
+        assert support_threshold(float(np.nextafter(1 / 3, 1)), 3) == 2
+        sigmas = [j / 100 for j in range(1, 100)]
+        for n in range(1, 2001):
+            # c / n rises with c, so the first c reaching sigma is a search.
+            smallest = np.searchsorted(np.arange(1, n + 1) / n, sigmas) + 1
+            got = [support_threshold(sigma, n) for sigma in sigmas]
+            assert got == smallest.tolist(), n
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             support_threshold(-0.1, 10)

@@ -18,7 +18,6 @@ from tbmlearn import (
     fit_tbm,
     incidence_matrix,
     mine_parameter_domain,
-    uniform_model,
 )
 from tbmlearn.model import logsumexp, multiplicities
 from tbmlearn.patterns import sort_key
@@ -193,7 +192,7 @@ class TestIncidenceMatrix:
 class TestGibbsModel:
     def test_uniform_energies_and_partition(self):
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        m = uniform_model(space)
+        m = GibbsModel(space, (), ())
         assert m.log_partition == pytest.approx(np.log(4), abs=1e-12)
         for x in space.outcomes:
             assert m.energy(x) == pytest.approx(0.0, abs=1e-12)
@@ -201,7 +200,7 @@ class TestGibbsModel:
         assert m.eta(()) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_outcome_space(self):
-        m = uniform_model(SampleSpace.from_patterns([()]))
+        m = GibbsModel(SampleSpace.from_patterns([()]), (), ())
         assert m.log_partition == pytest.approx(0.0, abs=0)
         assert m.negative_entropy() == pytest.approx(0.0, abs=0)
 

@@ -23,9 +23,10 @@ from tbmlearn import (
     fit_tbm,
     load_model,
     model_from_dict,
-    model_to_dict,
     save_model,
 )
+
+from oracles import model_to_dict
 
 
 class TestGibbsRoundTrip:
