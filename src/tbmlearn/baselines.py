@@ -4,9 +4,9 @@ The fully visible machine runs the transductive fitter's engine,
 ``fitting.ascend``, over :class:`FullCube`: a normalizer over the complete
 binary cube, through fast subset/superset sum transforms, so it is limited
 to small variable counts.  Only the normalizer differs, so the guard and the
-Newton steps behave the same in both learners by construction; on a
-boundary the face LP runs over the cube's Z, and the fit moves to a
-``fitting.ReducedSpace`` over the face, whose Gibbs model it returns.
+Newton steps behave the same in both learners by construction; the fit
+returns the :class:`FullBMModel` of the cube or, where the face LP over the
+cube's Z moved it to a ``fitting.ReducedSpace``, the Gibbs model there.
 The RBM is trained with persistent contrastive divergence using a single
 alternating Gibbs sweep per update.
 """
@@ -65,11 +65,6 @@ class FullBMModel:
     log_partition: float
     log_probs: np.ndarray
 
-    @classmethod
-    def from_theta(cls, n_variables: int, domain, theta: np.ndarray) -> "FullBMModel":
-        log_probs, psi = FullCube(n_variables, domain).state(theta)
-        return cls(n_variables, tuple(domain), theta, psi, log_probs)
-
     def log_prob(self, x: Pattern) -> float:
         if x and x[-1] >= self.n_variables:
             raise ValueError(f"pattern {x} exceeds {self.n_variables} variables")
@@ -113,6 +108,7 @@ class FullCube:
 
     def __init__(self, n_variables: int, patterns):
         self.n_variables = n_variables
+        self.patterns = list(patterns)
         self.masks = np.array([pattern_bitmask(p) for p in patterns], dtype=np.int64)
         self.step_cost = 4 << n_variables
         self.fisher_cost = 1 << n_variables
@@ -136,15 +132,19 @@ class FullCube:
         """:meth:`fitting.ReducedSpace.face` over the cube's Z, built only
         when its nonzeros, one per pattern and superset, are within the cap."""
         n = self.n_variables
-        patterns = [tuple(i for i in range(n) if m >> i & 1) for m in self.masks.tolist()]
-        if sum(1 << (n - len(p)) for p in patterns) > FEASIBILITY_CHECK_MAX_NNZ:
+        if sum(1 << (n - len(p)) for p in self.patterns) > FEASIBILITY_CHECK_MAX_NNZ:
             return None
         cube = SampleSpace.from_patterns(c for r in range(n + 1) for c in combinations(range(n), r))
-        incidence = incidence_matrix(cube, patterns)
-        return ReducedSpace(cube, incidence).restrict(interior_feasible(incidence, targets))
+        face = ReducedSpace(cube, self.patterns, incidence_matrix(cube, self.patterns))
+        return face.restrict(interior_feasible(face.incidence, targets))
 
-    def drop(self, indices) -> None:
-        self.masks = np.delete(self.masks, indices)
+    def drop(self, indices) -> "FullCube":
+        kept = np.delete(np.arange(len(self.patterns)), indices)
+        return FullCube(self.n_variables, [self.patterns[j] for j in kept])
+
+    def model(self, theta: np.ndarray) -> FullBMModel:
+        log_probs, psi = self.state(theta)
+        return FullBMModel(self.n_variables, tuple(self.patterns), theta, psi, log_probs)
 
 
 def fit_full_bm(
@@ -168,12 +168,7 @@ def fit_full_bm(
             "use the transductive model for large variable counts"
         )
     pats = sorted(domain, key=sort_key)
-    targets = supports(dataset, pats) / dataset.n_samples
-    run = ascend(FullCube(n, pats), pats, targets, cfg)
-    if isinstance(run.space, ReducedSpace):
-        face = run.space
-        return GibbsModel(face.sample_space, run.patterns, run.theta, face.incidence), run.report
-    return FullBMModel.from_theta(n, run.patterns, run.theta), run.report
+    return ascend(FullCube(n, pats), supports(dataset, pats) / dataset.n_samples, cfg)
 
 
 @dataclass
@@ -182,6 +177,10 @@ class RBMConfig:
     n_updates: int = 10_000
     n_chains: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        if not (self.n_updates >= 0 and self.n_chains >= 1 and 0 < self.learning_rate < math.inf):
+            raise ValueError("need n_updates >= 0, n_chains >= 1, 0 < learning_rate < inf")
 
 
 @dataclass

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,12 +31,7 @@ from .experiments import BiasVarianceConfig, bias_variance_experiment, synth_dat
 from .fitting import FitConfig, fit, fit_tbm
 from .metrics import entropy, evaluate_gibbs, reconstruction_error_proxy
 from .mining import DomainSizeError, mine_parameter_domain
-from .patterns import (
-    FimiFormatError,
-    TransactionDataset,
-    format_fimi,
-    parse_fimi,
-)
+from .patterns import TransactionDataset, format_fimi, parse_fimi
 from . import __version__
 from .serialize import dumps_model, load_model
 
@@ -90,6 +86,8 @@ def _checked(convert, holds, words: str):
 _positive_float = _checked(float, lambda v: v > 0, "positive")
 _non_negative_float = _checked(float, lambda v: v >= 0, "non-negative")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+_positive_int = _checked(int, lambda v: v > 0, "positive")
+_positive_finite_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
 def _add_fit_options(parser) -> None:
@@ -367,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--hidden", type=int, help="number of hidden units")
     group.add_argument(
         "--match-params",
-        type=int,
+        type=_positive_int,
         help="choose hidden units to match this parameter budget",
     )
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--updates", type=int, default=10_000)
-    p.add_argument("--chains", type=int, default=100)
+    p.add_argument("--lr", type=_positive_finite_float, default=0.01)
+    p.add_argument("--updates", type=_non_negative_int, default=10_000)
+    p.add_argument("--chains", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit_rbm)
@@ -410,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     _add_fit_options(p)
-    p.add_argument("--rbm-lr", type=float, default=0.01)
-    p.add_argument("--rbm-updates", type=int, default=10_000)
-    p.add_argument("--rbm-chains", type=int, default=100)
+    p.add_argument("--rbm-lr", type=_positive_finite_float, default=0.01)
+    p.add_argument("--rbm-updates", type=_non_negative_int, default=10_000)
+    p.add_argument("--rbm-chains", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
@@ -428,7 +426,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (FimiFormatError, DomainSizeError, ValueError, OSError) as exc:
+    except (DomainSizeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,12 +1,13 @@
 """Exact maximum-likelihood fitting by moment matching.
 
 One engine, :func:`ascend`, fits both the transductive model and the fully
-visible Boltzmann machine: the same Gibbs family over two sample spaces.  It
-reaches the space through a normalizer object.  :class:`ReducedSpace` (here)
-covers the data-derived space through the incidence matrix Z;
-``baselines.FullCube`` covers all 2^n configurations through subset/superset
-sum transforms.  Both compute every trial state from θ as the fitted model
-does, so :func:`ascend` reports the gap it stopped on, which is the model's.
+visible Boltzmann machine: the same Gibbs family over two sample spaces,
+each reached through a normalizer that holds the parameters' patterns and
+builds the fitted model.  :class:`ReducedSpace` (here) covers the
+data-derived space through the incidence matrix Z; ``baselines.FullCube``
+covers all 2^n configurations through subset/superset sum transforms.  Both
+compute every trial state from θ as the model does, so :func:`ascend`
+reports the gap it stopped on, which is the model's.
 
 The average log-likelihood is concave in the parameters, and its Hessian is
 minus the Fisher matrix G, the covariance of the containment indicators.
@@ -286,15 +287,12 @@ def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> np.n
 
 
 class ReducedSpace:
-    """Normalizer over a reduced sample space, through its incidence matrix Z:
-    log-probabilities are ``Z^T θ`` minus their log-sum-exp, as in
-    :class:`GibbsModel`, and a removed parameter takes its row of Z with it."""
+    """Normalizer over a reduced sample space, through the incidence matrix Z
+    of ``patterns``: log-probabilities are ``Z^T θ`` minus their log-sum-exp."""
 
-    def __init__(self, sample_space: SampleSpace, incidence: sparse.csr_matrix):
+    def __init__(self, sample_space: SampleSpace, patterns, incidence: sparse.csr_matrix):
         self.sample_space = sample_space
-        self._use(incidence)
-
-    def _use(self, incidence: sparse.csr_matrix) -> None:
+        self.patterns = list(patterns)
         self.incidence = incidence
         self._transposed = incidence.T
         self._rows_of = None  # the transpose as CSR, built at the first Fisher step
@@ -338,35 +336,31 @@ class ReducedSpace:
             basis = np.sort(pivots[:rank] - 1)
             face, rows = face[basis], rows[basis]
         aliases = np.setdiff1d(np.arange(self.incidence.shape[0]), rows)
-        return ReducedSpace(space, face), aliases
+        return ReducedSpace(space, [self.patterns[j] for j in rows], face), aliases
 
-    def drop(self, indices) -> None:
-        self._use(self.incidence[np.delete(np.arange(self.incidence.shape[0]), indices)])
+    def drop(self, indices) -> "ReducedSpace":
+        rows = np.delete(np.arange(len(self.patterns)), indices)
+        return ReducedSpace(
+            self.sample_space, [self.patterns[j] for j in rows], self.incidence[rows]
+        )
 
-
-@dataclass
-class Ascent:
-    """Where :func:`ascend` stopped: its normalizer, surviving parameters and report."""
-
-    space: object
-    patterns: list[Pattern]
-    theta: np.ndarray
-    report: FitReport
+    def model(self, theta: np.ndarray) -> GibbsModel:
+        return GibbsModel(self.sample_space, self.patterns, theta, self.incidence)
 
 
-def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConfig) -> Ascent:
-    """Moment-matching ascent from θ = 0 over the normalizer ``space``.
+def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitReport]:
+    """Moment-matching ascent from θ = 0 over the normalizer ``space``, whose
+    ``patterns`` the ``targets`` align with, to ``(model, report)``.
 
-    Takes damped Newton and chord steps under the rules and the guard
-    described in the module docstring, and reports the gap of the returned
-    θ.  ``space`` is a :class:`ReducedSpace` or a ``baselines.FullCube``; its
-    ``fisher_solve`` builds and factors G and returns the solve, its
-    ``drop`` removes parameters by index, and its ``face`` returns the
-    :class:`ReducedSpace` of the LP's face and the aliases there, or ``None``.
-    Raises :class:`DomainSizeError`, before any iteration, when the
-    parameters left after the up-front filter need G over ``FISHER_MAX_BYTES``.
+    Takes damped Newton and chord steps under the rules and the guard of the
+    module docstring.  ``space`` is a :class:`ReducedSpace` or a
+    ``baselines.FullCube``: ``fisher_solve`` factors G and returns its solve,
+    ``drop`` returns the normalizer without some parameters, ``face`` the
+    :class:`ReducedSpace` of the LP's face and the aliases there, or
+    ``None``, and ``model`` builds the fitted model from θ.  Raises
+    :class:`DomainSizeError`, before any iteration, when the parameters left
+    after the up-front filter need G over ``FISHER_MAX_BYTES``.
     """
-    pats = list(patterns)
     removed: list[Pattern] = []
     iterations = 0
     evaluations = 0
@@ -374,7 +368,7 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
 
     def restart() -> None:
         nonlocal theta, log_probs, psi, etas, avg_loglik, gap, err2, step, direction, solve
-        theta = np.zeros(len(pats))
+        theta = np.zeros(len(space.patterns))
         log_probs, psi = space.state(theta)
         etas = space.etas(log_probs)
         avg_loglik = float(targets @ theta) - psi
@@ -386,14 +380,9 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
     def drop(indices, face=None) -> None:
         # Removes parameters, from the normalizer or with it, and restarts.
         nonlocal space, targets
-        removed.extend(pats[j] for j in indices)
-        for j in sorted(indices, reverse=True):
-            del pats[j]
+        removed.extend(space.patterns[j] for j in indices)
         targets = np.delete(targets, indices)
-        if face is None:
-            space.drop(indices)
-        else:
-            space = face
+        space = space.drop(indices) if face is None else face
         restart()
 
     def to_face() -> bool:
@@ -411,9 +400,9 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
     unfit = np.flatnonzero((targets <= 0.0) | (targets >= 1.0) | (etas <= 0.0))
     if unfit.size:
         drop(unfit)
-    if 8 * len(pats) ** 2 > FISHER_MAX_BYTES:
+    if 8 * theta.size ** 2 > FISHER_MAX_BYTES:
         raise DomainSizeError(
-            f"{len(pats)} parameters need a {8 * len(pats) ** 2 / 2**20:.0f} MiB Fisher "
+            f"{theta.size} parameters need a {8 * theta.size ** 2 / 2**20:.0f} MiB Fisher "
             f"matrix, over its {FISHER_MAX_BYTES / 2**20:.0f} MiB budget; raise sigma or lower k"
         )
 
@@ -488,10 +477,10 @@ def ascend(space, patterns: Sequence[Pattern], targets: np.ndarray, cfg: FitConf
         final_gap=gap,
         removed_parameters=tuple(removed),
         converged=gap <= cfg.tol,
-        domain_emptied=bool(removed) and not pats,
+        domain_emptied=bool(removed) and not theta.size,
         evaluations=evaluations,
     )
-    return Ascent(space, pats, theta, report)
+    return space.model(theta), report
 
 
 def fit_to_moments(
@@ -503,10 +492,10 @@ def fit_to_moments(
 ) -> tuple[GibbsModel, FitReport]:
     """Fit parameters on ``patterns`` so model expectations match ``targets``.
 
-    Runs :func:`ascend` over the reduced space, and returns the model over
-    the space, or the face, it ended on (uniform, and flagged in the report,
-    if every parameter was removed).  A given ``incidence`` is copied only
-    to put its rows in canonical order.
+    Runs :func:`ascend` over the reduced space of ``patterns`` in canonical
+    order, and returns its model over the space, or the face, it ended on
+    (uniform, and flagged in the report, if every parameter was removed).
+    A given ``incidence`` is copied only to put its rows in canonical order.
     """
     cfg = config or FitConfig()
     targets = np.asarray(targets, dtype=np.float64)
@@ -522,9 +511,7 @@ def fit_to_moments(
         incidence = incidence_matrix(space, pats)
     elif order != list(range(len(order))):
         incidence = incidence[np.array(order, dtype=np.intp)]
-    run = ascend(ReducedSpace(space, incidence), pats, targets, cfg)
-    face = run.space
-    return GibbsModel(face.sample_space, run.patterns, run.theta, face.incidence), run.report
+    return ascend(ReducedSpace(space, pats, incidence), targets, cfg)
 
 
 def empirical_targets(

@@ -118,8 +118,8 @@ def take_rows(
     return new_indptr, indices[gather]
 
 
-def split_rows(items: np.ndarray, indptr: np.ndarray, cols: np.ndarray, make=tuple) -> list:
-    """CSR rows of columns into ``items``, each made a ``make`` of Python ints.
+def split_rows(items: np.ndarray, indptr: np.ndarray, cols: np.ndarray) -> list:
+    """CSR rows of columns into ``items``, each made a tuple of Python ints.
 
     Every row that holds an identifier shares one int object for it.  Rows
     are converted ``_SPLIT_ROWS`` at a time, so no flat list of every
@@ -131,7 +131,7 @@ def split_rows(items: np.ndarray, indptr: np.ndarray, cols: np.ndarray, make=tup
     for first in range(0, len(bounds) - 1, _SPLIT_ROWS):
         ends = bounds[first:first + _SPLIT_ROWS + 1]
         flat = objects[cols[ends[0]:ends[-1]]].tolist()
-        out += [make(flat[a - ends[0]:z - ends[0]]) for a, z in zip(ends, ends[1:])]
+        out += [tuple(flat[a - ends[0]:z - ends[0]]) for a, z in zip(ends, ends[1:])]
     return out
 
 

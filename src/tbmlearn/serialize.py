@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import FULL_BM_MAX_VARIABLES, FullBMModel, RBMModel
+from .baselines import FULL_BM_MAX_VARIABLES, FullBMModel, FullCube, RBMModel
 from .fitting import FitReport
 from .model import GibbsModel, SampleSpace
 from .patterns import flatten, is_canonical, rows_are_canonical
@@ -145,7 +145,7 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     if outside:
         raise ValueError(f"domain pattern {outside[0]} has an item outside 0..{n - 1}")
     _canonical(domain, "domain")
-    return FullBMModel.from_theta(n, domain, theta), report, meta
+    return FullCube(n, domain).model(theta), report, meta
 
 
 def _json(value: Any) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict
 
 import numpy as np
+from scipy.optimize import linprog
 
 from tbmlearn import (
     FullBMModel,
@@ -64,6 +65,10 @@ def iterative_scaling_mle(
     Each step rescales the probabilities so one containment expectation
     matches its target exactly; cycling converges to the maximum-likelihood
     distribution when the targets are attainable by a positive distribution.
+    Whether one is, an LP checks first: the largest smallest probability of
+    a distribution matching the targets.  At most 1e-9 raises
+    ``RuntimeError`` at once, where the cycles would only creep toward the
+    boundary until ``max_cycles``.
     """
     outcome_sets = [set(x) for x in outcomes]
     masks = [
@@ -72,7 +77,20 @@ def iterative_scaling_mle(
     for mask, t in zip(masks, targets):
         if not 0.0 < t < 1.0 or not mask.any() or mask.all():
             raise ValueError("targets must be attainable by a positive distribution")
-    p = np.full(len(outcomes), 1.0 / len(outcomes))
+    n = len(outcomes)
+    # Variables (p, m): maximize m subject to Z p = targets, sum p = 1, p >= m.
+    lp = linprog(
+        np.append(np.zeros(n), -1.0),
+        A_ub=np.hstack([-np.eye(n), np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        A_eq=np.hstack([np.vstack(masks + [np.ones(n)]), np.zeros((len(masks) + 1, 1))]),
+        b_eq=np.append(targets, 1.0),
+        bounds=[(0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    if not lp.success or -lp.fun <= 1e-9:
+        raise RuntimeError("no strictly positive distribution attains the targets")
+    p = np.full(n, 1.0 / n)
     for _ in range(max_cycles):
         for mask, t in zip(masks, targets):
             current = p[mask].sum()

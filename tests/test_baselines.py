@@ -16,6 +16,7 @@ from tbmlearn import (
     fit_to_moments,
     incidence_matrix,
     matched_hidden_units,
+    mine_parameter_domain,
 )
 from tbmlearn import baselines, fitting
 from tbmlearn.baselines import FullCube, pattern_vector, subset_sums, superset_sums
@@ -135,6 +136,20 @@ class TestFullBM:
         assert report.removed_parameters == ((0,),)
         assert report.converged
 
+    def test_filter_then_face(self):
+        # Item 0 is in every transaction, so (0,) goes up front; the face LP
+        # then finds the cube's face, where three more parameters alias.
+        d = TransactionDataset.from_transactions(
+            [[0, 1, 2], [0, 2], [0], [0, 1, 2], [0, 2], [0, 2]]
+        )
+        domain = mine_parameter_domain(d, 0.1, 2)
+        model, report = fit_full_bm(d, domain, FitConfig(tol=1e-9))
+        assert isinstance(model, GibbsModel) and model.domain == ((0, 2), (1, 2))
+        assert report.removed_parameters == ((0,), (1,), (2,), (0, 1))
+        assert report.converged and report.iterations == 23
+        counts = [sum(c for t, c in d.entries.items() if set(p) <= set(t)) for p in model.domain]
+        np.testing.assert_allclose(model.etas(), np.array(counts) / d.n_samples, rtol=0, atol=1e-9)
+
     def test_feasibility_lp_capped(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("linprog called above the cap")
@@ -227,6 +242,15 @@ class TestPcdTraining:
         np.testing.assert_array_equal(a.visible_bias, b.visible_bias)
         c = fit_rbm_pcd1(worked_dataset01, 2, RBMConfig(n_updates=50, n_chains=8, seed=124))
         assert not np.array_equal(a.weights, c.weights)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"n_updates": -3}, {"n_chains": 0}, {"learning_rate": float("nan")},
+         {"learning_rate": 0.0}, {"learning_rate": float("inf")}],
+    )
+    def test_invalid_config_refused(self, setting):
+        with pytest.raises(ValueError, match="n_updates >= 0, n_chains >= 1, 0 < learning_rate"):
+            RBMConfig(**setting)
 
     def test_needs_hidden_units(self, worked_dataset01):
         with pytest.raises(ValueError):

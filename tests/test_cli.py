@@ -648,6 +648,31 @@ class TestPlumbing:
         assert code == 2
         assert f"argument {option}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("fit-rbm", "--updates", "-3"),
+            ("fit-rbm", "--chains", "0"),
+            ("fit-rbm", "--lr", "nan"),
+            ("fit-rbm", "--lr", "inf"),
+            ("fit-rbm", "--lr", "0"),
+            ("fit-rbm", "--match-params", "-5"),
+            ("compare", "--rbm-updates", "-3"),
+            ("compare", "--rbm-chains", "0"),
+            ("compare", "--rbm-lr", "nan"),
+        ],
+    )
+    def test_invalid_rbm_option_is_usage_error(
+        self, worked_file, capsys, command, option, value
+    ):
+        if command == "compare":
+            args = ("--sigma", "0.45", "--k", "2")
+        else:
+            args = () if option == "--match-params" else ("--hidden", "2")
+        code = run(command, "--input", worked_file, *args, option, value)
+        assert code == 2
+        assert f"argument {option}: must be" in capsys.readouterr().err
+
     def test_missing_file_is_3(self):
         assert run("mine", "--input", "/nonexistent.fimi", "--sigma", "0.5", "--k", "1") == 3
 

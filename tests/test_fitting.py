@@ -551,8 +551,8 @@ class TestChordSteps:
         space = build_sample_space(patterns, d)
         z = incidence_matrix(space, patterns)
         targets = empirical_targets(d, space, z)
-        run = fitting.ascend(SpoiledReuse(space, z), patterns, targets, FitConfig(tol=1e-9))
-        assert run.report.converged
+        _, report = fitting.ascend(SpoiledReuse(space, patterns, z), targets, FitConfig(tol=1e-9))
+        assert report.converged
         kinds = [kind for kind, _ in events]
         # The first reuse follows the state of an accepted step.  Its downhill
         # trial is refused, and G is built at the accepted point, whose full
@@ -561,7 +561,7 @@ class TestChordSteps:
         assert kinds[reuse + 1:reuse + 5] == ["state", "build", "solve", "state"]
         accepted = events[reuse - 1][1]
         (_, at), (_, direction), (_, trial) = events[reuse + 2:reuse + 5]
-        assert at.tobytes() == fitting.ReducedSpace(space, z).state(accepted)[0].tobytes()
+        assert at.tobytes() == fitting.ReducedSpace(space, patterns, z).state(accepted)[0].tobytes()
         assert trial.tobytes() == (accepted + direction).tobytes()
 
 

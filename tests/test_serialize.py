@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tbmlearn import (
     FitConfig,
     FitReport,
-    FullBMModel,
     GibbsModel,
     RBMConfig,
     RBMModel,
@@ -25,6 +24,7 @@ from tbmlearn import (
     model_from_dict,
     save_model,
 )
+from tbmlearn.baselines import FullCube
 
 from oracles import model_to_dict
 
@@ -272,7 +272,7 @@ def _models(draw):
             .map(lambda p: tuple(sorted(p))), max_size=3, unique=True)) if n else []
         theta = np.array(draw(st.lists(_floats.map(lambda v: v % 30), min_size=len(domain),
                                        max_size=len(domain))))
-        return FullBMModel.from_theta(n, domain, theta)
+        return FullCube(n, domain).model(theta)
     # An rbm may have no visible or no hidden units.
     n_visible, n_hidden = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     values = st.lists(_floats, min_size=n_visible * n_hidden + n_visible + n_hidden,
