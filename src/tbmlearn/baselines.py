@@ -5,7 +5,7 @@ The fully visible machine runs the transductive fitter's engine,
 binary cube, through fast subset/superset sum transforms, so it is limited
 to small variable counts.  Only the normalizer differs, so the guard and the
 Newton steps behave the same in both learners by construction; the fit
-returns the :class:`FullBMModel` of the cube or, where the face LP over the
+returns the :class:`FullBMModel` of the cube or, where a face over the
 cube's Z moved it to a ``fitting.ReducedSpace``, the Gibbs model there.
 The RBM is trained with persistent contrastive divergence using a single
 alternating Gibbs sweep per update.
@@ -101,9 +101,9 @@ class FullCube:
     """Normalizer over all ``2^n`` configurations, for :func:`fitting.ascend`.
 
     The log-probabilities are recomputed from θ at every step: subset sums
-    give the energies and superset sums the expectations.  The face LP runs
-    over the cube's Z under the reduced space's nonzero cap, which the
-    singletons alone exceed from 13 variables on.
+    give the energies and superset sums the expectations.  Faces are found
+    over the cube's Z, one nonzero per pattern and superset, under the LP's
+    nonzero cap, which the singletons alone exceed from 13 variables on.
     """
 
     def __init__(self, n_variables: int, patterns):
@@ -128,15 +128,21 @@ class FullCube:
         g = sup[self.masks[:, None] | self.masks[None, :]] - np.outer(etas, etas)
         return solve_fisher(g)
 
-    def face(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | None:
-        """:meth:`fitting.ReducedSpace.face` over the cube's Z, built only
-        when its nonzeros, one per pattern and superset, are within the cap."""
+    def _reduced(self) -> ReducedSpace | None:
+        """The cube as a :class:`fitting.ReducedSpace`, or ``None`` above the cap."""
         n = self.n_variables
         if sum(1 << (n - len(p)) for p in self.patterns) > FEASIBILITY_CHECK_MAX_NNZ:
             return None
         cube = SampleSpace.from_patterns(c for r in range(n + 1) for c in combinations(range(n), r))
-        face = ReducedSpace(cube, self.patterns, incidence_matrix(cube, self.patterns))
-        return face.restrict(interior_feasible(face.incidence, targets))
+        return ReducedSpace(cube, self.patterns, incidence_matrix(cube, self.patterns))
+
+    def closure(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | None:
+        cube = self._reduced()
+        return None if cube is None else cube.closure(targets)
+
+    def face(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | None:
+        cube = self._reduced()
+        return None if cube is None else cube.restrict(interior_feasible(cube.incidence, targets))
 
     def drop(self, indices) -> "FullCube":
         kept = np.delete(np.arange(len(self.patterns)), indices)
@@ -156,7 +162,7 @@ def fit_full_bm(
 
     Runs :func:`fitting.ascend` over the full cube, so moment matching and
     the boundary guard behave exactly as in the transductive fitter; a fit
-    that the face LP moves to a face returns a :class:`GibbsModel` over it.
+    that moves to a face returns a :class:`GibbsModel` over it.
     Refuses more than 25 variables, where exact enumeration stops being
     practical; use the transductive model instead at that scale.
     """

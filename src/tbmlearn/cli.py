@@ -1,8 +1,8 @@
 """Command-line interface: mining, fitting, evaluation, and experiments.
 
-Exit codes: 0 success, 2 usage error, 3 data or resource error, 4 numeric
-failure (every parameter removed: targets of 0 or 1, aliases on a face, or
-``--theta-max`` as the last resort after the face LP).  Every stochastic
+Exit codes: 0 success, 2 usage error, 3 data or resource error, 4 the fit
+removed every parameter (each empty or constant on the face it ended on, an
+alias, or past ``--theta-max``) and wrote the uniform model.  Every stochastic
 subcommand takes a seed and produces identical primary output for identical
 inputs; measured wall-clock columns are the one exception.
 """
@@ -264,6 +264,7 @@ def cmd_biasvar(args) -> int:
         "domain_size": report.domain_size,
         "sigma": report.sigma,
         "flagged_trials": report.n_flagged_trials,
+        "face_trials": report.n_face_trials,
     }
     stream = sys.stderr if args.out == "-" else sys.stdout
     print(json.dumps(summary, indent=2, sort_keys=True), file=stream)
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-rbm", help="train an RBM with persistent CD-1")
     _add_input_options(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--hidden", type=int, help="number of hidden units")
+    group.add_argument("--hidden", type=_positive_int, help="number of hidden units")
     group.add_argument(
         "--match-params",
         type=_positive_int,

@@ -17,7 +17,7 @@ import numpy as np
 from .fitting import FitConfig, fit_to_moments
 from .geometry import m_projection, variance_lower_bound
 from .mining import mine_parameter_domain
-from .model import SampleSpace, incidence_matrix, supports
+from .model import SampleSpace, incidence_matrix, locate_rows, supports
 from .patterns import Pattern, TransactionDataset, sort_key
 
 BIAS_VARIANCE_FIT = FitConfig(tol=1e-10, max_sweeps=100_000)
@@ -138,6 +138,7 @@ class BiasVarianceReport:
     kl_true_to_fit: np.ndarray
     kl_proj_to_fit: np.ndarray
     n_flagged_trials: int
+    n_face_trials: int  # flagged, infinite, and left out of the variance statistics
 
 
 def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
@@ -190,6 +191,7 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
     incidence = incidence_matrix(space, patterns)
     kl_true = np.zeros(cfg.trials)
     kl_proj = np.zeros(cfg.trials)
+    on_face = np.zeros(cfg.trials, dtype=bool)
     flagged = 0
     for trial, child in enumerate(seq.spawn(cfg.trials)):
         trial_rng = np.random.default_rng(child)
@@ -198,19 +200,23 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
         fitted, fit_report = fit_to_moments(
             space, patterns, targets, BIAS_VARIANCE_FIT, incidence=incidence
         )
-        if fit_report.removed_parameters or not fit_report.converged:
+        log_probs, face = fitted.log_probs, fitted.space
+        on_face[trial] = face is not space
+        if on_face[trial]:  # the outcomes off the face get no mass
+            log_probs = np.full(len(space), -np.inf)
+            log_probs[locate_rows(space, face.indptr, face.items[face.indices])] = fitted.log_probs
+        if fit_report.removed_parameters or not fit_report.converged or on_face[trial]:
             flagged += 1
-        kl_true[trial] = float(np.dot(pvec, np.log(pvec) - fitted.log_probs))
-        kl_proj[trial] = float(
-            np.dot(p_proj, projection.log_probs - fitted.log_probs)
-        )
+        kl_true[trial] = float(np.dot(pvec, np.log(pvec) - log_probs))
+        kl_proj[trial] = float(np.dot(p_proj, projection.log_probs - log_probs))
 
-    std = float(np.std(kl_proj, ddof=1))
+    finite = kl_proj[~on_face]
+    std = float(np.std(finite, ddof=1)) if finite.size > 1 else np.nan
     return BiasVarianceReport(
         bias=bias,
-        variance_mean=float(np.mean(kl_proj)),
+        variance_mean=float(np.mean(finite)) if finite.size else np.nan,
         variance_std=std,
-        variance_stderr=std / np.sqrt(cfg.trials),
+        variance_stderr=std / np.sqrt(finite.size),
         lower_bound=variance_lower_bound(len(patterns), cfg.n_samples),
         trials=cfg.trials,
         n_samples=cfg.n_samples,
@@ -220,4 +226,5 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
         kl_true_to_fit=kl_true,
         kl_proj_to_fit=kl_proj,
         n_flagged_trials=flagged,
+        n_face_trials=int(on_face.sum()),
     )

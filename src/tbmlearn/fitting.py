@@ -44,7 +44,7 @@ symmetric bit for bit as built (Z's rows have sorted indices and 0/1 data).
 The Cholesky solve runs in the BLAS, whose threads split its sums
 differently, so fits (and ``fit-tbm`` files) are reproducible bit for bit
 only at a fixed BLAS thread count.  G takes ``8 |B|^2`` bytes: parameters
-that, after the up-front filter below, would need more than
+that, after the up-front face step and filter below, would need more than
 ``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) are refused with
 :class:`~tbmlearn.mining.DomainSizeError` before any iteration.
 
@@ -53,42 +53,43 @@ over the whole space: every matching distribution gives some outcomes no
 mass, and the maximizer lies on the face of the others (the facial set of
 Geyer, EJS 2009, and of Fienberg & Rinaldo, Ann. Statist. 2012).  Off the
 face θ drifts, each Newton step moves it by about 1, and the gap falls by a
-constant factor per step instead of quadratically.  The face step drops the
-outcomes off the face and merges the rows of Z that then coincide, and two
-rules find the face:
+constant factor per step instead of quadratically.  :func:`ascend` finds the
+face in two places, and the face step drops the outcomes off it and merges
+the rows of Z that then coincide:
 
-- :func:`closure_face`, in :func:`fit`, whose targets are integer counts:
-  domain patterns s ⊂ u, u one item longer, with equal counts (s is not a
-  closed itemset; Pasquier et al., ICDT 1999) rule out every outcome that
-  holds s but not u.  On ``basket`` the fit is then interior, with no LP;
-- in :func:`ascend`, after the up-front filter (targets of 0 or 1, and
-  patterns no outcome holds), the first drift signal, a step that reaches
-  tol moving some parameter by at least ``DRIFT_STEP`` while the largest
-  magnitude exceeds ``min(DRIFT_GATE, theta_max / 2)``, or a parameter
-  crossing ``theta_max``, runs the LP :func:`interior_feasible` once.  The
-  fit restarts from θ = 0 on the face it finds, where the rows that other
-  rows span, found by pivoted Cholesky of the face's G, alias too.
+- up front, for every fit, the normalizer's ``closure`` by three rules: a
+  target of 0 rules out the outcomes that hold its pattern, a target of 1
+  those that lack it (bottom among them), and a closure pair, patterns
+  s ⊂ u, u one item longer, with equal targets (s is not a closed itemset;
+  Pasquier et al., ICDT 1999), those that hold s but not u.  The filter
+  after it (targets of 0 or 1, and patterns no outcome holds) then removes
+  rows constant on the face, exactly.  On ``basket`` the fit is interior;
+- at the first drift signal, a step that reaches tol moving some parameter
+  by at least ``DRIFT_STEP`` while the largest magnitude exceeds
+  ``min(DRIFT_GATE, theta_max / 2)``, or a parameter crossing ``theta_max``,
+  the LP :func:`interior_feasible` runs once.  The fit restarts from θ = 0 on
+  the face it finds, where the rows that other rows span, found by pivoted
+  Cholesky of the face's G, alias too.
 
-Bottom stays on the face even where no matching distribution gives it mass
-(data without the empty transaction, at a k that pins p(bottom) to 0), so
-log Z = -log p(bottom) holds for every fitted model.  That boundary is then
-one direction, rows that sum to a constant on the face, along which
-bottom's mass falls by a constant factor per step while the rest converges,
-and the fit stops when the gap, which that mass bounds, reaches tol.  On
+Bottom stays on an LP face even where no matching distribution gives it
+mass (data without the empty transaction, at a k that pins p(bottom) to 0),
+so log Z = -log p(bottom) holds for every fitted model but those that a
+target of 1 takes bottom from.  That boundary is then one direction, rows
+that sum to a constant on the face, along which bottom's mass falls by a
+constant factor per step while the rest converges, and the fit stops when
+the gap, which that mass bounds, reaches tol.  On
 ``tbmlearn synth --n-vars 10 --support-size 60 --n 3000 --seed 3`` at
 σ = 0.02, k = 3, 60 of the 175 parameters stay and the fit takes 23
-iterations to a KL of 7.3e-7 to the data, where removing drifting
-parameters one at a time took 365 iterations and left a KL of 0.32.  The LP
-runs only on incidence matrices of at most ``FEASIBILITY_CHECK_MAX_NNZ``
-nonzeros.  A parameter that crosses ``theta_max`` after the LP has run, or
-where it gives no proper face, is removed as the last resort.
+iterations to a KL of 7.3e-7 to the data.  A parameter that crosses
+``theta_max`` after the LP has run, or where it gives no proper face (see
+:func:`interior_feasible` for its cap), is removed as the last resort.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -312,6 +313,28 @@ class ReducedSpace:
             self._rows_of = self._transposed.tocsr()
         return natural_direction(self.incidence, self._rows_of, log_probs, etas)
 
+    def closure(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:
+        """The up-front face, by the three rules of the module docstring, and
+        the indices of the parameters that alias there; ``None`` when the
+        rules rule no outcome out, or every one."""
+        row = {p: j for j, p in enumerate(self.patterns)}
+        cols = _row_of(self.incidence)
+        keep = np.ones(self.incidence.shape[1], dtype=bool)
+        targets = targets.tolist()  # floats compare faster than numpy scalars
+        for j, u in enumerate(self.patterns):
+            if targets[j] <= 0.0:
+                keep[cols(j)] = False
+            elif targets[j] >= 1.0:
+                keep[np.setdiff1d(np.arange(keep.size), cols(j), assume_unique=True)] = False
+            for s in (u[:i] + u[i + 1:] for i in range(len(u))):
+                if s in row and targets[row[s]] == targets[j]:
+                    keep[np.setdiff1d(cols(row[s]), cols(j), assume_unique=True)] = False
+        if keep.all() or not keep.any():
+            return None
+        space, face, rows = _face(self.sample_space, self.incidence, keep)
+        aliases = np.setdiff1d(np.arange(len(self.patterns)), rows)
+        return ReducedSpace(space, [self.patterns[j] for j in rows], face), aliases
+
     def face(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:
         return self.restrict(interior_feasible(self.incidence, targets))
 
@@ -328,14 +351,14 @@ class ReducedSpace:
         keep[0] |= self.sample_space.indptr[1] == 0  # bottom, if an outcome, stays
         if keep.all():
             return None
-        space, face, rows = _face(self.sample_space, self.incidence.copy(), keep)
+        space, face, rows = _face(self.sample_space, self.incidence, keep)
         p = np.full(face.shape[1], 1.0 / face.shape[1])
         g = fisher_matrix(face, face.T.tocsr(), p, face.dot(p))
         _, pivots, rank, _ = dpstrf(g, tol=1e-9 * max(float(np.max(np.diag(g))), 1e-30))
         if rank < rows.size:
             basis = np.sort(pivots[:rank] - 1)
             face, rows = face[basis], rows[basis]
-        aliases = np.setdiff1d(np.arange(self.incidence.shape[0]), rows)
+        aliases = np.setdiff1d(np.arange(len(self.patterns)), rows)
         return ReducedSpace(space, [self.patterns[j] for j in rows], face), aliases
 
     def drop(self, indices) -> "ReducedSpace":
@@ -355,11 +378,11 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
     Takes damped Newton and chord steps under the rules and the guard of the
     module docstring.  ``space`` is a :class:`ReducedSpace` or a
     ``baselines.FullCube``: ``fisher_solve`` factors G and returns its solve,
-    ``drop`` returns the normalizer without some parameters, ``face`` the
-    :class:`ReducedSpace` of the LP's face and the aliases there, or
-    ``None``, and ``model`` builds the fitted model from θ.  Raises
-    :class:`DomainSizeError`, before any iteration, when the parameters left
-    after the up-front filter need G over ``FISHER_MAX_BYTES``.
+    ``drop`` returns the normalizer without some parameters, ``closure`` and
+    ``face`` the :class:`ReducedSpace` of the up-front or the LP's face and
+    the aliases there, or ``None``, and ``model`` builds the fitted model
+    from θ.  Raises :class:`DomainSizeError`, before any iteration, when the
+    parameters left after the face step and filter need G over the budget.
     """
     removed: list[Pattern] = []
     iterations = 0
@@ -394,7 +417,11 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
             drop(found[1], face=found[0])
         return found is not None
 
-    restart()
+    found = space.closure(targets)
+    if found is not None:
+        drop(found[1], face=found[0])
+    else:
+        restart()
     # A target of 0 or 1, or a pattern no outcome contains (η = 0 under the
     # uniform start), has no finite parameter.
     unfit = np.flatnonzero((targets <= 0.0) | (targets >= 1.0) | (etas <= 0.0))
@@ -533,8 +560,7 @@ def _face(
 ) -> tuple[SampleSpace, sparse.csr_matrix, np.ndarray]:
     """The face step: the outcomes ``keep`` marks, as a space, Z over them,
     and the rows kept when each class of rows that coincide there keeps its
-    last member.  Z is compacted in place, rows and columns in one pass, so
-    it must not be used after this call."""
+    last member.  The face's Z has its own index array and shares Z's data."""
     indptr, indices = incidence.indptr, incidence.indices
     m = incidence.shape[0]
     cols = _row_of(incidence)
@@ -543,9 +569,11 @@ def _face(
     # kept columns, not by the columns, so no second copy of Z is held.
     seen: dict[int, list[int]] = {}
     alias = np.zeros(m, dtype=bool)
+    sizes = np.zeros(m, dtype=indptr.dtype)
     for j in range(m - 1, -1, -1):
         c = cols(j)
         c = c[keep[c]]
+        sizes[j] = c.size
         bucket = seen.setdefault(hash(c.tobytes()), [])
         if any(np.array_equal(c, cols(r)[keep[cols(r)]]) for r in bucket):
             alias[j] = True
@@ -555,16 +583,15 @@ def _face(
     new_col = np.cumsum(keep, dtype=indices.dtype) - 1
     kept_rows = np.flatnonzero(~alias)
     new_indptr = np.zeros(kept_rows.size + 1, dtype=indptr.dtype)
-    end = 0
+    np.cumsum(sizes[kept_rows], out=new_indptr[1:])
+    new_indices = np.empty(new_indptr[-1], dtype=indices.dtype)
     for i, j in enumerate(kept_rows):
         c = cols(j)
-        c = new_col[c[keep[c]]]
-        indices[end:end + c.size] = c
-        end += c.size
-        new_indptr[i + 1] = end
+        new_indices[new_indptr[i]:new_indptr[i + 1]] = new_col[c[keep[c]]]
     # Z's data are all ones, so any prefix of them is the face's.
     face = sparse.csr_matrix(
-        (incidence.data[:end], indices[:end], new_indptr), shape=(kept_rows.size, int(keep.sum()))
+        (incidence.data[:new_indptr[-1]], new_indices, new_indptr),
+        shape=(kept_rows.size, int(keep.sum())),
     )
     # The kept rows, over the columns of the items they still hold.
     kept_indptr, kept_cols = take_rows(space.indptr, space.indices, np.flatnonzero(keep))
@@ -573,59 +600,17 @@ def _face(
     return face_space, face, kept_rows
 
 
-def closure_face(
-    space: SampleSpace,
-    patterns: list[Pattern],
-    incidence: sparse.csr_matrix,
-    targets: np.ndarray,
-) -> tuple[SampleSpace, list[Pattern], sparse.csr_matrix, np.ndarray, list[Pattern]]:
-    """The face the closure pairs certify: the face's space, the kept
-    patterns, their Z and targets, and the aliases in canonical order.
-
-    A closure pair is s ⊂ u in ``patterns`` with u one item longer and the
-    same target: every outcome that holds s but not u has probability 0 in
-    every distribution that matches the targets (no data transaction is one
-    of them).  Z goes through the face step (:func:`_face`; for a pair, u
-    stays), so it must not be used after this call unless there is no pair.
-    """
-    row = {p: j for j, p in enumerate(patterns)}
-    # The targets of ``fit`` are integer counts divided by one N, so equal
-    # floats are equal counts.
-    pairs = [
-        (row[s], j)
-        for j, u in enumerate(patterns)
-        if len(u) > 1
-        for s in (u[:i] + u[i + 1:] for i in range(len(u)))
-        if s in row and targets[row[s]] == targets[j]
-    ]
-    if not pairs:
-        return space, patterns, incidence, targets, []
-    cols = _row_of(incidence)
-    keep = np.ones(incidence.shape[1], dtype=bool)
-    for s, u in pairs:
-        keep[np.setdiff1d(cols(s), cols(u), assume_unique=True)] = False
-    face_space, face, kept_rows = _face(space, incidence, keep)
-    aliases = [patterns[j] for j in np.setdiff1d(np.arange(len(patterns)), kept_rows)]
-    return face_space, [patterns[j] for j in kept_rows], face, targets[kept_rows], aliases
-
-
 def fit(
     dataset: TransactionDataset,
     domain: ParameterDomain | Sequence[Pattern],
     config: FitConfig | None = None,
 ) -> tuple[GibbsModel, FitReport]:
-    """Maximum-likelihood fit of a transductive model on the face of its
-    derived sample space (see :func:`closure_face`); the aliases lead
-    ``removed_parameters``."""
+    """Maximum-likelihood fit of a transductive model on its derived sample space or a face."""
     patterns = sorted(domain, key=sort_key)
     space = build_sample_space(patterns, dataset)
     incidence = incidence_matrix(space, patterns)
     targets = empirical_targets(dataset, space, incidence)
-    space, patterns, incidence, targets, aliases = closure_face(space, patterns, incidence, targets)
-    model, report = fit_to_moments(space, patterns, targets, config, incidence=incidence)
-    if aliases:
-        report = replace(report, removed_parameters=tuple(aliases) + report.removed_parameters)
-    return model, report
+    return fit_to_moments(space, patterns, targets, config, incidence=incidence)
 
 
 def fit_tbm(

@@ -1,13 +1,13 @@
 """Reduced sample spaces and the Gibbs distributions defined over them.
 
 The sample space of a transductive model is the union of the parameter
-domain, the distinct transactions of the dataset, and the empty pattern,
+domain, the distinct transactions of the dataset, and the empty pattern ⊥,
 which :func:`build_sample_space` lists like any other row.  The fit then
-drops the outcomes its data rule out (see ``fitting.closure_face`` and
-``fitting.interior_feasible``), so a fitted model's space may lack some
-domain patterns, though each lies in some outcome.  Probabilities are kept
-in log space; the log-partition value is the negative log-probability of
-the empty pattern in every space that holds it, as fitted spaces do.
+drops the outcomes its data rule out (see ``fitting.ascend``), so a fitted
+model's space may lack some domain patterns, though each lies in some
+outcome, and lacks ⊥ where some domain pattern is in every transaction.
+Probabilities are kept in log space; the log-partition value is -log p(⊥)
+in every space that holds ⊥.
 
 :func:`incidence_matrix` is the package's one count of containment; fits,
 supports, model loads, ``GibbsModel.eta`` and the full-cube face LP

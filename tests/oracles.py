@@ -45,6 +45,22 @@ def brute_eta(probs: dict, x) -> float:
     return sum(p for s, p in probs.items() if contains(x, s))
 
 
+def brute_support(dataset, pattern) -> int:
+    return sum(c for x, c in dataset.entries.items() if contains(pattern, x))
+
+
+def moment_gap(targets: dict, model) -> float:
+    """Largest gap between ``targets`` and a Gibbs model's expectations of
+    their patterns, each recounted over the model's outcomes by brute force."""
+    probs = dict(zip(model.space.outcomes, np.exp(model.log_probs)))
+    return max(abs(t - brute_eta(probs, p)) for p, t in targets.items())
+
+
+def whole_domain_gap(dataset, domain, model) -> float:
+    """Largest moment gap over every pattern of ``domain``, recounted by brute force."""
+    return moment_gap({p: brute_support(dataset, p) / dataset.n_samples for p in domain}, model)
+
+
 def dense_kl(p: dict, q: dict) -> float:
     total = 0.0
     for x, w in p.items():

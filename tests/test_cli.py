@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -520,6 +521,29 @@ class TestSynthAndBiasvar:
         assert summary["trials"] == 4
         assert summary["lower_bound"] > 0
 
+    def test_biasvar_counts_face_trials(self, tmp_path, capsys):
+        # At N = 200 every trial's counts leave some of the 41 outcomes
+        # empty, and its fit ends on a face: infinite divergences, and no
+        # trial left for the means.
+        out = tmp_path / "report.csv"
+        code = run(
+            "biasvar",
+            "--space-size", "40",
+            "--n-vars", "10",
+            "--k", "2",
+            "--n", "200",
+            "--trials", "20",
+            "--sigma", "0.05",
+            "--seed", "0",
+            "--out", out,
+        )
+        assert code == 0
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert len(rows) == 20 and all("inf" in row[1] and "inf" in row[2] for row in rows)
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["face_trials"] == summary["flagged_trials"] == 20
+        assert math.isnan(summary["variance_mean"])
+
     def test_biasvar_domain_flags_must_pair(self, tmp_path):
         code = run(
             "biasvar",
@@ -657,6 +681,7 @@ class TestPlumbing:
             ("fit-rbm", "--lr", "inf"),
             ("fit-rbm", "--lr", "0"),
             ("fit-rbm", "--match-params", "-5"),
+            ("fit-rbm", "--hidden", "0"),
             ("compare", "--rbm-updates", "-3"),
             ("compare", "--rbm-chains", "0"),
             ("compare", "--rbm-lr", "nan"),
@@ -668,7 +693,7 @@ class TestPlumbing:
         if command == "compare":
             args = ("--sigma", "0.45", "--k", "2")
         else:
-            args = () if option == "--match-params" else ("--hidden", "2")
+            args = () if option in ("--match-params", "--hidden") else ("--hidden", "2")
         code = run(command, "--input", worked_file, *args, option, value)
         assert code == 2
         assert f"argument {option}: must be" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from tbmlearn import (
     synth_dataset,
     tune_sigma,
 )
+from tbmlearn import experiments
 
 
 class TestSynthDataset:
@@ -146,3 +147,39 @@ class TestBiasVarianceExperiment:
         )
         with pytest.raises(ValueError, match="support"):
             bias_variance_experiment(cfg)
+
+
+class TestFaceTrials:
+    """At a small N some trials' counts put their targets on a boundary, and
+    their fits end on a face of the fixed space."""
+
+    cfg = BiasVarianceConfig(
+        space_size=25, n_vars=8, k=2, n_samples=500, trials=6, sigma=0.2, seed=1
+    )
+
+    def test_face_trials_are_infinite_and_left_out_of_the_means(self):
+        report = bias_variance_experiment(self.cfg)
+        on_face = np.isinf(report.kl_proj_to_fit)
+        assert np.array_equal(on_face, np.isinf(report.kl_true_to_fit))
+        assert 0 < report.n_face_trials == on_face.sum() < report.trials
+        assert report.n_flagged_trials >= report.n_face_trials
+        kept = report.kl_proj_to_fit[~on_face]
+        assert report.variance_mean == float(np.mean(kept))
+        assert report.variance_std == float(np.std(kept, ddof=1))
+        assert report.variance_stderr == report.variance_std / np.sqrt(kept.size)
+
+    def test_a_face_leaves_the_shared_incidence_intact(self, monkeypatch):
+        fit_to_moments = experiments.fit_to_moments
+        faces = []
+
+        def checked(space, patterns, targets, config, incidence):
+            before = [a.copy() for a in (incidence.indptr, incidence.indices, incidence.data)]
+            model, report = fit_to_moments(space, patterns, targets, config, incidence=incidence)
+            faces.append(model.space is not space)
+            after = (incidence.indptr, incidence.indices, incidence.data)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            return model, report
+
+        monkeypatch.setattr(experiments, "fit_to_moments", checked)
+        report = bias_variance_experiment(self.cfg)
+        assert len(faces) == self.cfg.trials and sum(faces) == report.n_face_trials > 0

@@ -31,7 +31,9 @@ from tbmlearn.patterns import sort_key
 from tbmlearn.serialize import dumps_model, model_from_dict
 
 from conftest import WORKED_PROBS, WORKED_PSI, WORKED_THETA1
-from oracles import brute_eta, contains, enumerate_patterns, random_dataset
+from oracles import (
+    brute_support, contains, enumerate_patterns, moment_gap, random_dataset, whole_domain_gap
+)
 
 TIGHT = FitConfig(tol=1e-10, max_sweeps=200_000)
 
@@ -167,6 +169,9 @@ class TestDivergenceGuard:
         _, report = fit(worked_dataset, [(1,), (2,)], None)
         assert report.removed_parameters == ()
 
+    # A target of 0 drops the outcomes that hold its pattern, and a target of
+    # 1 those that lack it, before the filter removes the row left constant.
+
     def test_zero_support_pattern_removed(self):
         d = TransactionDataset(entries={(0,): 5, (0, 1): 5}, n_variables=3)
         domain = mine_parameter_domain(d, 0.0, 2)
@@ -174,29 +179,30 @@ class TestDivergenceGuard:
         assert (2,) in report.removed_parameters
         assert report.converged
         assert np.all(np.isfinite(model.log_probs))
+        assert whole_domain_gap(d, list(domain), model) <= FitConfig().tol
 
     def test_full_support_pattern_removed(self):
         d = TransactionDataset(entries={(0,): 6, (0, 1): 4}, n_variables=2)
         model, report = fit(d, [(0,), (1,)])
         assert report.removed_parameters == ((0,),)
         assert report.converged
+        assert () not in model.space
+        assert whole_domain_gap(d, [(0,), (1,)], model) <= FitConfig().tol
 
     def test_all_parameters_removed_flags_report(self):
         d = TransactionDataset(entries={(0,): 10}, n_variables=1)
         model, report = fit(d, [(0,)])
         assert report.domain_emptied
         assert report.converged
+        assert model.space.outcomes == ((0,),)
         probs = np.exp(model.log_probs)
         np.testing.assert_allclose(probs, 1.0 / len(model.space), atol=1e-12)
+        assert whole_domain_gap(d, [(0,)], model) <= FitConfig().tol
 
     def test_theta_max_configurable(self, worked_dataset):
         cfg = FitConfig(theta_max=0.5, tol=1e-10, max_sweeps=20_000)
         model, report = fit(worked_dataset, [(1,), (2,)], cfg)
         assert (1,) in report.removed_parameters
-
-
-def brute_support(dataset, pattern):
-    return sum(c for x, c in dataset.entries.items() if contains(pattern, x))
 
 
 def closure_pairs(dataset, domain):
@@ -211,15 +217,6 @@ def closure_pairs(dataset, domain):
     return pairs
 
 
-def whole_domain_gap(dataset, domain, model):
-    """Largest moment gap over every pattern of ``domain``, recounted by brute force."""
-    probs = dict(zip(model.space.outcomes, np.exp(model.log_probs)))
-    return max(
-        abs(brute_support(dataset, p) / dataset.n_samples - brute_eta(probs, p))
-        for p in domain
-    )
-
-
 def close_under(rules, x):
     """``x`` with the parent of every child it holds added, until nothing changes."""
     items = set(x)
@@ -232,16 +229,18 @@ def close_under(rules, x):
 
 @st.composite
 def planted_implications(draw):
-    """Every configuration of n items, closed under planted child -> parent rules,
-    with random multiplicities: the rules are the data's only boundary."""
+    """Every configuration of n items, closed under planted child -> parent rules
+    after adding a forced item, if one is drawn, with random multiplicities:
+    the rules and the forced item are the data's only boundary."""
     n = draw(st.integers(3, 6))
     items = st.integers(0, n - 1)
     rules = draw(
         st.lists(st.tuples(items, items).filter(lambda r: r[0] != r[1]), min_size=1, max_size=3)
     )
+    forced = draw(st.sets(items, max_size=1))
     entries = {}
     for x in enumerate_patterns(n):
-        x = close_under(rules, x)
+        x = close_under(rules, tuple(forced.union(x)))
         entries[x] = entries.get(x, 0) + draw(st.integers(1, 20))
     return TransactionDataset(entries=entries, n_variables=n), draw(st.integers(2, 3))
 
@@ -300,8 +299,21 @@ class TestClosureFace:
         space = build_sample_space([(1,), (2,)], worked_dataset)
         z = incidence_matrix(space, [(1,), (2,)])
         targets = empirical_targets(worked_dataset, space, z)
-        face = fitting.closure_face(space, [(1,), (2,)], z, targets)
-        assert face[0] is space and face[2] is z and face[4] == []
+        assert fitting.ReducedSpace(space, [(1,), (2,)], z).closure(targets) is None
+        # With a pair, the face gets its own Z and the caller's stays whole.
+        d = self.implication_dataset()
+        domain = sorted(mine_parameter_domain(d, 0.0, 2), key=sort_key)
+        space = build_sample_space(domain, d)
+        z = incidence_matrix(space, domain)
+        before = z.copy()
+        face, aliases = fitting.ReducedSpace(space, domain, z).closure(
+            empirical_targets(d, space, z)
+        )
+        assert aliases.size and face.incidence.shape[1] < len(space)
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip((z.indptr, z.indices, z.data), (before.indptr, before.indices, before.data))
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(planted_implications())
@@ -310,9 +322,13 @@ class TestClosureFace:
         domain = list(mine_parameter_domain(d, 0.0, k))
         model, report = fit(d, domain)
         outcomes = set(model.space.outcomes)
-        assert set(d.entries) <= outcomes and () in outcomes
+        assert set(d.entries) <= outcomes
         assert all(any(contains(p, x) for x in outcomes) for p in model.domain)
-        assert model.log_partition == pytest.approx(-model.log_prob(()), abs=1e-12)
+        # Bottom leaves the face exactly when some item is in every transaction.
+        pinned = any(brute_support(d, (i,)) == d.n_samples for i in range(d.n_variables))
+        assert (() not in outcomes) == pinned
+        if not pinned:
+            assert model.log_partition == pytest.approx(-model.log_prob(()), abs=1e-12)
         assert report.converged
         assert whole_domain_gap(d, domain, model) <= FitConfig().tol
 
@@ -693,9 +709,11 @@ class TestLpBudget:
         return calls
 
     def test_criterion_5_space(self, lp_calls):
+        # The closure pair (1,) ⊂ (1, 2) gives the face up front.
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        _, report = fit_to_moments(space, [(1,), (1, 2)], [0.4, 0.4])
-        assert len(lp_calls) == 1 and report.converged
+        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.4, 0.4])
+        assert lp_calls == [] and report.converged
+        assert moment_gap({(1,): 0.4, (1, 2): 0.4}, model) <= FitConfig().tol
 
     def test_implication_datasets(self, lp_calls):
         implication = TestClosureFace.implication_dataset()
@@ -787,12 +805,15 @@ class TestReportMatchesModel:
             self.assert_agrees(report, targets, model.etas(), cfg.tol)
 
     def test_fit_to_moments_after_up_front_removal(self):
+        # A target of 1 on (1,) leaves (0,) and (0, 1) the same row, so they
+        # share a target; (0,) aliases there, and (1,) is constant.
         space = SampleSpace.from_patterns([(), (0,), (1,), (0, 1)])
-        given = {(0,): 0.6, (1,): 1.0, (0, 1): 0.25}
+        given = {(0,): 0.25, (1,): 1.0, (0, 1): 0.25}
         model, report = fit_to_moments(space, list(given), list(given.values()))
-        assert report.removed_parameters == ((1,),)
+        assert report.removed_parameters == ((0,), (1,))
         targets = np.array([given[p] for p in model.domain])
         self.assert_agrees(report, targets, model.etas(), FitConfig().tol)
+        assert moment_gap(given, model) <= FitConfig().tol
 
     def test_boundary_fit(self):
         d = TransactionDataset(entries={(): 6, (0, 1): 4}, n_variables=2)
@@ -834,17 +855,18 @@ class TestUpFrontFilter:
     def test_pattern_outside_space_removed_first(self):
         # No outcome contains item 3, so the row of (3,) in Z is empty and no
         # parameter reaches its interior target.  (0,) and (0, 1) ask for
-        # p((0,)) = 0, a boundary the loop removes a parameter for later.
+        # p((0,)) = 0, so the closure step drops that outcome first, and
+        # (0,) aliases (0, 1) on the face.
         space = SampleSpace.from_patterns([(), (0,), (0, 1)])
         patterns = [(0,), (3,), (0, 1)]
         targets = [0.4, 0.3, 0.4]
         model, report = fit_to_moments(space, patterns, targets)
-        assert report.removed_parameters[0] == (3,)
-        assert len(report.removed_parameters) == 2
-        assert report.converged and len(model.domain) == 1
-        # It goes before the first iteration, not through the theta_max layer.
+        assert report.removed_parameters == ((0,), (3,))
+        assert report.converged and model.domain == ((0, 1),)
+        assert moment_gap({(0,): 0.4, (0, 1): 0.4}, model) <= FitConfig().tol
+        # Both go before the first iteration, not through the theta_max layer.
         _, report = fit_to_moments(space, patterns, targets, FitConfig(max_sweeps=0))
-        assert report.removed_parameters == ((3,),) and report.iterations == 0
+        assert report.removed_parameters == ((0,), (3,)) and report.iterations == 0
 
     def test_interior_fit_drops_only_the_empty_row(self, worked_dataset):
         space = build_sample_space([(1,), (2,)], worked_dataset)
