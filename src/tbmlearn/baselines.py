@@ -237,7 +237,7 @@ def _check_rbm_budget(
     """Refuse (``ValueError``) an RBM whose dense data, chains and weights
     need more than ``RBM_MAX_BYTES``; it depends on no fitted value."""
     n = dataset.n_variables
-    dense_bytes = 8 * n * (len(dataset.entries) + config.n_chains + n_hidden)
+    dense_bytes = 8 * n * (len(dataset.csr[2]) + config.n_chains + n_hidden)
     if dense_bytes > RBM_MAX_BYTES:
         raise ValueError(
             f"the RBM needs {dense_bytes} bytes of dense arrays for {n} variables, "

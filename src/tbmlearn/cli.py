@@ -246,9 +246,9 @@ def cmd_biasvar(args) -> int:
         writer.writerow(
             [
                 i,
-                repr(report.kl_true_to_fit[i]),
-                repr(report.kl_proj_to_fit[i]),
-                repr(report.lower_bound),
+                repr(float(report.kl_true_to_fit[i])),
+                repr(float(report.kl_proj_to_fit[i])),
+                repr(float(report.lower_bound)),
             ]
         )
     _write_text(args.out, buffer.getvalue())
@@ -279,6 +279,9 @@ def cmd_compare(args) -> int:
         n_chains=args.rbm_chains,
         seed=args.seed,
     )
+
+    # Fits import scipy at first use; imported here, no learner's clock pays for it.
+    import scipy.linalg, scipy.sparse  # noqa: E401, F401
 
     start = time.perf_counter()
     domain = mine_parameter_domain(dataset, args.sigma, args.k)

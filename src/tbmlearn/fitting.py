@@ -46,7 +46,11 @@ differently, so fits (and ``fit-tbm`` files) are reproducible bit for bit
 only at a fixed BLAS thread count.  G takes ``8 |B|^2`` bytes: parameters
 that, after the up-front face step and filter below, would need more than
 ``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) are refused with
-:class:`~tbmlearn.mining.DomainSizeError` before any iteration.
+:class:`~tbmlearn.mining.DomainSizeError` before any iteration.  scipy is
+imported where it runs, at the first call of each function that needs it:
+the sparse products of G and of the face step, the Cholesky and pivoted
+Cholesky factors, and the face LP.  So importing the package, or scoring a
+model, loads none of it.
 
 Targets on the boundary of what the parameters can match have no maximizer
 over the whole space: every matching distribution gives some outcomes no
@@ -90,18 +94,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpstrf
 
 from .mining import DomainSizeError, ParameterDomain, mine_parameter_domain
 from .model import (
     GibbsModel, SampleSpace, build_sample_space, incidence_matrix, logsumexp, multiplicities
 )
 from .patterns import Pattern, TransactionDataset, compact, sort_key, take_rows
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 STEP_SHRINK = 0.5
 MIN_STEP_SIZE = 1e-16
@@ -188,6 +192,7 @@ def fisher_matrix(
     the interpreter lock.  Each row is the same sum, in the same order, as in
     the one-piece product, so the result does not depend on the workers.
     """
+    from scipy import sparse
     scaled = sparse.csr_matrix(
         (incidence.data * p[incidence.indices], incidence.indices, incidence.indptr),
         shape=incidence.shape,
@@ -219,6 +224,7 @@ def solve_fisher(g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     if rounding leaves it not positive definite, ``g`` is rebuilt from the
     other and solved by least squares.  Either solve keeps its own matrix.
     """
+    from scipy.linalg import cho_factor, cho_solve
     diag = np.diag(g) + 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
     g[np.diag_indices_from(g)] = diag
     try:
@@ -266,6 +272,7 @@ def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> np.n
     """
     if incidence.nnz > FEASIBILITY_CHECK_MAX_NNZ:
         return None
+    from scipy import sparse
     m, n_out = incidence.shape
     zeros = sparse.csr_matrix((m + 1, n_out))
     # Columns: p, tau, s.
@@ -346,6 +353,7 @@ class ReducedSpace:
         over the face, from pivoted Cholesky, counts the identifiable
         parameters, and its pivots are the basis kept.
         """
+        from scipy.linalg.lapack import dpstrf
         if keep is None or not keep.any():
             return None
         keep[0] |= self.sample_space.indptr[1] == 0  # bottom, if an outcome, stays
@@ -561,6 +569,7 @@ def _face(
     """The face step: the outcomes ``keep`` marks, as a space, Z over them,
     and the rows kept when each class of rows that coincide there keeps its
     last member.  The face's Z has its own index array and shares Z's data."""
+    from scipy import sparse
     indptr, indices = incidence.indptr, incidence.indices
     m = incidence.shape[0]
     cols = _row_of(incidence)

@@ -105,12 +105,26 @@ def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution | TransactionData
     return float(-np.dot(nonzero, np.log(nonzero)))
 
 
+def _tuple_order(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The order in which ``sorted`` puts distinct CSR rows made tuples: a
+    stable sort by each column c, last to first, of the rows longer than c,
+    behind which the rows of length c + 1 join, since an ended row sorts first."""
+    lengths = np.diff(indptr)
+    by_length = np.argsort(lengths, kind="stable")
+    starts = np.searchsorted(lengths[by_length], np.arange(lengths.max(initial=0) + 2))
+    order = by_length[:0]
+    for c in range(len(starts) - 3, -1, -1):
+        order = np.concatenate([by_length[starts[c + 1]:starts[c + 2]], order])
+        order = order[np.argsort(ids[indptr[order] + c], kind="stable")]
+    return np.concatenate([by_length[:starts[1]], order])
+
+
 def _proxy(energies: np.ndarray, dataset: TransactionDataset) -> float:
     """:func:`reconstruction_error_proxy` of the energies of the distinct
     transactions, given in ``entries`` order; the terms are taken in the
     transactions' sorted order."""
-    keys = list(dataset.entries)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    indptr, ids, _ = dataset.csr
+    order = _tuple_order(indptr, ids)
     energies = energies[order]
     if not np.all(np.isfinite(energies)):
         raise ValueError("model energies must be finite on the observed patterns")

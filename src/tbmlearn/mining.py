@@ -22,11 +22,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .patterns import Pattern, TransactionDataset, compact, extend_rows
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_DOMAIN_CAP = 10_000_000
 
@@ -95,6 +98,7 @@ def _transactions_by_items(
     distinct transactions (rows, in ``entries`` order) by those items, and
     the transactions' multiplicities.  Columns index only occurring items,
     so nothing here scales with ``n_variables``."""
+    from scipy import sparse
     indptr, ids, counts = dataset.csr
     weights = counts.astype(np.float64)
     items, cols = compact(ids)
@@ -139,6 +143,7 @@ def mine_parameter_domain(
         )
         return ParameterDomain(patterns=patterns, sigma=sigma, k=k)
 
+    from scipy import sparse
     items, data, weights = _transactions_by_items(dataset, threshold)
     postings = data.T.tocsr()
     # The frequent sets of one order, in canonical order, with their tidsets

@@ -9,7 +9,7 @@ outcome, and lacks ⊥ where some domain pattern is in every transaction.
 Probabilities are kept in log space; the log-partition value is -log p(⊥)
 in every space that holds ⊥.
 
-:func:`incidence_matrix` is the package's one count of containment; fits,
+:func:`incidence_rows` is the package's one count of containment; fits,
 supports, model loads, ``GibbsModel.eta`` and the full-cube face LP
 all read it.  A pattern's row is its prefix's row (the pattern without its
 last item) intersected with the posting of its last item, and the empty
@@ -19,8 +19,14 @@ and kept by pattern, so a domain closed under prefixes, as a mined one is,
 pays one intersection per row instead of one per item; each intersection
 filters the prefix's row through its item's posting, marked once per item
 (:func:`patterns.extend_rows`, which mining shares).  The postings,
-``SampleSpace.item_rows``, are the space's CSR transpose, built once per
-space.
+``SampleSpace.item_rows``, are the outcomes of each item column, sorted out
+of the space's rows by numpy once per space.
+
+Z's CSR arrays are the package's own, and loading or scoring a model runs
+on them with numpy alone.  :func:`incidence_matrix` wraps them in scipy's
+sparse matrix for the sparse products of fitting, supports and
+expectations; it, and ``GibbsModel.incidence``, import scipy at first use,
+so neither ``import tbmlearn`` nor ``tbmlearn eval`` loads it.
 
 A :class:`SampleSpace` holds its outcomes as CSR arrays over compact item
 columns, sorted and deduplicated by :func:`patterns.canonical_ranks`, so
@@ -37,10 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .patterns import (
     BOTTOM,
@@ -54,6 +59,11 @@ from .patterns import (
     split_rows,
     take_rows,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+_SUM_ROWS = 1 << 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +108,16 @@ class SampleSpace:
     def item_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, positions)``: the space transposed, item column c holding
         the sorted int32 positions of the outcomes that contain ``items[c]``.
-        These are the postings :func:`incidence_matrix` filters by."""
-        ones = np.ones(self.indices.size, dtype=bool)
-        shape = (len(self), len(self.items))
-        transposed = sparse.csr_matrix((ones, self.indices, self.indptr), shape=shape).tocsc()
-        return transposed.indptr, transposed.indices
+        These are the postings :func:`incidence_rows` filters by.  A stable
+        sort of the columns keeps each column's outcomes in order; keyed on
+        the smallest unsigned type that holds every column, it is numpy's
+        radix sort for up to 2^16 items."""
+        n_items = len(self.items)
+        order = np.argsort(self.indices.astype(np.min_scalar_type(n_items)), kind="stable")
+        rows = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.indptr))
+        indptr = np.zeros(n_items + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=n_items), out=indptr[1:])
+        return indptr, rows[order]
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -178,15 +193,18 @@ def logsumexp(x: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(count) + top)
 
 
-def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.csr_matrix:
-    """Sparse 0/1 matrix with rows indexed by ``patterns``, columns by outcomes.
+def incidence_rows(
+    space: SampleSpace, patterns: Sequence[Pattern]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays ``(indptr, indices)`` of Z: row j holds, in increasing
+    order, the int32 positions of the outcomes that contain ``patterns[j]``.
 
-    Entry (j, i) is one iff outcome i contains pattern j.  Built by the prefix
-    recurrence of the module docstring, one level of pattern length at a
-    time, starting from the postings as the rows of single items; a prefix
-    missing from ``patterns`` is built on the way.  Each level extends its
-    prefixes' rows through :func:`patterns.extend_rows`.  The cost never
-    depends on the size of the variable universe.
+    Built by the prefix recurrence of the module docstring, one level of
+    pattern length at a time, starting from the postings as the rows of
+    single items; a prefix missing from ``patterns`` is built on the way.
+    Each level extends its prefixes' rows through
+    :func:`patterns.extend_rows`.  The cost never depends on the size of the
+    variable universe.
     """
     column = dict(zip(space.items.tolist(), range(len(space.items))))
     posting_indptr, postings = space.item_rows
@@ -223,10 +241,20 @@ def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.
     indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
     np.cumsum([cols.size for cols in chosen], out=indptr[1:])
     indices = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int32)
+    return indptr, indices
+
+
+def _csr(indptr: np.ndarray, indices: np.ndarray, n_outcomes: int) -> sparse.csr_matrix:
+    """Z's arrays as scipy's sparse 0/1 matrix, which loads scipy at its first call."""
+    from scipy import sparse
     data = np.ones(len(indices), dtype=np.float64)
-    return sparse.csr_matrix(
-        (data, indices, indptr), shape=(len(patterns), len(space))
-    )
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_outcomes))
+
+
+def incidence_matrix(space: SampleSpace, patterns: Sequence[Pattern]) -> sparse.csr_matrix:
+    """Sparse 0/1 matrix with rows indexed by ``patterns``, columns by outcomes:
+    entry (j, i) is one iff outcome i contains pattern j (:func:`incidence_rows`)."""
+    return _csr(*incidence_rows(space, patterns), len(space))
 
 
 def multiplicities(space: SampleSpace, dataset: TransactionDataset) -> np.ndarray:
@@ -249,6 +277,13 @@ class GibbsModel:
     The log-probability of an outcome is the sum of the parameters of its
     contained domain patterns minus the log-partition value, so the empty
     pattern, if an outcome, carries probability ``exp(-log_partition)``.
+
+    The model holds Z as its CSR arrays, ``incidence_rows``, and adds each
+    outcome's parameters with ``np.add.at`` in Z's row order from 0.0, as
+    scipy's ``Z^T θ`` does, so scoring a loaded model loads no scipy.  It
+    adds ``_SUM_ROWS`` rows of Z at a time, so no array the size of Z is
+    made.  ``incidence``, scipy's matrix of those arrays, is built at first
+    use unless the fit that made the model hands its own over.
     """
 
     def __init__(
@@ -267,15 +302,26 @@ class GibbsModel:
         if not len(space):
             raise ValueError("the sample space has no outcome")
         if incidence is None:
-            incidence = incidence_matrix(space, domain)
+            self.incidence_rows = incidence_rows(space, domain)
+        else:
+            self.incidence_rows = (incidence.indptr, incidence.indices)
+            self.__dict__["incidence"] = incidence
         self.space = space
         self.domain = domain
         self.theta = theta
-        self.incidence = incidence
-        raw = incidence.T.dot(theta) if len(domain) else np.zeros(len(space))
+        indptr, indices = self.incidence_rows
+        raw = np.zeros(len(space))
+        for a in range(0, len(domain), _SUM_ROWS):
+            b = min(a + _SUM_ROWS, len(domain))
+            terms = np.repeat(theta[a:b], np.diff(indptr[a:b + 1]))
+            np.add.at(raw, indices[indptr[a]:indptr[b]], terms)
         self.log_partition = logsumexp(raw)
         self.log_probs = raw - self.log_partition
         self._etas: np.ndarray | None = None
+
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        return _csr(*self.incidence_rows, len(self.space))
 
     @property
     def theta_map(self) -> dict[Pattern, float]:

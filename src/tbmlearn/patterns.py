@@ -227,7 +227,9 @@ class TransactionDataset:
 
     ``entries`` maps each distinct canonical pattern to its positive integer
     multiplicity; ``n_samples`` is the multiset size N.  ``csr`` holds the
-    same transactions as arrays, in ``entries`` order.
+    same transactions as arrays, in ``entries`` order.  A dataset built from
+    its arrays, as the parser builds one, makes ``entries`` from them at
+    first use.
     """
 
     entries: dict[Pattern, int]
@@ -245,7 +247,7 @@ class TransactionDataset:
         )
         if not fast:
             self._check_each()
-        total = sum(self.entries.values())
+        total = sum(counts.tolist())
         if total < 1:
             raise ValueError("dataset must contain at least one transaction")
         object.__setattr__(self, "n_samples", total)
@@ -279,11 +281,20 @@ class TransactionDataset:
         counts[:] = mults
         return indptr, ids, counts
 
+    def __getattr__(self, name: str):
+        # Reached for ``entries`` only until it is made.
+        if name != "entries":
+            raise AttributeError(name)
+        indptr, ids, counts = self.csr
+        items, cols = compact(ids)
+        entries = dict(zip(split_rows(items, indptr, cols), counts.tolist()))
+        object.__setattr__(self, "entries", entries)
+        return entries
+
     @classmethod
-    def _from_csr(cls, entries, n_variables, csr) -> "TransactionDataset":
-        """A dataset whose arrays were built with its entries, as the parser does."""
+    def _from_csr(cls, n_variables, csr) -> "TransactionDataset":
+        """A dataset of the arrays ``csr`` alone, as the parser builds one."""
         dataset = cls.__new__(cls)
-        object.__setattr__(dataset, "entries", entries)
         object.__setattr__(dataset, "n_variables", n_variables)
         dataset.__dict__["csr"] = csr
         dataset.__post_init__()
@@ -316,7 +327,7 @@ class TransactionDataset:
         """Same data embedded in a (larger) variable universe."""
         if n_variables < self.n_variables:
             raise ValueError("cannot shrink the variable universe")
-        return TransactionDataset._from_csr(dict(self.entries), n_variables, self.csr)
+        return TransactionDataset._from_csr(n_variables, self.csr)
 
 
 @dataclass(frozen=True)
@@ -423,11 +434,8 @@ def _scan_fimi(data: bytes, empty_as_bottom: bool) -> TransactionDataset | None:
     counts = np.bincount(rank)
     appear = np.argsort(firsts)
     indptr, values = take_rows(indptr, values, firsts[appear])
-    counts = counts[appear]
-    items, cols = compact(values)
-    entries = dict(zip(split_rows(items, indptr, cols), counts.tolist()))
-    n_variables = int(items[-1]) + 1 if items.size else 0
-    return TransactionDataset._from_csr(entries, n_variables, (indptr, values, counts))
+    n_variables = int(values.max()) + 1 if values.size else 0
+    return TransactionDataset._from_csr(n_variables, (indptr, values, counts[appear]))
 
 
 def _read_fimi(text: str | bytes, empty_as_bottom: bool) -> TransactionDataset:

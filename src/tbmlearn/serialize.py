@@ -132,7 +132,7 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
         # A fit on a face keeps patterns that are not outcomes themselves,
         # but each one lies in some outcome: its row of Z is not empty.
         model = GibbsModel(space, domain, theta)
-        empty = np.flatnonzero(np.diff(model.incidence.indptr) == 0)
+        empty = np.flatnonzero(np.diff(model.incidence_rows[0]) == 0)
         if empty.size:
             raise ValueError(f"domain pattern {domain[empty[0]]} lies in no outcome")
         return model, report, meta

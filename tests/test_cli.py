@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -464,6 +467,28 @@ class TestFaces:
         assert scored.read_text() == (data / "worked_bm_schema1_eval.json").read_text()
 
 
+    @pytest.mark.parametrize("kind", ["tbm", "bm"])
+    def test_eval_loads_no_scipy(self, kind, worked_file, tmp_path):
+        # Scoring needs Z^T theta over the model's own outcomes, or the full
+        # cube's sums: no sparse algebra, so eval in a fresh interpreter
+        # loads no scipy module and still writes the earlier release's bytes.
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "eval.json"
+        code = (
+            "import sys; from tbmlearn import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        argv = ["eval", "--model", data / f"worked_{kind}_schema1.json", "--input", worked_file,
+                "--empty-transactions", "bottom", "--out", out]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["0", "[]"]
+        assert out.read_text() == (data / f"worked_{kind}_schema1_eval.json").read_text()
+
+
 class TestSynthAndBiasvar:
     def test_synth_outputs(self, tmp_path):
         out = tmp_path / "data.fimi"
@@ -517,6 +542,9 @@ class TestSynthAndBiasvar:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["trial", "kl_true_to_fit", "kl_proj_to_fit", "bound"]
         assert len(rows) == 5
+        # Every cell is a plain number, not the repr of a numpy scalar.
+        values = [[float(cell) for cell in row] for row in rows[1:]]
+        assert [row[0] for row in values] == [0, 1, 2, 3]
         summary = json.loads(capsys.readouterr().out)
         assert summary["trials"] == 4
         assert summary["lower_bound"] > 0

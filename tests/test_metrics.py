@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbmlearn import (
     EmpiricalDistribution,
@@ -18,7 +20,9 @@ from tbmlearn import (
     reconstruction_error_proxy,
 )
 from tbmlearn.fitting import empirical_targets
+from tbmlearn.metrics import _tuple_order
 from tbmlearn.model import build_sample_space, incidence_matrix
+from tbmlearn.patterns import flatten
 
 from conftest import WORKED_ENTROPY, WORKED_KL
 from oracles import random_dataset
@@ -161,6 +165,20 @@ class TestArrayScoring:
             p_hat = EmpiricalDistribution.from_dataset(d)
             assert kl_divergence(p_hat, model) == kl
             assert entropy(d) == entropy(p_hat)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sets(st.frozensets(st.integers(0, 9) | st.integers(2**63, 2**63 + 2), max_size=6),
+                max_size=30),
+        st.randoms(use_true_random=False),
+    )
+    def test_proxy_order_is_sorted_order(self, rows, rnd):
+        # The proxy sums its terms in the order sorted() gives the patterns,
+        # read from the CSR rows, identifiers past int64 included.
+        patterns = [tuple(sorted(r)) for r in rows]
+        rnd.shuffle(patterns)
+        want = sorted(range(len(patterns)), key=patterns.__getitem__)
+        assert _tuple_order(*flatten(patterns)).tolist() == want
 
 
 class TestNestedDomainMonotonicity:

@@ -2,13 +2,16 @@
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbmlearn.model
 from tbmlearn import (
     GibbsModel,
     SampleSpace,
@@ -187,6 +190,58 @@ class TestIncidenceMatrix:
         space = SampleSpace.from_patterns([(), (1,), (1, 2)])
         z = incidence_matrix(space, [(9,)])
         assert z.nnz == 0
+
+
+class TestScoringWithoutScipy:
+    """The postings and the model's energies, computed with numpy alone,
+    against scipy's transpose and product, bit for bit."""
+
+    @staticmethod
+    def assert_scipy_transpose(space):
+        ones = np.ones(space.indices.size, dtype=bool)
+        shape = (len(space), len(space.items))
+        want = sparse.csr_matrix((ones, space.indices, space.indptr), shape=shape).tocsc()
+        indptr, positions = space.item_rows
+        assert np.array_equal(indptr, want.indptr)
+        assert np.array_equal(positions, want.indices) and positions.dtype == np.int32
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 300), max_size=6), max_size=40))
+    def test_item_rows_equal_scipy_transpose(self, outcomes):
+        self.assert_scipy_transpose(SampleSpace.from_patterns(canonicalize(x) for x in outcomes))
+
+    def test_item_rows_above_2_16_items(self):
+        # Past 2^16 columns the sort keys are uint32, which numpy does not
+        # radix-sort.
+        rng = np.random.default_rng(4)
+        rows = np.sort(rng.choice(300_000, size=(40_000, 4)), axis=1)
+        rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
+        indptr = np.arange(0, rows.size + 1, 4, dtype=np.int64)
+        space = SampleSpace.from_rows(indptr, rows.ravel())
+        assert len(space.items) > 2**16
+        self.assert_scipy_transpose(space)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=15),
+        st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=3), max_size=12,
+                 unique_by=frozenset),
+        st.data(),
+    )
+    def test_log_probs_equal_scipy_product(self, outcomes, patterns, data):
+        # Blocks of 3 rows put block bounds inside these small domains.
+        space = SampleSpace.from_patterns([()] + [canonicalize(x) for x in outcomes])
+        domain = sorted((canonicalize(p) for p in patterns), key=sort_key)
+        theta = np.array(data.draw(st.lists(
+            st.floats(-30.0, 30.0), min_size=len(domain), max_size=len(domain))))
+        raw = (incidence_matrix(space, domain).T.dot(theta) if domain
+               else np.zeros(len(space)))
+        want = raw - logsumexp(raw)
+        for rows in (3, tbmlearn.model._SUM_ROWS):
+            with mock.patch.object(tbmlearn.model, "_SUM_ROWS", rows):
+                model = GibbsModel(space, domain, theta)
+            assert model.log_probs.tobytes() == want.tobytes()
+            assert model.log_partition == logsumexp(raw)
 
 
 class TestGibbsModel:
