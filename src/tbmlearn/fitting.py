@@ -36,12 +36,21 @@ A trial from a reused factor must raise the log-likelihood strictly;
 otherwise G is built at the same point and the full step is tried from it,
 since a stale factor near float resolution can make plateau steps forever.
 
-Over the reduced space G is one sparse product ``Z diag(p) Z^T``, built in
-blocks of rows on a thread pool with one worker per usable core, and
-factored by Cholesky.  Every row of G is the same sum, in the same order, as
-in the serial product, so G does not depend on the core count, and it is
-symmetric bit for bit as built (Z's rows have sorted indices and 0/1 data).
-The Cholesky solve runs in the BLAS, whose threads split its sums
+Over the reduced space G is ``Z diag(p) Z^T``, built from a transpose of Z
+that :class:`ReducedSpace` makes at its first Fisher step.  While the
+dense ``n_outcomes x |B|`` transpose needs at most ``FISHER_DENSE_BYTES``
+(256 KiB; a bias-variance trial's needs 32 KB), it is kept dense and G is
+one product ``Z @ (p[:, None] * Z^T)`` in the calling thread, so a small
+build costs its arithmetic rather than a sparse product's set-up.  Above
+the limit a dense transpose of a sparse Z costs more than it saves, so
+Z^T is kept in CSR form and G is one sparse product, built in blocks of
+rows on a thread pool with one worker per usable core.  Either way each
+entry of G adds the same terms p_x, over the outcomes x that both rows
+hold, in ascending x, as the serial sparse product does; the dense form
+only adds exact zeros besides (Z's rows have sorted indices and 0/1 data).
+So G has the same bits in either form and at any core count, and it is
+symmetric bit for bit as built.  LAPACK's Cholesky (``dpotrf``) factors
+it.  The solve runs in the BLAS, whose threads split its sums
 differently, so fits (and ``fit-tbm`` files) are reproducible bit for bit
 only at a fixed BLAS thread count.  G takes ``8 |B|^2`` bytes: parameters
 that, after the up-front face step and filter below, would need more than
@@ -115,6 +124,7 @@ DRIFT_STEP = 0.5
 ACCEPT_SLACK = 1e-14
 FISHER_BLOCK_ROWS = 64
 FISHER_MAX_BYTES = 256 << 20
+FISHER_DENSE_BYTES = 256 << 10
 CHORD_RATIO = 0.5
 
 
@@ -179,19 +189,23 @@ class FitReport:
 
 def fisher_matrix(
     incidence: sparse.csr_matrix,
-    rows_of: sparse.csr_matrix,
+    rows_of: sparse.csr_matrix | np.ndarray,
     p: np.ndarray,
     etas: np.ndarray,
 ) -> np.ndarray:
     """Covariance of the containment indicators under the probabilities ``p``.
 
     Entry (s, u) is ``sum_x Z[s, x] p[x] Z[u, x] - etas[s] etas[u]``, with
-    ``rows_of`` the transpose of ``incidence`` in CSR form.  Blocks of
-    ``FISHER_BLOCK_ROWS`` rows are filled concurrently, the first in the
-    calling thread and the rest on the pool; scipy's sparse product releases
-    the interpreter lock.  Each row is the same sum, in the same order, as in
-    the one-piece product, so the result does not depend on the workers.
+    ``rows_of`` the transpose of ``incidence``, dense or in CSR form.  A
+    dense transpose makes G one product ``Z @ (p[:, None] * Z^T)`` in the
+    calling thread.  Otherwise blocks of ``FISHER_BLOCK_ROWS`` rows are
+    filled concurrently, the first in the calling thread and the rest on
+    the pool; scipy's sparse product releases the interpreter lock.  Both
+    forms add the same terms in the same order as the one-piece sparse
+    product, so the result depends on neither the form nor the workers.
     """
+    if isinstance(rows_of, np.ndarray):
+        return incidence @ (p[:, None] * rows_of) - np.outer(etas, etas)
     from scipy import sparse
     scaled = sparse.csr_matrix(
         (incidence.data * p[incidence.indices], incidence.indices, incidence.indptr),
@@ -220,28 +234,29 @@ def solve_fisher(g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     ``residual -> G^-1 residual``.
 
     The diagonal is lightly regularized so that collinear parameters cannot
-    blow the solve up.  The Cholesky factor overwrites one triangle of ``g``;
-    if rounding leaves it not positive definite, ``g`` is rebuilt from the
-    other and solved by least squares.  Either solve keeps its own matrix.
+    blow the solve up.  LAPACK's ``dpotrf`` and ``dpotrs``, the routines
+    behind scipy's ``cho_factor`` and ``cho_solve``, are called directly:
+    the Cholesky factor overwrites one triangle of ``g``, and if rounding
+    leaves it not positive definite, ``g`` is rebuilt from the other and
+    solved by least squares.  Either solve keeps its own matrix.
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrf, dpotrs
     diag = np.diag(g) + 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
     g[np.diag_indices_from(g)] = diag
-    try:
-        # g.T is in Fortran order, so LAPACK factors it where it lies, in
-        # the lower triangle of g.
-        factor = cho_factor(g.T, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    # g.T is in Fortran order, so LAPACK factors it where it lies, in the
+    # lower triangle of g.
+    factor, info = dpotrf(g.T, lower=0, overwrite_a=1, clean=0)
+    if info:
         g = np.triu(g, 1)
         g += g.T
         g[np.diag_indices_from(g)] = diag
         return lambda residual: np.linalg.lstsq(g, residual, rcond=None)[0]
-    return lambda residual: cho_solve(factor, residual, check_finite=False)
+    return lambda residual: dpotrs(factor, residual, lower=0)[0]
 
 
 def natural_direction(
     incidence: sparse.csr_matrix,
-    rows_of: sparse.csr_matrix,
+    rows_of: sparse.csr_matrix | np.ndarray,
     log_probs: np.ndarray,
     etas: np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -303,7 +318,7 @@ class ReducedSpace:
         self.patterns = list(patterns)
         self.incidence = incidence
         self._transposed = incidence.T
-        self._rows_of = None  # the transpose as CSR, built at the first Fisher step
+        self._rows_of = None  # the transpose, dense or CSR, built at the first Fisher step
         self.step_cost = 2 * incidence.nnz + incidence.shape[1]
         self.fisher_cost = incidence.nnz
 
@@ -317,7 +332,9 @@ class ReducedSpace:
 
     def fisher_solve(self, log_probs, etas) -> Callable[[np.ndarray], np.ndarray]:
         if self._rows_of is None:
-            self._rows_of = self._transposed.tocsr()
+            m, n_out = self.incidence.shape
+            dense = 8 * m * n_out <= FISHER_DENSE_BYTES
+            self._rows_of = self._transposed.toarray() if dense else self._transposed.tocsr()
         return natural_direction(self.incidence, self._rows_of, log_probs, etas)
 
     def closure(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:

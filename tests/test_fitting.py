@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
 
 from tbmlearn import (
     DomainSizeError,
@@ -376,7 +377,8 @@ class TestInputOrder:
 
 
 class TestFisherMatrix:
-    """The row-blocked Fisher build equals the one-piece product, bit for bit."""
+    """The Fisher build equals the one-piece sparse product, bit for bit, from
+    a dense transpose and from a row-blocked CSR one."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -384,18 +386,22 @@ class TestFisherMatrix:
         n=st.integers(1, 150),
         density=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
+        dense=st.booleans(),
     )
-    @example(m=1, n=5, density=0.5, seed=0)
-    @example(m=64, n=90, density=0.3, seed=1)
-    @example(m=129, n=150, density=0.2, seed=2)
-    def test_equals_serial_product(self, m, n, density, seed):
+    @example(m=1, n=5, density=0.5, seed=0, dense=False)
+    @example(m=1, n=5, density=0.5, seed=0, dense=True)
+    @example(m=64, n=90, density=0.3, seed=1, dense=False)
+    @example(m=64, n=90, density=0.3, seed=1, dense=True)
+    @example(m=129, n=150, density=0.2, seed=2, dense=False)
+    @example(m=129, n=150, density=0.2, seed=2, dense=True)
+    def test_equals_serial_product(self, m, n, density, seed, dense):
         rng = np.random.default_rng(seed)
         z = sparse.csr_matrix((rng.random((m, n)) < density).astype(np.float64))
         p = rng.dirichlet(np.ones(n))
         etas = z.dot(p)
         g = (z.multiply(p)).dot(z.T).toarray() - np.outer(etas, etas)
         expected = 0.5 * (g + g.T)
-        got = fisher_matrix(z, z.T.tocsr(), p, etas)
+        got = fisher_matrix(z, z.T.toarray() if dense else z.T.tocsr(), p, etas)
         assert got.tobytes() == expected.tobytes()
         assert np.array_equal(got, got.T)
 
@@ -414,9 +420,22 @@ class TestSolveFisher:
         want = np.linalg.lstsq(expected, residual, rcond=None)[0]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 7, 80])
+    def test_cholesky_solve_equals_scipys(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        g = a @ a.T + n * np.eye(n)
+        residual = rng.normal(size=n)
+        regularized = g.copy()
+        regularized[np.diag_indices_from(g)] += 1e-12 * np.max(np.diag(g))
+        want = cho_solve(cho_factor(regularized.T, overwrite_a=True, check_finite=False), residual)
+        got = fitting.solve_fisher(g)(residual)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFisherSteps:
-    """Fits that take Fisher steps do not depend on the pool's worker count."""
+    """Fits that take Fisher steps depend neither on the pool's worker count
+    nor on the form of Z's transpose."""
 
     @staticmethod
     def counted_fit(monkeypatch, dataset, cfg, k=2):
@@ -433,6 +452,7 @@ class TestFisherSteps:
         return model, report, calls
 
     def fit_by_worker_count(self, monkeypatch, dataset, cfg, k=2):
+        monkeypatch.setattr(fitting, "FISHER_DENSE_BYTES", 0)  # the pooled form
         fits = []
         for workers in (1, 4):
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -463,6 +483,7 @@ class TestFisherSteps:
         assert sorted(set(calls)) == [24, 25]
 
     def test_one_block_fisher_steps_start_no_pool(self, monkeypatch, worked_dataset):
+        monkeypatch.setattr(fitting, "FISHER_DENSE_BYTES", 0)
         monkeypatch.setattr(fitting, "_fisher_pool", None)
         before = threading.active_count()
         _, report, calls = self.counted_fit(monkeypatch, worked_dataset, TIGHT)
@@ -470,6 +491,50 @@ class TestFisherSteps:
         assert max(calls) <= fitting.FISHER_BLOCK_ROWS
         assert threading.active_count() == before
         assert fitting._fisher_pool is None
+
+    @staticmethod
+    def assert_same_by_form(monkeypatch, run):
+        """``run()`` gives the same (model, report) with the dense transpose
+        refused and at its default limit, and each runs in its own form."""
+        fits = []
+        for limit in (0, fitting.FISHER_DENSE_BYTES):
+            forms = []
+            original = fitting.natural_direction
+
+            def counting(*args):
+                forms.append(type(args[1]))
+                return original(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(fitting, "FISHER_DENSE_BYTES", limit)
+                patch.setattr(fitting, "natural_direction", counting)
+                model, report = run()
+            fits.append((model, report, forms))
+        (model, report, forms), (other, other_report, other_forms) = fits
+        assert report.converged
+        assert forms and set(forms) == {sparse.csr_matrix}
+        assert other_forms == [np.ndarray] * len(forms)
+        assert other.theta.tobytes() == model.theta.tobytes()
+        assert other.log_probs.tobytes() == model.log_probs.tobytes()
+        assert other_report == report
+
+    def test_dense_transpose_leaves_worked_fit_unchanged(self, monkeypatch, worked_dataset):
+        self.assert_same_by_form(monkeypatch, lambda: fit_tbm(worked_dataset, 0.0, 2, TIGHT)[:2])
+
+    def test_dense_transpose_leaves_biasvar_sized_fit_unchanged(self, monkeypatch):
+        # The bias-variance harness's scale: 200 outcomes and bottom over 20
+        # variables, the 20 singletons and 10 pairs, and the moments of a
+        # strictly positive distribution.
+        rng = np.random.default_rng(7)
+        masks = rng.choice(1 << 20, size=200, replace=False)
+        outcomes = {tuple(i for i in range(20) if mask >> i & 1) for mask in masks.tolist()}
+        space = SampleSpace.from_patterns(outcomes | {()})
+        patterns = [(i,) for i in range(20)] + [(i, i + 1) for i in range(0, 20, 2)]
+        p = rng.uniform(0.1, 1.0, size=len(space))
+        targets = incidence_matrix(space, patterns).dot(p / p.sum())
+        self.assert_same_by_form(
+            monkeypatch, lambda: fit_to_moments(space, patterns, targets, TIGHT)
+        )
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_with_a_fresh_pool(self):
