@@ -26,7 +26,9 @@ from .fitting import (
 )
 from .mining import ParameterDomain
 from .model import GibbsModel, SampleSpace, incidence_matrix, logsumexp, supports
-from .patterns import Pattern, TransactionDataset, row_pattern, sort_key
+from .patterns import (
+    Pattern, TransactionDataset, flatten, is_canonical, row_pattern, rows_are_canonical, sort_key,
+)
 
 FULL_BM_MAX_VARIABLES = 25
 RBM_INIT_SCALE = 0.01
@@ -65,23 +67,26 @@ class FullBMModel:
     log_partition: float
     log_probs: np.ndarray
 
+    def _masks(self, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The bitmask of each CSR row ``(indptr, ids)``: the difference of the
+        running sum of ``1 << id`` across its bounds.  ``ValueError`` names the
+        first row that is not a canonical pattern over the machine's variables."""
+        if not (rows_are_canonical(indptr, ids) and ids.max(initial=-1) < self.n_variables):
+            for row in range(len(indptr) - 1):
+                x = row_pattern(indptr, ids, row)
+                if not is_canonical(x):
+                    raise ValueError(f"non-canonical pattern {x}")
+                if x and x[-1] >= self.n_variables:
+                    raise ValueError(f"pattern {x} exceeds {self.n_variables} variables")
+        running = np.cumsum(np.append(0, np.left_shift(1, ids.astype(np.int64))))
+        return running[indptr[1:]] - running[indptr[:-1]]
+
     def log_prob(self, x: Pattern) -> float:
-        if x and x[-1] >= self.n_variables:
-            raise ValueError(f"pattern {x} exceeds {self.n_variables} variables")
-        return float(self.log_probs[pattern_bitmask(x)])
+        return float(self.log_probs_of_rows(*flatten([x]))[0])
 
     def log_probs_of_rows(self, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """:meth:`log_prob` of each CSR row ``(indptr, ids)`` of canonical
-        patterns, through the rows' bitmasks: a row's mask is the difference
-        of the running sum of ``1 << id`` across its bounds."""
-        outside = np.flatnonzero(ids >= self.n_variables)
-        if outside.size:
-            row = int(np.searchsorted(indptr, outside[0], side="right")) - 1
-            raise ValueError(
-                f"pattern {row_pattern(indptr, ids, row)} exceeds {self.n_variables} variables"
-            )
-        running = np.cumsum(np.append(0, np.left_shift(1, ids.astype(np.int64))))
-        return self.log_probs[running[indptr[1:]] - running[indptr[:-1]]]
+        """:meth:`log_prob` of each CSR row ``(indptr, ids)``, through the rows' bitmasks."""
+        return self.log_probs[self._masks(indptr, ids)]
 
     def prob(self, x: Pattern) -> float:
         return float(np.exp(self.log_prob(x)))
@@ -94,7 +99,7 @@ class FullBMModel:
 
     def eta(self, x: Pattern) -> float:
         sup = superset_sums(np.exp(self.log_probs), self.n_variables)
-        return float(sup[pattern_bitmask(x)])
+        return float(sup[self._masks(*flatten([x]))[0]])
 
 
 class FullCube:

@@ -242,14 +242,14 @@ def solve_fisher(g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """
     from scipy.linalg.lapack import dpotrf, dpotrs
     diag = np.diag(g) + 1e-12 * max(float(np.max(np.diag(g))), 1e-30)
-    g[np.diag_indices_from(g)] = diag
+    g.flat[::len(g) + 1] = diag
     # g.T is in Fortran order, so LAPACK factors it where it lies, in the
     # lower triangle of g.
     factor, info = dpotrf(g.T, lower=0, overwrite_a=1, clean=0)
     if info:
         g = np.triu(g, 1)
         g += g.T
-        g[np.diag_indices_from(g)] = diag
+        g.flat[::len(g) + 1] = diag
         return lambda residual: np.linalg.lstsq(g, residual, rcond=None)[0]
     return lambda residual: dpotrs(factor, residual, lower=0)[0]
 

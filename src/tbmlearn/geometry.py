@@ -8,6 +8,7 @@ with respect to parameters.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,8 +78,7 @@ def pythagorean_residual(
             raise ValueError(f"pattern {x} is outside the shared sample space")
     kl_data_q = kl_divergence(ref, q)
     kl_data_fit = kl_divergence(ref, p_mle)
-    p = np.exp(p_mle.log_probs)
-    kl_fit_q = float(np.dot(p, p_mle.log_probs - q.log_probs))
+    kl_fit_q = math.fsum(np.exp(p_mle.log_probs) * (p_mle.log_probs - q.log_probs))
     return abs(kl_data_q - kl_data_fit - kl_fit_q)
 
 

@@ -11,13 +11,16 @@ and the empty pattern) grows with the interaction order k, and with it the
 mass held outside D, so proxies at different k are not the exact
 divergences shifted by one constant.
 
-A Gibbs model, transductive or full BM, is scored on one array path: its
-``log_probs_of_rows`` gives the log-probabilities of a dataset's distinct
-CSR rows, in ``entries`` order, and the divergence, log-likelihood and proxy
-sum terms of those arrays.  The sums run left to right
-(:func:`model.left_sum`), term by term as a loop over patterns adds them, so
-the results do not depend on whether a value was looked up once per pattern
-or for all rows at once.  :func:`reconstruction_error_proxy` scores a
+Every score is an exactly rounded sum of its terms, ``math.fsum``
+(Shewchuk, Discrete Comput. Geom. 1997), and each term is computed from
+its own pattern alone, so a score depends on neither the order of the
+patterns, as a dataset read from its lines in another order has them, nor
+the BLAS threads.  A Gibbs model, transductive or full BM, is scored on one
+array path: its ``log_probs_of_rows`` gives the log-probabilities of a
+dataset's distinct CSR rows, and the divergence, log-likelihood and proxy
+take their terms from those, in log space.  The proxy normalizes by an
+exact log-sum-exp: the largest term plus the log of the ``fsum`` of the
+shifted exponentials.  :func:`reconstruction_error_proxy` scores a
 per-pattern energy function, as an RBM's free energy, one pattern at a time;
 a Gibbs model's proxy is :func:`evaluate_gibbs`'s ``proxy_error``.
 """
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .baselines import FullBMModel
-from .model import GibbsModel, left_sum, logsumexp
-from .patterns import EmpiricalDistribution, Pattern, TransactionDataset, flatten, row_pattern
+from .model import GibbsModel
+from .patterns import EmpiricalDistribution, Pattern, TransactionDataset, flatten
 
 
 @dataclass(frozen=True)
@@ -55,26 +57,9 @@ def _frequencies(dataset: TransactionDataset) -> np.ndarray:
     return dataset.csr[2].astype(np.float64) / dataset.n_samples
 
 
-def _ratio_divergence(w: np.ndarray, q: np.ndarray, pattern: Callable[[int], Pattern]) -> float:
-    """The sum of ``w log(w / q)``; ``pattern(i)`` names term i if its ``q`` is not positive."""
-    zero = np.flatnonzero(q <= 0.0)
-    if zero.size:
-        raise ValueError(f"model assigns zero probability to observed pattern {pattern(zero[0])}")
-    return left_sum(w * np.log(w / q))
-
-
-def _model_divergence(
-    model: GibbsModel | FullBMModel,
-    w: np.ndarray,
-    log_q: np.ndarray,
-    pattern: Callable[[int], Pattern],
-) -> float:
-    """Divergence from weights ``w`` to a model whose log-probabilities there
-    are ``log_q``: in log space for a transductive model, as a ratio of
-    probabilities for the full BM."""
-    if isinstance(model, GibbsModel):
-        return left_sum(w * (np.log(w) - log_q))
-    return _ratio_divergence(w, np.exp(log_q), pattern)
+def _divergence(w: np.ndarray, log_q: np.ndarray) -> float:
+    """The sum of ``w (log w - log_q)``."""
+    return math.fsum(w * (np.log(w) - log_q))
 
 
 def kl_divergence(
@@ -85,15 +70,18 @@ def kl_divergence(
     ref = _prob_items(p_hat)
     support = [x for x, w in ref.items() if w != 0.0]
     w = np.array([ref[x] for x in support], dtype=np.float64)
-    if isinstance(p, Mapping):
-        q = np.array([p.get(x, 0.0) for x in support], dtype=np.float64)
-        return _ratio_divergence(w, q, support.__getitem__)
-    return _model_divergence(p, w, p.log_probs_of_rows(*flatten(support)), support.__getitem__)
+    if not isinstance(p, Mapping):
+        return _divergence(w, p.log_probs_of_rows(*flatten(support)))
+    q = np.array([p.get(x, 0.0) for x in support], dtype=np.float64)
+    zero = np.flatnonzero(q <= 0.0)
+    if zero.size:
+        raise ValueError(f"model assigns zero probability to observed pattern {support[zero[0]]}")
+    return _divergence(w, np.log(q))
 
 
 def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution | TransactionDataset) -> float:
     """Shannon entropy in nats, with 0 log 0 taken as 0; a dataset's is
-    that of its frequencies, in ``entries`` order."""
+    that of its frequencies."""
     if isinstance(p, TransactionDataset):
         values = _frequencies(p)
     else:
@@ -102,35 +90,19 @@ def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution | TransactionData
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     nonzero = values[values > 0]
-    return float(-np.dot(nonzero, np.log(nonzero)))
-
-
-def _tuple_order(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The order in which ``sorted`` puts distinct CSR rows made tuples: a
-    stable sort by each column c, last to first, of the rows longer than c,
-    behind which the rows of length c + 1 join, since an ended row sorts first."""
-    lengths = np.diff(indptr)
-    by_length = np.argsort(lengths, kind="stable")
-    starts = np.searchsorted(lengths[by_length], np.arange(lengths.max(initial=0) + 2))
-    order = by_length[:0]
-    for c in range(len(starts) - 3, -1, -1):
-        order = np.concatenate([by_length[starts[c + 1]:starts[c + 2]], order])
-        order = order[np.argsort(ids[indptr[order] + c], kind="stable")]
-    return np.concatenate([by_length[:starts[1]], order])
+    # From 0.0, so that a point mass reads 0.0, not -0.0.
+    return 0.0 - math.fsum(nonzero * np.log(nonzero))
 
 
 def _proxy(energies: np.ndarray, dataset: TransactionDataset) -> float:
     """:func:`reconstruction_error_proxy` of the energies of the distinct
-    transactions, given in ``entries`` order; the terms are taken in the
-    transactions' sorted order."""
-    indptr, ids, _ = dataset.csr
-    order = _tuple_order(indptr, ids)
-    energies = energies[order]
+    transactions, given in ``entries`` order."""
     if not np.all(np.isfinite(energies)):
         raise ValueError("model energies must be finite on the observed patterns")
-    log_proxy = -energies - logsumexp(-energies)
-    weights = _frequencies(dataset)[order]
-    return float(np.dot(weights, np.log(weights) - log_proxy))
+    log_weights = -energies
+    top = log_weights.max()
+    log_norm = top + math.log(math.fsum(np.exp(log_weights - top)))
+    return _divergence(_frequencies(dataset), log_weights - log_norm)
 
 
 def reconstruction_error_proxy(
@@ -154,10 +126,8 @@ def evaluate_gibbs(model: GibbsModel | FullBMModel, dataset: TransactionDataset)
     indptr, ids, counts = dataset.csr
     log_probs = model.log_probs_of_rows(indptr, ids)
     return Evaluation(
-        kl=_model_divergence(
-            model, _frequencies(dataset), log_probs, partial(row_pattern, indptr, ids)
-        ),
-        log_likelihood=left_sum(counts * log_probs),
+        kl=_divergence(_frequencies(dataset), log_probs),
+        log_likelihood=math.fsum(counts * log_probs),
         n_eval_patterns=len(counts),
         proxy_error=_proxy(-(log_probs + model.log_partition), dataset),
     )

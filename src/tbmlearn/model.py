@@ -170,12 +170,6 @@ def locate_rows(space: SampleSpace, indptr: np.ndarray, ids: np.ndarray) -> np.n
     return at
 
 
-def left_sum(terms: np.ndarray) -> float:
-    """``0.0 + terms[0] + terms[1] + ...`` added left to right, as Python's
-    ``sum`` adds floats, where ``np.sum`` adds pairwise."""
-    return float(np.cumsum(np.append(0.0, terms))[-1])
-
-
 def logsumexp(x: np.ndarray) -> float:
     """``scipy.special.logsumexp`` of a 1-D float array, bit for bit, but faster.
 
@@ -358,6 +352,5 @@ class GibbsModel:
         return float(incidence_matrix(self.space, [x]).dot(np.exp(self.log_probs))[0])
 
     def negative_entropy(self) -> float:
-        """Sum of p log p over the sample space (the dual potential)."""
-        p = np.exp(self.log_probs)
-        return float(np.dot(p, self.log_probs))
+        """Sum of p log p over the sample space (the dual potential), exactly rounded."""
+        return math.fsum(np.exp(self.log_probs) * self.log_probs)

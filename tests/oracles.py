@@ -9,7 +9,9 @@ and the model file's dict, which reads the models' own fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -67,6 +69,37 @@ def dense_kl(p: dict, q: dict) -> float:
         if w > 0:
             total += w * np.log(w / q[x])
     return total
+
+
+def exact_sum(terms) -> float:
+    """The correctly rounded sum of the floats ``terms``, added as exact fractions."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+def exact_proxy(energy, dataset) -> float:
+    """The proxy error of the per-pattern ``energy`` on ``dataset``, one pattern
+    at a time, normalized by an exact log-sum-exp and summed exactly."""
+    n = dataset.n_samples
+    log_weights = {x: -energy(x) for x in dataset.entries}
+    top = max(log_weights.values())
+    log_norm = top + math.log(exact_sum(np.exp(v - top) for v in log_weights.values()))
+    return exact_sum(mult / n * (np.log(mult / n) - (log_weights[x] - log_norm))
+                     for x, mult in dataset.entries.items())
+
+
+def exact_scores(model, dataset) -> dict[str, float]:
+    """``eval``'s scores of a Gibbs model, one pattern at a time, each the
+    correctly rounded sum of its terms; the divergence's are
+    ``w (log w - log q)`` for data frequency w and model probability q."""
+    n = dataset.n_samples
+    w = {x: mult / n for x, mult in dataset.entries.items()}
+    log_q = {x: model.log_prob(x) for x in w}
+    return {
+        "kl": exact_sum(w[x] * (np.log(w[x]) - log_q[x]) for x in w),
+        "loglik": exact_sum(mult * log_q[x] for x, mult in dataset.entries.items()),
+        "entropy": -exact_sum(w[x] * np.log(w[x]) for x in w),
+        "proxy_error": exact_proxy(model.energy, dataset),
+    }
 
 
 def iterative_scaling_mle(

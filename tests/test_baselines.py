@@ -5,6 +5,7 @@ import pytest
 
 from tbmlearn import (
     FitConfig,
+    FullBMModel,
     GibbsModel,
     RBMConfig,
     RBMModel,
@@ -21,6 +22,7 @@ from tbmlearn import (
 from tbmlearn import baselines, fitting
 from tbmlearn.baselines import FullCube, pattern_vector, subset_sums, superset_sums
 from tbmlearn.fitting import empirical_targets
+from tbmlearn.patterns import flatten
 
 from oracles import enumerate_patterns, random_dataset, whole_domain_gap
 
@@ -179,6 +181,27 @@ class TestFullBM:
         assert model.energy(()) == pytest.approx(0.0, abs=1e-12)
         assert model.eta((0,)) == pytest.approx(0.7, abs=1e-9)
         assert np.exp(model.log_probs).sum() == pytest.approx(1.0, abs=1e-8)
+
+    def test_patterns_off_the_cube_are_named(self):
+        # Summed bitmasks would read (1, 1) as (2,) and (0, 0) as (1,).
+        d = TransactionDataset(entries={(0,): 3, (1,): 2, (0, 1): 1, (2,): 2}, n_variables=3)
+        model, _ = fit_full_bm(d, [(0,), (1,), (2,)], TIGHT)
+        assert isinstance(model, FullBMModel)
+        calls = [
+            (model.log_prob, (1, 1), r"non-canonical pattern \(1, 1\)"),
+            (model.energy, (0, 0), r"non-canonical pattern \(0, 0\)"),
+            (model.eta, (2, 0), r"non-canonical pattern \(2, 0\)"),
+            (model.eta, (5,), r"pattern \(5,\) exceeds 3 variables"),
+            (model.prob, (-1,), r"non-canonical pattern \(-1,\)"),
+        ]
+        for call, x, message in calls:
+            with pytest.raises(ValueError, match=message):
+                call(x)
+        with pytest.raises(ValueError, match=r"non-canonical pattern \(2, 1\)"):
+            model.log_probs_of_rows(*flatten([(0,), (2, 1), (1, 1)]))
+        assert model.log_prob((0, 2)) == model.log_probs[0b101]
+        assert model.log_probs_of_rows(*flatten([(), (1, 2)])).tolist() == [
+            model.log_probs[0], model.log_probs[0b110]]
 
 
 class TestRBMModel:

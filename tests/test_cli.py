@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tbmlearn import (
+    RBMModel,
     SampleSpace,
     baselines,
     dumps_model,
@@ -29,6 +31,7 @@ from tbmlearn import cli
 from tbmlearn.cli import main
 
 from conftest import WORKED_KL
+from oracles import exact_proxy, exact_scores
 
 WORKED_TEXT = "\n1\n2\n1 2\n1\n1 2\n\n1\n1 2\n1 2\n"
 
@@ -442,18 +445,31 @@ class TestFaces:
         assert out.read_text() == path.read_text()
 
     def test_eval_of_an_earlier_release_file_unchanged(self, worked_file, tmp_path):
-        # The eval file commit d3f2918 wrote for worked_tbm_schema1.json on the
-        # same data, before eval scored through arrays.
+        # The eval file of worked_tbm_schema1.json on the same data, since
+        # scores became exactly rounded sums.
         data = Path(__file__).parent / "data"
         out = tmp_path / "eval.json"
         assert run("eval", "--model", data / "worked_tbm_schema1.json", "--input", worked_file,
                    "--empty-transactions", "bottom", "--out", out) == 0
         assert out.read_text() == (data / "worked_tbm_schema1_eval.json").read_text()
 
+    @pytest.mark.parametrize("kind", ["tbm", "bm"])
+    def test_eval_files_hold_exact_sums(self, kind, worked_file):
+        # Each score in the eval files is the correctly rounded sum of its
+        # terms; the worked model's space is the data plus bottom, which the
+        # data hold, so its proxy is its divergence.
+        data = Path(__file__).parent / "data"
+        model, _, _ = load_model(data / f"worked_{kind}_schema1.json")
+        dataset = parse_fimi(worked_file.read_text(), empty_as_bottom=True)
+        scores = json.loads((data / f"worked_{kind}_schema1_eval.json").read_text())
+        assert scores == exact_scores(model, dataset)
+        if kind == "tbm":
+            assert scores["proxy_error"] == scores["kl"] == 6.661338148784915e-17
+
     def test_bm_files_of_an_earlier_release_unchanged(self, worked_file, tmp_path):
-        # Written by commit d3f2918, before the model writer and the bm eval
-        # worked on arrays: ``fit-bm --empty-transactions bottom --sigma 0.3
-        # --k 2 --tol 1e-9``, then ``eval`` of that file on the same data.
+        # The model written by commit d3f2918, before the model writer worked
+        # on arrays: ``fit-bm --empty-transactions bottom --sigma 0.3 --k 2
+        # --tol 1e-9``; then ``eval`` of that file on the same data.
         data = Path(__file__).parent / "data"
         model, report, meta = load_model(data / "worked_bm_schema1.json")
         assert dumps_model(model, report, meta) == (data / "worked_bm_schema1.json").read_text()
@@ -487,6 +503,31 @@ class TestFaces:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == ["0", "[]"]
         assert out.read_text() == (data / f"worked_{kind}_schema1_eval.json").read_text()
+
+
+class TestBlasThreads:
+    def test_eval_bytes_do_not_depend_on_threads(self, tmp_path):
+        # 40k lines over 24 items give about 40k distinct transactions, enough
+        # for OpenBLAS to split a dot product of their terms over threads.
+        rng = np.random.default_rng(0)
+        rows = rng.random((40_000, 24)) < 0.5
+        data = tmp_path / "d.fimi"
+        data.write_text("".join(" ".join(map(str, np.flatnonzero(r))) + "\n" for r in rows))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def tbmlearn(*argv, threads="1"):
+            env = {**os.environ, "PYTHONPATH": path,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "tbmlearn", *map(str, argv)],
+                           env=env, capture_output=True, check=True)
+
+        model = tmp_path / "m.json"
+        tbmlearn("fit-tbm", "--input", data, "--sigma", "0.01", "--k", "1", "--out", model)
+        outs = [tmp_path / f"eval{threads}.json" for threads in "12"]
+        for threads, out in zip("12", outs):
+            tbmlearn("eval", "--model", model, "--input", data, "--out", out, threads=threads)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestSynthAndBiasvar:
@@ -641,9 +682,10 @@ class TestCompare:
 
 
 class TestCompareGolden:
-    """``compare`` output as commit 9946361 wrote it, before its three learner
-    blocks became one loop: ``compare --empty-transactions bottom --sigma 0.1
-    --k 2 --rbm-updates 300`` in both formats, wall times masked."""
+    """``compare --empty-transactions bottom --sigma 0.1 --k 2 --rbm-updates
+    300`` in both formats, wall times masked: the output of commit 9946361,
+    before its three learner blocks became one loop, with the proxies since
+    scores became exactly rounded sums."""
 
     WIDE_TEXT = "".join(
         " ".join(map(str, sorted({i % 5, 5 + i % 7, 12 + i % 3, 27 + i % 2}))) + "\n"
@@ -670,6 +712,25 @@ class TestCompareGolden:
                    "--format", fmt, "--out", out) == 0
         golden = Path(__file__).parent / "data" / f"compare_{name}.{fmt}"
         assert self.masked(out.read_text()) == self.masked(golden.read_text())
+
+    @pytest.mark.parametrize("name", ["worked", "wide"])
+    def test_proxies_are_exact_sums(self, name, worked_file, tmp_path, monkeypatch):
+        data = worked_file
+        if name == "wide":
+            data = tmp_path / "wide.fimi"
+            data.write_text(self.WIDE_TEXT)
+        scored = []
+        score = cli._score
+        monkeypatch.setattr(cli, "_score", lambda *args: scored.append(args) or score(*args))
+        assert run("compare", "--input", data, "--empty-transactions", "bottom",
+                   "--sigma", "0.1", "--k", "2", "--rbm-updates", "300", "--format", "json",
+                   "--out", tmp_path / "cmp.json") == 0
+        golden = json.loads((Path(__file__).parent / "data" / f"compare_{name}.json").read_text())
+        proxies = [row["proxy_error"] for row in golden if row["proxy_error"] is not None]
+        assert proxies == [
+            exact_proxy(model.free_energy if isinstance(model, RBMModel) else model.energy, d)
+            for model, d in scored
+        ]
 
 
 class TestPlumbing:
