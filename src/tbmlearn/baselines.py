@@ -27,7 +27,8 @@ from .fitting import (
 from .mining import ParameterDomain
 from .model import GibbsModel, SampleSpace, incidence_matrix, logsumexp, supports
 from .patterns import (
-    Pattern, TransactionDataset, flatten, is_canonical, row_pattern, rows_are_canonical, sort_key,
+    Pattern, TransactionDataset, flatten, flatten_canonical, is_canonical, row_pattern,
+    rows_are_canonical, sort_key,
 )
 
 FULL_BM_MAX_VARIABLES = 25
@@ -179,6 +180,7 @@ def fit_full_bm(
             "use the transductive model for large variable counts"
         )
     pats = sorted(domain, key=sort_key)
+    flatten_canonical(pats, "domain")
     return ascend(FullCube(n, pats), supports(dataset, pats) / dataset.n_samples, cfg)
 
 

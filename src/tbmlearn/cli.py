@@ -1,10 +1,12 @@
 """Command-line interface: mining, fitting, evaluation, and experiments.
 
 Exit codes: 0 success, 2 usage error, 3 data or resource error, 4 the fit
-removed every parameter (each empty or constant on the face it ended on, an
-alias, or past ``--theta-max``) and wrote the uniform model.  Every stochastic
-subcommand takes a seed and produces identical primary output for identical
-inputs; measured wall-clock columns are the one exception.
+removed every parameter (each empty or constant on the face it ended on, or
+an alias there) and wrote the uniform model.  A fit the face LP gives no
+face keeps its parameters, so it exits 0, with a warning if it stopped
+unconverged.  Every stochastic subcommand takes a seed and produces
+identical primary output for identical inputs; measured wall-clock columns
+are the one exception.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _fit_config(args) -> FitConfig:
-    return FitConfig(tol=args.tol, max_sweeps=args.max_iters, theta_max=args.theta_max)
+    return FitConfig(tol=args.tol, max_sweeps=args.max_iters)
 
 
 def _add_input_options(parser) -> None:
@@ -83,7 +85,6 @@ def _checked(convert, holds, words: str):
     return parse
 
 
-_positive_float = _checked(float, lambda v: v > 0, "positive")
 _non_negative_float = _checked(float, lambda v: v >= 0, "non-negative")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 _positive_int = _checked(int, lambda v: v > 0, "positive")
@@ -96,10 +97,6 @@ def _add_fit_options(parser) -> None:
     )
     parser.add_argument(
         "--max-iters", type=_non_negative_int, default=10_000, help="iteration budget"
-    )
-    parser.add_argument(
-        "--theta-max", type=_positive_float, default=30.0,
-        help="parameter magnitude whose first crossing runs the face LP; a later one removes it",
     )
 
 

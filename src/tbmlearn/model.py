@@ -54,7 +54,7 @@ from .patterns import (
     canonical_ranks,
     compact,
     extend_rows,
-    flatten,
+    flatten_canonical,
     row_pattern,
     split_rows,
     take_rows,
@@ -84,7 +84,7 @@ class SampleSpace:
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[Pattern]) -> "SampleSpace":
-        return cls.from_rows(*flatten(list(patterns)))
+        return cls.from_rows(*flatten_canonical(list(patterns), "sample_space"))
 
     @classmethod
     def from_rows(cls, indptr: np.ndarray, ids: np.ndarray) -> "SampleSpace":
@@ -136,7 +136,7 @@ def build_sample_space(
     domain: Iterable[Pattern], dataset: TransactionDataset
 ) -> SampleSpace:
     """Union of parameter domain, distinct transactions and the empty pattern (a last empty row)."""
-    domain_indptr, domain_ids = flatten(list(domain))
+    domain_indptr, domain_ids = flatten_canonical(list(domain), "domain")
     data_indptr, data_ids, _ = dataset.csr
     shifted = data_indptr + domain_indptr[-1]
     indptr = np.concatenate([domain_indptr, shifted[1:], shifted[-1:]])

@@ -81,6 +81,24 @@ def flatten(patterns: Collection[Pattern]) -> tuple[np.ndarray, np.ndarray]:
     return indptr, ids
 
 
+def flatten_canonical(patterns: Collection[Pattern], field: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`flatten` of patterns handed in from outside, refusing one that
+    is not strictly increasing non-negative integers: a repeated or unsorted
+    item would land on another outcome.  The check runs over the flat
+    arrays; only patterns that fail it, or that hold identifiers past the
+    int64 range, are walked one by one, to name the first bad pattern of
+    ``field``."""
+    indptr, ids = flatten(patterns)
+    if ids.dtype != np.int64 or not rows_are_canonical(indptr, ids):
+        for p in patterns:
+            integers = all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in p)
+            if not (integers and is_canonical(p)):
+                raise ValueError(
+                    f"{field} pattern {tuple(p)} is not strictly increasing non-negative integers"
+                )
+    return indptr, ids
+
+
 def rows_are_canonical(indptr: np.ndarray, ids: np.ndarray) -> bool:
     """Whether every row of integers is strictly increasing and non-negative."""
     if ids.size == 0:

@@ -27,7 +27,7 @@ import numpy as np
 from .baselines import FULL_BM_MAX_VARIABLES, FullBMModel, FullCube, RBMModel
 from .fitting import FitReport
 from .model import GibbsModel, SampleSpace
-from .patterns import flatten, is_canonical, rows_are_canonical
+from .patterns import flatten, flatten_canonical
 
 SCHEMA_VERSION = 1
 _REQUIRED_KEYS = {
@@ -75,22 +75,6 @@ def _pattern_list(obj: dict, field: str) -> list[list]:
     return obj[field]
 
 
-def _canonical(patterns: list, field: str) -> tuple[np.ndarray, np.ndarray]:
-    """The patterns as CSR rows (see :func:`patterns.flatten`), rejecting one
-    that is not strictly increasing non-negative integers: a repeated or
-    unsorted item would land on another outcome.  The check runs over the
-    flat arrays; only a file that fails it, or that holds identifiers past
-    the int64 range, is walked pattern by pattern."""
-    indptr, ids = flatten(patterns)
-    if ids.dtype != np.int64 or not rows_are_canonical(indptr, ids):
-        for p in patterns:
-            if not (all(type(i) is int for i in p) and is_canonical(p)):
-                raise ValueError(
-                    f"{field} pattern {tuple(p)} is not strictly increasing non-negative integers"
-                )
-    return indptr, ids
-
-
 def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     """Rebuild a model, raising ``ValueError`` on any schema violation."""
     if not isinstance(obj, dict):
@@ -127,8 +111,8 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
         raise ValueError("theta values must be finite")
     if kind == "tbm":
         outcomes = _pattern_list(obj, "sample_space")
-        space = SampleSpace.from_rows(*_canonical(outcomes, "sample_space"))
-        _canonical(domain, "domain")
+        space = SampleSpace.from_patterns(outcomes)
+        flatten_canonical(domain, "domain")
         # A fit on a face keeps patterns that are not outcomes themselves,
         # but each one lies in some outcome: its row of Z is not empty.
         model = GibbsModel(space, domain, theta)
@@ -144,7 +128,7 @@ def model_from_dict(obj: dict) -> tuple[Any, FitReport | None, dict]:
     outside = [p for p in domain if not all(isinstance(i, int) and 0 <= i < n for i in p)]
     if outside:
         raise ValueError(f"domain pattern {outside[0]} has an item outside 0..{n - 1}")
-    _canonical(domain, "domain")
+    flatten_canonical(domain, "domain")
     return FullCube(n, domain).model(theta), report, meta
 
 

@@ -171,6 +171,16 @@ class TestFullBM:
         cube = FullCube(13, [(i,) for i in range(13)])
         assert cube.face(np.full(13, 0.5)) is None
 
+    def test_above_the_cap_the_cube_drops_a_pinned_item(self):
+        # Item 0 is in every row: its target of 1 removes it through
+        # FullCube.drop, since 13 variables put the cube's Z over the LP's cap.
+        rng = np.random.default_rng(0)
+        rows = [[0] + [1 + j for j in np.flatnonzero(r)] for r in rng.random((300, 12)) < 0.3]
+        d = TransactionDataset.from_transactions(rows)
+        model, report = fit_full_bm(d, mine_parameter_domain(d, 0.05, 1))
+        assert report.removed_parameters == ((0,),) and report.converged
+        assert isinstance(model, FullBMModel) and model.log_probs.size == 1 << 13
+
     def test_refuses_large_universe(self):
         d = TransactionDataset(entries={(25,): 1}, n_variables=26)
         with pytest.raises(ValueError, match="transductive"):

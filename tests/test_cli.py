@@ -748,8 +748,6 @@ class TestPlumbing:
         [
             ("--max-iters", "-1"),
             ("--tol", "-1"),
-            ("--theta-max", "0"),
-            ("--theta-max", "-2"),
         ],
     )
     def test_invalid_fit_option_is_usage_error(

@@ -15,12 +15,14 @@ from scipy.linalg import cho_factor, cho_solve
 
 from tbmlearn import (
     DomainSizeError,
+    EmpiricalDistribution,
     FitConfig,
     SampleSpace,
     TransactionDataset,
     fit,
     fit_tbm,
     fit_to_moments,
+    kl_divergence,
     mine_parameter_domain,
 )
 from tbmlearn import baselines, fit_full_bm, fitting
@@ -199,11 +201,6 @@ class TestDivergenceGuard:
         probs = np.exp(model.log_probs)
         np.testing.assert_allclose(probs, 1.0 / len(model.space), atol=1e-12)
         assert whole_domain_gap(d, [(0,)], model) <= FitConfig().tol
-
-    def test_theta_max_configurable(self, worked_dataset):
-        cfg = FitConfig(theta_max=0.5, tol=1e-10, max_sweeps=20_000)
-        model, report = fit(worked_dataset, [(1,), (2,)], cfg)
-        assert (1,) in report.removed_parameters
 
 
 def closure_pairs(dataset, domain):
@@ -727,10 +724,10 @@ class TestInteriorFeasibility:
 
 
 class TestUnattainableTargets:
-    def test_empty_face_falls_through_to_theta_max(self, monkeypatch):
+    def test_empty_face_keeps_the_domain(self, monkeypatch):
         # eta(1, 2) > eta(1): no distribution matches, so the LP's face is
-        # empty, and the fit removes a parameter through theta_max instead of
-        # fitting over an empty space.
+        # empty.  The fit keeps its space and both parameters, and stops
+        # unconverged at max_sweeps with finite values.
         lps = []
         original = fitting.interior_feasible
 
@@ -740,10 +737,13 @@ class TestUnattainableTargets:
 
         monkeypatch.setattr(fitting, "interior_feasible", recording)
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5])
+        cfg = FitConfig(max_sweeps=60)
+        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5], cfg)
         assert len(lps) == 1 and not lps[0].any()
-        assert len(model.space) == 4 and len(report.removed_parameters) == 1
-        assert report.converged and np.all(np.isfinite(model.log_probs))
+        assert len(model.space) == 4 and report.removed_parameters == ()
+        assert report.iterations == 60 and not report.converged
+        assert report.final_gap > 0.09  # no distribution comes within 0.1
+        assert np.all(np.isfinite(model.log_probs)) and np.all(np.isfinite(model.theta))
 
 
 class TestLpBudget:
@@ -792,6 +792,20 @@ class TestLpBudget:
         d, _ = synth_dataset(10, 60, 3000, seed=3)
         _, report, _ = fit_tbm(d, 0.02, 3)
         assert len(lp_calls) == 1 and report.converged
+
+    def test_no_verdict_keeps_the_domain(self, monkeypatch):
+        # With no face from the LP, the boundary fit keeps every parameter and
+        # pushes the mass off the face below tol.
+        for module in (fitting, baselines):
+            monkeypatch.setattr(module, "interior_feasible", lambda *args: None)
+        d, _ = synth_dataset(10, 60, 3000, seed=3)
+        data = EmpiricalDistribution.from_dataset(d)
+        model, report, domain = fit_tbm(d, 0.02, 3)
+        assert report.removed_parameters == () and report.converged
+        assert kl_divergence(data, model) <= 1e-5
+        model, report = fit_full_bm(d, domain)
+        assert report.removed_parameters == () and report.converged
+        assert kl_divergence(data, model) <= 1e-4
 
     def test_boundary_cubes(self, lp_calls):
         domain = [p for p in enumerate_patterns(4) if 1 <= len(p) <= 3]
@@ -929,7 +943,7 @@ class TestUpFrontFilter:
         assert report.removed_parameters == ((0,), (3,))
         assert report.converged and model.domain == ((0, 1),)
         assert moment_gap({(0,): 0.4, (0, 1): 0.4}, model) <= FitConfig().tol
-        # Both go before the first iteration, not through the theta_max layer.
+        # Both go before the first iteration.
         _, report = fit_to_moments(space, patterns, targets, FitConfig(max_sweeps=0))
         assert report.removed_parameters == ((0,), (3,)) and report.iterations == 0
 
@@ -951,14 +965,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             fit_to_moments(space, [(1,)], [np.nan])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: fit(d, [(1, 0)]),
+            lambda d: fit_full_bm(d, [(0,), (1, 0)]),
+            lambda d: fit_to_moments(SampleSpace.from_patterns([(), (0, 1)]), [(1, 0)], [0.4]),
+            lambda d: m_projection({(): 0.5, (0, 1): 0.25, (1, 0): 0.25}, [(0,)]),
+            lambda d: SampleSpace.from_patterns([(), (1, 1)]),
+        ],
+        ids=["fit", "fit_full_bm", "fit_to_moments", "m_projection", "from_patterns"],
+    )
+    def test_non_canonical_patterns_refused(self, call):
+        # (1, 0) would be a second outcome beside (0, 1), or the same bitmask
+        # in a model file that the loader refuses.
+        d = TransactionDataset({(): 2, (0,): 3, (1,): 1, (0, 1): 4}, 2)
+        with pytest.raises(ValueError, match=r"pattern \(1, [01]\) is not strictly increasing"):
+            call(d)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(max_sweeps=-1)
         with pytest.raises(ValueError, match="tol"):
             FitConfig(tol=-1e-9)
-        for theta_max in (0.0, -1.0):
-            with pytest.raises(ValueError, match="theta_max"):
-                FitConfig(theta_max=theta_max)
         assert FitConfig(tol=0.0).tol == 0.0
 
 
