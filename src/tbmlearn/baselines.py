@@ -6,7 +6,8 @@ binary cube, through fast subset/superset sum transforms, so it is limited
 to small variable counts.  Only the normalizer differs, so the guard and the
 Newton steps behave the same in both learners by construction; the fit
 returns the :class:`FullBMModel` of the cube or, where a face over the
-cube's Z moved it to a ``fitting.ReducedSpace``, the Gibbs model there.
+cube's Z moved it to a ``fitting.ReducedSpace``, the Gibbs model there; a
+cube above the LP's nonzero cap has no face and keeps every parameter.
 The RBM is trained with persistent contrastive divergence using a single
 alternating Gibbs sweep per update.
 """
@@ -110,6 +111,7 @@ class FullCube:
     give the energies and superset sums the expectations.  Faces are found
     over the cube's Z, one nonzero per pattern and superset, under the LP's
     nonzero cap, which the singletons alone exceed from 13 variables on.
+    Above it the cube has no face, so no parameter leaves.
     """
 
     def __init__(self, n_variables: int, patterns):
@@ -146,13 +148,9 @@ class FullCube:
         cube = self._reduced()
         return None if cube is None else cube.closure(targets)
 
-    def face(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | None:
+    def face(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | tuple[()] | None:
         cube = self._reduced()
         return None if cube is None else cube.restrict(interior_feasible(cube.incidence, targets))
-
-    def drop(self, indices) -> "FullCube":
-        kept = np.delete(np.arange(len(self.patterns)), indices)
-        return FullCube(self.n_variables, [self.patterns[j] for j in kept])
 
     def model(self, theta: np.ndarray) -> FullBMModel:
         log_probs, psi = self.state(theta)
@@ -168,7 +166,8 @@ def fit_full_bm(
 
     Runs :func:`fitting.ascend` over the full cube, so moment matching and
     the boundary guard behave exactly as in the transductive fitter; a fit
-    that moves to a face returns a :class:`GibbsModel` over it.
+    that moves to a face returns a :class:`GibbsModel` over it, and one
+    above the LP's cap keeps every parameter.
     Refuses more than 25 variables, where exact enumeration stops being
     practical; use the transductive model instead at that scale.
     """

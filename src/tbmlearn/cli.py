@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 usage error, 3 data or resource error, 4 the fit
 removed every parameter (each empty or constant on the face it ended on, or
-an alias there) and wrote the uniform model.  A fit the face LP gives no
-face keeps its parameters, so it exits 0, with a warning if it stopped
-unconverged.  Every stochastic subcommand takes a seed and produces
+an alias there) and wrote the uniform model.  Only a face removes a
+parameter, so a fit with no face (a full BM above the face LP's nonzero
+cap, or no LP verdict) keeps them all and exits 0, with a warning if it
+stopped unconverged.  Every stochastic subcommand takes a seed and produces
 identical primary output for identical inputs; measured wall-clock columns
 are the one exception.
 """

@@ -53,7 +53,7 @@ symmetric bit for bit as built.  LAPACK's Cholesky (``dpotrf``) factors
 it.  The solve runs in the BLAS, whose threads split its sums
 differently, so fits (and ``fit-tbm`` files) are reproducible bit for bit
 only at a fixed BLAS thread count.  G takes ``8 |B|^2`` bytes: parameters
-that, after the up-front face step and filter below, would need more than
+that, after the up-front face below, would need more than
 ``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) are refused with
 :class:`~tbmlearn.mining.DomainSizeError` before any iteration.  scipy is
 imported where it runs, at the first call of each function that needs it:
@@ -68,15 +68,16 @@ Geyer, EJS 2009, and of Fienberg & Rinaldo, Ann. Statist. 2012).  Off the
 face θ drifts, each Newton step moves it by about 1, and the gap falls by a
 constant factor per step instead of quadratically.  :func:`ascend` finds the
 face in two places, and the face step drops the outcomes off it and merges
-the rows of Z that then coincide:
+the rows of Z that then coincide.  Only a face removes a parameter: an
+alias there, or a row constant there, which no outcome or every one holds:
 
 - up front, for every fit, the normalizer's ``closure`` by three rules: a
   target of 0 rules out the outcomes that hold its pattern, a target of 1
   those that lack it (bottom among them), and a closure pair, patterns
   s ⊂ u, u one item longer, with equal targets (s is not a closed itemset;
-  Pasquier et al., ICDT 1999), those that hold s but not u.  The filter
-  after it (targets of 0 or 1, and patterns no outcome holds) then removes
-  rows constant on the face, exactly.  On ``basket`` the fit is interior;
+  Pasquier et al., ICDT 1999), those that hold s but not u.  The constant
+  rows (every target of 0 or 1 among them) leave after the aliases; rules
+  that rule out every outcome give no face.  On ``basket`` the fit is interior;
 - at the first drift signal, a step that reaches tol moving some parameter
   by at least ``DRIFT_STEP`` while the largest magnitude exceeds
   ``DRIFT_GATE``, or a parameter crossing ``LP_THETA``, the LP
@@ -95,13 +96,13 @@ the gap, which that mass bounds, reaches tol.  On
 σ = 0.02, k = 3, 60 of the 175 parameters stay and the fit takes 23
 iterations to a KL of 7.3e-7 to the data.
 
-Where the LP gives no face (Z over its cap, no solver verdict, or no
-distribution that matches the targets), the fit keeps its parameters and
-runs on to tol or ``max_sweeps``.  On boundary targets the mass off the
-face then falls by a constant factor per step, and the gap, which that mass
-bounds, with it: the ``synth --seed 3`` fit above, with the LP giving no
-verdict, takes 14 iterations to a KL of 1.1e-6.  Targets no distribution
-matches keep a gap above tol, and the fit stops unconverged.
+With no face (Z over the LP's cap, as a full BM cube's from 13 variables
+on, or no solver verdict) the fit keeps its parameters and runs on to tol or
+``max_sweeps``.  On boundary targets the mass off the face then falls by a
+constant factor per step, and the gap, which that mass bounds, with it: the
+``synth --seed 3`` fit above, with the LP giving no verdict, takes 14
+iterations to a KL of 1.1e-6.  An empty face proves that no distribution
+matches the targets, and the fit stops there, unconverged.
 """
 
 from __future__ import annotations
@@ -343,9 +344,10 @@ class ReducedSpace:
         return natural_direction(self.incidence, self._rows_of, log_probs, etas)
 
     def closure(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:
-        """The up-front face, by the three rules of the module docstring, and
-        the indices of the parameters that alias there; ``None`` when the
-        rules rule no outcome out, or every one."""
+        """The up-front face, by the rules of the module docstring, and the
+        indices of the parameters that leave there, aliases then constant
+        rows; ``None`` when nothing changes or no outcome is left.  Z is
+        copied only when something changes."""
         row = {p: j for j, p in enumerate(self.patterns)}
         cols = _row_of(self.incidence)
         keep = np.ones(self.incidence.shape[1], dtype=bool)
@@ -358,26 +360,37 @@ class ReducedSpace:
             for s in (u[:i] + u[i + 1:] for i in range(len(u))):
                 if s in row and targets[row[s]] == targets[j]:
                     keep[np.setdiff1d(cols(row[s]), cols(j), assume_unique=True)] = False
-        if keep.all() or not keep.any():
+        if not keep.any():
             return None
-        space, face, rows = _face(self.sample_space, self.incidence, keep)
-        aliases = np.setdiff1d(np.arange(len(self.patterns)), rows)
-        return ReducedSpace(space, [self.patterns[j] for j in rows], face), aliases
+        space, face, rows = self.sample_space, self.incidence, np.arange(len(self.patterns))
+        if not keep.all():
+            space, face, rows = _face(space, face, keep)
+        sizes = np.diff(face.indptr)
+        constant = (sizes == 0) | (sizes == face.shape[1])
+        if constant.any():
+            face = face[np.flatnonzero(~constant)]
+        elif face is self.incidence:
+            return None
+        leave = np.concatenate([np.setdiff1d(np.arange(len(self.patterns)), rows), rows[constant]])
+        return ReducedSpace(space, [self.patterns[j] for j in rows[~constant]], face), leave
 
-    def face(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:
+    def face(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | tuple[()] | None:
         return self.restrict(interior_feasible(self.incidence, targets))
 
-    def restrict(self, keep: np.ndarray | None) -> tuple["ReducedSpace", np.ndarray] | None:
-        """The normalizer over the outcomes ``keep`` marks (and bottom), and the
-        indices of the parameters that alias there; ``None`` for no proper face.
+    def restrict(self, keep) -> tuple["ReducedSpace", np.ndarray] | tuple[()] | None:
+        """The normalizer over the outcomes the mask ``keep`` marks (and bottom),
+        and the indices of the parameters that alias there; ``None`` for no
+        mask or no proper face, and ``()`` for an empty one.
 
         Past the face step's merge, the rank of G at the uniform distribution
         over the face, from pivoted Cholesky, counts the identifiable
         parameters, and its pivots are the basis kept.
         """
         from scipy.linalg.lapack import dpstrf
-        if keep is None or not keep.any():
+        if keep is None:
             return None
+        if not keep.any():
+            return ()
         keep[0] |= self.sample_space.indptr[1] == 0  # bottom, if an outcome, stays
         if keep.all():
             return None
@@ -391,12 +404,6 @@ class ReducedSpace:
         aliases = np.setdiff1d(np.arange(len(self.patterns)), rows)
         return ReducedSpace(space, [self.patterns[j] for j in rows], face), aliases
 
-    def drop(self, indices) -> "ReducedSpace":
-        rows = np.delete(np.arange(len(self.patterns)), indices)
-        return ReducedSpace(
-            self.sample_space, [self.patterns[j] for j in rows], self.incidence[rows]
-        )
-
     def model(self, theta: np.ndarray) -> GibbsModel:
         return GibbsModel(self.sample_space, self.patterns, theta, self.incidence)
 
@@ -408,19 +415,24 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
     Takes damped Newton and chord steps under the rules of the module
     docstring.  ``space`` is a :class:`ReducedSpace` or a
     ``baselines.FullCube``: ``fisher_solve`` factors G and returns its solve,
-    ``drop`` returns the normalizer without some parameters, ``closure`` and
-    ``face`` the :class:`ReducedSpace` of the up-front or the LP's face and
-    the aliases there, or ``None``, and ``model`` builds the fitted model
+    ``closure`` and ``face`` the :class:`ReducedSpace` of the up-front or the
+    LP's face and the parameters that leave there, or ``None`` (``face``
+    gives ``()`` for an empty face), and ``model`` builds the fitted model
     from θ.  Raises :class:`DomainSizeError`, before any iteration, when the
-    parameters left after the face step and filter need G over the budget.
+    parameters left after the up-front face need G over the budget.
     """
     removed: list[Pattern] = []
     iterations = 0
     evaluations = 0
     lp_ran = False
 
-    def restart() -> None:
-        nonlocal theta, log_probs, psi, etas, avg_loglik, gap, err2, step, direction, solve
+    def move(face, leave) -> None:
+        # Moves to a face without the parameters that leave there, and
+        # restarts from θ = 0.
+        nonlocal space, targets, theta, log_probs, psi, etas, avg_loglik, gap, err2
+        nonlocal step, direction, solve
+        removed.extend(space.patterns[j] for j in leave)
+        space, targets = face, np.delete(targets, leave)
         theta = np.zeros(len(space.patterns))
         log_probs, psi = space.state(theta)
         etas = space.etas(log_probs)
@@ -430,24 +442,7 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
         step = 1.0
         direction = solve = None
 
-    def drop(indices, face=None) -> None:
-        # Removes parameters, from the normalizer or with it, and restarts.
-        nonlocal space, targets
-        removed.extend(space.patterns[j] for j in indices)
-        targets = np.delete(targets, indices)
-        space = space.drop(indices) if face is None else face
-        restart()
-
-    found = space.closure(targets)
-    if found is not None:
-        drop(found[1], face=found[0])
-    else:
-        restart()
-    # A target of 0 or 1, or a pattern no outcome contains (η = 0 under the
-    # uniform start), has no finite parameter.
-    unfit = np.flatnonzero((targets <= 0.0) | (targets >= 1.0) | (etas <= 0.0))
-    if unfit.size:
-        drop(unfit)
+    move(*(space.closure(targets) or (space, [])))
     if 8 * theta.size ** 2 > FISHER_MAX_BYTES:
         raise DomainSizeError(
             f"{theta.size} parameters need a {8 * theta.size ** 2 / 2**20:.0f} MiB Fisher "
@@ -517,8 +512,10 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
         ):
             lp_ran = True
             found = space.face(targets)
+            if found == ():  # an empty face: no distribution matches the targets
+                break
             if found is not None:
-                drop(found[1], face=found[0])
+                move(*found)
 
     report = FitReport(
         iterations=iterations,

@@ -78,7 +78,7 @@ def pythagorean_residual(
             raise ValueError(f"pattern {x} is outside the shared sample space")
     kl_data_q = kl_divergence(ref, q)
     kl_data_fit = kl_divergence(ref, p_mle)
-    kl_fit_q = math.fsum(np.exp(p_mle.log_probs) * (p_mle.log_probs - q.log_probs))
+    kl_fit_q = math.fsum((np.exp(p_mle.log_probs) * (p_mle.log_probs - q.log_probs)).tolist())
     return abs(kl_data_q - kl_data_fit - kl_fit_q)
 
 

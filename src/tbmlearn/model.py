@@ -353,4 +353,4 @@ class GibbsModel:
 
     def negative_entropy(self) -> float:
         """Sum of p log p over the sample space (the dual potential), exactly rounded."""
-        return math.fsum(np.exp(self.log_probs) * self.log_probs)
+        return math.fsum((np.exp(self.log_probs) * self.log_probs).tolist())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tbmlearn import (
+    EmpiricalDistribution,
     FitConfig,
     FullBMModel,
     GibbsModel,
@@ -16,6 +17,7 @@ from tbmlearn import (
     fit_rbm_pcd1,
     fit_to_moments,
     incidence_matrix,
+    kl_divergence,
     matched_hidden_units,
     mine_parameter_domain,
 )
@@ -145,7 +147,7 @@ class TestFullBM:
     def test_filter_then_face(self, monkeypatch):
         # Item 0 is in every transaction and the closure pairs rule out more
         # of the cube: the face is found up front, with no LP, and three
-        # parameters alias there before the filter removes the constant (0,).
+        # parameters alias there before the constant (0,) leaves.
         def no_lp(*args):
             raise AssertionError("the feasibility LP ran")
 
@@ -171,15 +173,33 @@ class TestFullBM:
         cube = FullCube(13, [(i,) for i in range(13)])
         assert cube.face(np.full(13, 0.5)) is None
 
-    def test_above_the_cap_the_cube_drops_a_pinned_item(self):
-        # Item 0 is in every row: its target of 1 removes it through
-        # FullCube.drop, since 13 variables put the cube's Z over the LP's cap.
+    # 13 variables put the cube's Z over the LP's cap, so these cubes have no
+    # face: every parameter stays, and a boundary target is met to tol.  The
+    # KL each reaches is the face's model's, the exact MLE on that face.
+
+    def test_above_the_cap_a_pinned_item_keeps_its_parameter(self):
+        # Item 0 is in every row, a target of 1.
         rng = np.random.default_rng(0)
         rows = [[0] + [1 + j for j in np.flatnonzero(r)] for r in rng.random((300, 12)) < 0.3]
         d = TransactionDataset.from_transactions(rows)
         model, report = fit_full_bm(d, mine_parameter_domain(d, 0.05, 1))
-        assert report.removed_parameters == ((0,),) and report.converged
+        assert report.removed_parameters == () and report.converged
         assert isinstance(model, FullBMModel) and model.log_probs.size == 1 << 13
+        assert model.eta((0,)) >= 1 - FitConfig().tol
+        data = EmpiricalDistribution.from_dataset(d)
+        assert kl_divergence(data, model) == pytest.approx(1.8457528740, abs=1e-6)
+
+    def test_above_the_cap_an_absent_item_keeps_its_parameter(self):
+        # Item 13 never occurs, a target of 0.
+        rng = np.random.default_rng(0)
+        rows = [np.flatnonzero(r).tolist() for r in rng.random((300, 13)) < 0.3]
+        d = TransactionDataset.from_transactions(rows, n_variables=14)
+        model, report = fit_full_bm(d, mine_parameter_domain(d, 0.0, 1))
+        assert report.removed_parameters == () and report.converged
+        assert isinstance(model, FullBMModel) and model.log_probs.size == 1 << 14
+        assert model.eta((13,)) <= FitConfig().tol
+        data = EmpiricalDistribution.from_dataset(d)
+        assert kl_divergence(data, model) == pytest.approx(2.4021749428, abs=1e-6)
 
     def test_refuses_large_universe(self):
         d = TransactionDataset(entries={(25,): 1}, n_variables=26)

@@ -173,7 +173,7 @@ class TestDivergenceGuard:
         assert report.removed_parameters == ()
 
     # A target of 0 drops the outcomes that hold its pattern, and a target of
-    # 1 those that lack it, before the filter removes the row left constant.
+    # 1 those that lack it, and the row left constant on that face leaves.
 
     def test_zero_support_pattern_removed(self):
         d = TransactionDataset(entries={(0,): 5, (0, 1): 5}, n_variables=3)
@@ -670,8 +670,9 @@ class TestDenseGate:
             fit_full_bm(d, patterns)
 
     def test_gate_counts_parameters_after_the_filter(self, monkeypatch, worked_dataset):
-        # No outcome contains (3,), and item 0 never occurs: the up-front
-        # filter drops each, and two parameters are left for the gate.
+        # No outcome contains (3,), and item 0 never occurs: each is constant
+        # on the up-front face and leaves, and two parameters are left for
+        # the gate.
         space = build_sample_space([(1,), (2,)], worked_dataset)
         patterns, targets = [(1,), (2,), (3,)], [0.7, 0.5, 0.3]
         bm_patterns = [(0,), (1,), (2,)]
@@ -727,7 +728,7 @@ class TestUnattainableTargets:
     def test_empty_face_keeps_the_domain(self, monkeypatch):
         # eta(1, 2) > eta(1): no distribution matches, so the LP's face is
         # empty.  The fit keeps its space and both parameters, and stops
-        # unconverged at max_sweeps with finite values.
+        # unconverged at the iteration the LP ran, with finite values.
         lps = []
         original = fitting.interior_feasible
 
@@ -737,13 +738,16 @@ class TestUnattainableTargets:
 
         monkeypatch.setattr(fitting, "interior_feasible", recording)
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        cfg = FitConfig(max_sweeps=60)
-        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5], cfg)
+        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5])
         assert len(lps) == 1 and not lps[0].any()
         assert len(model.space) == 4 and report.removed_parameters == ()
-        assert report.iterations == 60 and not report.converged
+        assert not report.converged
         assert report.final_gap > 0.09  # no distribution comes within 0.1
         assert np.all(np.isfinite(model.log_probs)) and np.all(np.isfinite(model.theta))
+        # One iteration fewer ends before the LP runs.
+        cfg = FitConfig(max_sweeps=report.iterations - 1)
+        fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5], cfg)
+        assert len(lps) == 1
 
 
 class TestLpBudget:
@@ -946,6 +950,26 @@ class TestUpFrontFilter:
         # Both go before the first iteration.
         _, report = fit_to_moments(space, patterns, targets, FitConfig(max_sweeps=0))
         assert report.removed_parameters == ((0,), (3,)) and report.iterations == 0
+
+    def test_aliases_leave_before_constant_rows(self):
+        # Item 0 is in every row, so the face drops the outcomes without it:
+        # (1,) and (2,) alias (0, 1) and (0, 2) there, and (0,) is constant.
+        # Each group keeps its own order.
+        d = TransactionDataset({(0,): 2, (0, 1): 3, (0, 1, 2): 4, (0, 2): 1}, 3)
+        domain = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+        for model, report in (fit(d, domain), fit_full_bm(d, domain)):
+            assert report.removed_parameters == ((1,), (2,), (0,))
+            assert report.converged and model.domain == ((0, 1), (0, 2), (1, 2))
+
+    def test_constant_rows_leave_with_no_face(self):
+        # The rules rule no outcome out, so Z keeps its outcomes: (3,) holds
+        # none and (0,) every one, and both leave whatever their targets.
+        space = SampleSpace.from_patterns([(0,), (0, 1), (0, 2)])
+        patterns = [(0,), (1,), (2,), (3,)]
+        model, report = fit_to_moments(space, patterns, [0.5, 0.3, 0.4, 0.2])
+        assert report.removed_parameters == ((0,), (3,))
+        assert model.space is space and model.domain == ((1,), (2,))
+        assert report.converged
 
     def test_interior_fit_drops_only_the_empty_row(self, worked_dataset):
         space = build_sample_space([(1,), (2,)], worked_dataset)
