@@ -6,8 +6,7 @@ binary cube, through fast subset/superset sum transforms, so it is limited
 to small variable counts.  Only the normalizer differs, so the guard and the
 Newton steps behave the same in both learners by construction; the fit
 returns the :class:`FullBMModel` of the cube or, where a face over the
-cube's Z moved it to a ``fitting.ReducedSpace``, the Gibbs model there; a
-cube above the LP's nonzero cap has no face and keeps every parameter.
+cube's Z moved it to a ``fitting.ReducedSpace``, the Gibbs model there.
 The RBM is trained with persistent contrastive divergence using a single
 alternating Gibbs sweep per update.
 """
@@ -21,18 +20,16 @@ from typing import Callable
 
 import numpy as np
 
-from .fitting import (
-    FEASIBILITY_CHECK_MAX_NNZ, FitConfig, FitReport, ReducedSpace, ascend, interior_feasible,
-    solve_fisher,
-)
+from .fitting import FitConfig, FitReport, ReducedSpace, ascend, interior_feasible, solve_fisher
 from .mining import ParameterDomain
-from .model import GibbsModel, SampleSpace, incidence_matrix, logsumexp, supports
+from .model import GibbsModel, SampleSpace, incidence_matrix, logsumexp, multiplicities, supports
 from .patterns import (
     Pattern, TransactionDataset, flatten, flatten_canonical, is_canonical, row_pattern,
     rows_are_canonical, sort_key,
 )
 
 FULL_BM_MAX_VARIABLES = 25
+CUBE_MAX_NNZ = 1 << 15
 RBM_INIT_SCALE = 0.01
 RBM_MAX_BYTES = 1 << 30
 
@@ -109,14 +106,16 @@ class FullCube:
 
     The log-probabilities are recomputed from θ at every step: subset sums
     give the energies and superset sums the expectations.  Faces are found
-    over the cube's Z, one nonzero per pattern and superset, under the LP's
-    nonzero cap, which the singletons alone exceed from 13 variables on.
-    Above it the cube has no face, so no parameter leaves.
+    over the cube's Z, one nonzero per pattern and superset, and the support
+    of ``dataset``.  That Z is built only up to ``CUBE_MAX_NNZ`` nonzeros,
+    which the singletons alone exceed from 13 variables on; above it the
+    cube has no face, so no parameter leaves.
     """
 
-    def __init__(self, n_variables: int, patterns):
+    def __init__(self, n_variables: int, patterns, dataset: TransactionDataset | None = None):
         self.n_variables = n_variables
         self.patterns = list(patterns)
+        self.dataset = dataset
         self.masks = np.array([pattern_bitmask(p) for p in patterns], dtype=np.int64)
         self.step_cost = 4 << n_variables
         self.fisher_cost = 1 << n_variables
@@ -137,20 +136,23 @@ class FullCube:
         return solve_fisher(g)
 
     def _reduced(self) -> ReducedSpace | None:
-        """The cube as a :class:`fitting.ReducedSpace`, or ``None`` above the cap."""
+        """The cube as a :class:`fitting.ReducedSpace`, or ``None`` above ``CUBE_MAX_NNZ``."""
         n = self.n_variables
-        if sum(1 << (n - len(p)) for p in self.patterns) > FEASIBILITY_CHECK_MAX_NNZ:
+        if sum(1 << (n - len(p)) for p in self.patterns) > CUBE_MAX_NNZ:
             return None
         cube = SampleSpace.from_patterns(c for r in range(n + 1) for c in combinations(range(n), r))
-        return ReducedSpace(cube, self.patterns, incidence_matrix(cube, self.patterns))
+        support = multiplicities(cube, self.dataset) > 0
+        return ReducedSpace(cube, self.patterns, incidence_matrix(cube, self.patterns), support)
 
     def closure(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | None:
         cube = self._reduced()
         return None if cube is None else cube.closure(targets)
 
-    def face(self, targets: np.ndarray) -> tuple[ReducedSpace, np.ndarray] | tuple[()] | None:
+    def face(self) -> tuple[ReducedSpace, np.ndarray] | None:
         cube = self._reduced()
-        return None if cube is None else cube.restrict(interior_feasible(cube.incidence, targets))
+        if cube is None:
+            return None
+        return cube.restrict(interior_feasible(cube.incidence, cube.support))
 
     def model(self, theta: np.ndarray) -> FullBMModel:
         log_probs, psi = self.state(theta)
@@ -167,7 +169,7 @@ def fit_full_bm(
     Runs :func:`fitting.ascend` over the full cube, so moment matching and
     the boundary guard behave exactly as in the transductive fitter; a fit
     that moves to a face returns a :class:`GibbsModel` over it, and one
-    above the LP's cap keeps every parameter.
+    above ``CUBE_MAX_NNZ`` keeps every parameter.
     Refuses more than 25 variables, where exact enumeration stops being
     practical; use the transductive model instead at that scale.
     """
@@ -180,7 +182,7 @@ def fit_full_bm(
         )
     pats = sorted(domain, key=sort_key)
     flatten_canonical(pats, "domain")
-    return ascend(FullCube(n, pats), supports(dataset, pats) / dataset.n_samples, cfg)
+    return ascend(FullCube(n, pats, dataset), supports(dataset, pats) / dataset.n_samples, cfg)
 
 
 @dataclass

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 usage error, 3 data or resource error, 4 the fit
 removed every parameter (each empty or constant on the face it ended on, or
 an alias there) and wrote the uniform model.  Only a face removes a
-parameter, so a fit with no face (a full BM above the face LP's nonzero
-cap, or no LP verdict) keeps them all and exits 0, with a warning if it
-stopped unconverged.  Every stochastic subcommand takes a seed and produces
+parameter, so a fit with no face (a full BM over the cube's bound on Z, or
+no LP verdict) keeps them all and exits 0, with a warning if it stopped
+unconverged.  Every stochastic subcommand takes a seed and produces
 identical primary output for identical inputs; measured wall-clock columns
 are the one exception.
 """
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-domain-size", type=int, default=10_000_000)
+    p.add_argument("--max-domain-size", type=_non_negative_int, default=10_000_000)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_mine)
 
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_positive_finite_float, default=0.01)
     p.add_argument("--updates", type=_non_negative_int, default=10_000)
     p.add_argument("--chains", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit_rbm)
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-vars", type=int, required=True)
     p.add_argument("--support-size", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="FIMI output path")
     p.add_argument("--truth-out", required=True, help="truth JSON output path")
     p.set_defaults(func=cmd_synth)
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--min-domain", type=int, default=None)
     p.add_argument("--max-domain", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="-", help="per-trial CSV output")
     p.set_defaults(func=cmd_biasvar)
 
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rbm-lr", type=_positive_finite_float, default=0.01)
     p.add_argument("--rbm-updates", type=_non_negative_int, default=10_000)
     p.add_argument("--rbm-chains", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_compare)

@@ -196,10 +196,7 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
     for trial, child in enumerate(seq.spawn(cfg.trials)):
         trial_rng = np.random.default_rng(child)
         counts = trial_rng.multinomial(cfg.n_samples, pvec)
-        targets = incidence.dot(counts.astype(np.float64)) / cfg.n_samples
-        fitted, fit_report = fit_to_moments(
-            space, patterns, targets, BIAS_VARIANCE_FIT, incidence=incidence
-        )
+        fitted, fit_report = fit_to_moments(space, patterns, counts, BIAS_VARIANCE_FIT, incidence)
         log_probs, face = fitted.log_probs, fitted.space
         on_face[trial] = face is not space
         if on_face[trial]:  # the outcomes off the face get no mass

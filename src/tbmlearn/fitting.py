@@ -61,11 +61,13 @@ the sparse products of G and of the face step, the Cholesky and pivoted
 Cholesky factors, and the face LP.  So importing the package, or scoring a
 model, loads none of it.
 
-Targets on the boundary of what the parameters can match have no maximizer
-over the whole space: every matching distribution gives some outcomes no
-mass, and the maximizer lies on the face of the others (the facial set of
-Geyer, EJS 2009, and of Fienberg & Rinaldo, Ann. Statist. 2012).  Off the
-face θ drifts, each Newton step moves it by about 1, and the gap falls by a
+A fit matches the moments of a distribution over the space (the data's
+multiplicities, or a truth), whose support the normalizer holds.  Where
+that support leaves outcomes out, the moments may have no maximizer over the
+whole space: every matching distribution gives some outcomes no mass, and
+the maximizer lies on the face of the others, the support's facial set
+(Geyer, EJS 2009; Fienberg & Rinaldo, Ann. Statist. 2012).  Off the face θ
+drifts, each Newton step moves it by about 1, and the gap falls by a
 constant factor per step instead of quadratically.  :func:`ascend` finds the
 face in two places, and the face step drops the outcomes off it and merges
 the rows of Z that then coincide.  Only a face removes a parameter: an
@@ -76,33 +78,26 @@ alias there, or a row constant there, which no outcome or every one holds:
   those that lack it (bottom among them), and a closure pair, patterns
   s ⊂ u, u one item longer, with equal targets (s is not a closed itemset;
   Pasquier et al., ICDT 1999), those that hold s but not u.  The constant
-  rows (every target of 0 or 1 among them) leave after the aliases; rules
-  that rule out every outcome give no face.  On ``basket`` the fit is interior;
+  rows (every target of 0 or 1 among them) leave after the aliases.  No
+  rule rules out an outcome of the support.  On ``basket`` the fit is interior;
 - at the first drift signal, a step that reaches tol moving some parameter
   by at least ``DRIFT_STEP`` while the largest magnitude exceeds
-  ``DRIFT_GATE``, or a parameter crossing ``LP_THETA``, the LP
-  :func:`interior_feasible` runs once.  The fit restarts from θ = 0 on the
-  face it finds, where the rows that other rows span, found by pivoted
-  Cholesky of the face's G, alias too.
+  ``DRIFT_GATE``, or a parameter crossing ``LP_THETA``,
+  :func:`interior_feasible` runs once, on Z and the support alone.  The fit
+  restarts from θ = 0 on the face it finds, where the rows that other rows
+  span, found by pivoted Cholesky of the face's G, alias too.
 
 Bottom stays on an LP face even where no matching distribution gives it
 mass (data without the empty transaction, at a k that pins p(bottom) to 0),
 so log Z = -log p(bottom) holds for every fitted model but those that a
-target of 1 takes bottom from.  That boundary is then one direction, rows
-that sum to a constant on the face, along which bottom's mass falls by a
-constant factor per step while the rest converges, and the fit stops when
-the gap, which that mass bounds, reaches tol.  On
-``tbmlearn synth --n-vars 10 --support-size 60 --n 3000 --seed 3`` at
+target of 1 takes bottom from.  Bottom's mass then falls by a constant factor
+per step, and the fit stops when the gap, which that mass bounds, reaches
+tol.  On ``tbmlearn synth --n-vars 10 --support-size 60 --n 3000 --seed 3`` at
 σ = 0.02, k = 3, 60 of the 175 parameters stay and the fit takes 23
-iterations to a KL of 7.3e-7 to the data.
-
-With no face (Z over the LP's cap, as a full BM cube's from 13 variables
-on, or no solver verdict) the fit keeps its parameters and runs on to tol or
-``max_sweeps``.  On boundary targets the mass off the face then falls by a
-constant factor per step, and the gap, which that mass bounds, with it: the
-``synth --seed 3`` fit above, with the LP giving no verdict, takes 14
-iterations to a KL of 1.1e-6.  An empty face proves that no distribution
-matches the targets, and the fit stops there, unconverged.
+iterations to a KL of 7.3e-7 to the data.  With no face (a full BM cube
+too large to build Z for, or no solver verdict) the fit keeps its
+parameters, and the mass off the face falls the same way: the same fit
+without a face takes 14 iterations to a KL of 1.1e-6.
 """
 
 from __future__ import annotations
@@ -127,7 +122,6 @@ if TYPE_CHECKING:
 
 STEP_SHRINK = 0.5
 MIN_STEP_SIZE = 1e-16
-FEASIBILITY_CHECK_MAX_NNZ = 1 << 15
 DRIFT_GATE = 5.0
 DRIFT_STEP = 0.5
 LP_THETA = 30.0
@@ -160,8 +154,8 @@ class FitConfig:
 
     ``max_sweeps`` caps the iterations, trial steps included.  A fit
     converges when its largest moment gap is at most ``tol``.  No setting
-    bounds the parameters: a fit the face LP gives no face keeps them all
-    and runs to ``tol`` or ``max_sweeps``.
+    bounds the parameters: a fit that finds no face keeps them all and runs
+    to ``tol`` or ``max_sweeps``.
     """
 
     tol: float = 1e-6
@@ -276,53 +270,69 @@ def natural_direction(
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported at its first call."""
     from scipy.optimize import linprog
-
     return linprog(*args, **kwargs)
 
 
-def interior_feasible(incidence: sparse.csr_matrix, targets: np.ndarray) -> np.ndarray | None:
-    """The face on which the targets are attained: a mask of the outcomes that
-    some distribution matching them gives mass, empty when none matches.
+def _pivots(incidence: sparse.csr_matrix) -> tuple[np.ndarray, int]:
+    """Pivoted Cholesky of G at the uniform distribution over Z's columns: its
+    0-based pivots and rank, the count of rows independent up to a constant."""
+    from scipy.linalg.lapack import dpstrf
+    p = np.full(incidence.shape[1], 1.0 / incidence.shape[1])
+    g = fisher_matrix(incidence, incidence.T.tocsr(), p, incidence.dot(p))
+    _, pivots, rank, _ = dpstrf(g, tol=1e-9 * max(float(np.max(np.diag(g))), 1e-30))
+    return pivots - 1, rank
 
-    One homogeneous LP over p >= 0, tau >= 0 and 0 <= s <= 1, with
-    ``Z p = tau targets``, ``1^T p = tau`` and ``s <= p``, maximizes the sum
-    of s: scaling a solution scales p, so one solution marks the whole face
-    with s = 1.  ``None`` when Z has more than ``FEASIBILITY_CHECK_MAX_NNZ``
-    nonzeros, or when the solver reaches no verdict.  The first call of a
-    process imports ``scipy.optimize`` (about 0.2 s).
+
+def interior_feasible(incidence: sparse.csr_matrix, support: np.ndarray) -> np.ndarray | None:
+    """The face of a distribution with this support: a mask of the outcomes that
+    some distribution with its moments gives mass, the support among them;
+    ``None`` when that is every outcome, or when the LP reaches no verdict.
+
+    With A = Z over a row of ones, an outcome x off the support D is on the
+    face exactly when some p >= 0 off D with p_x > 0 has ``A p`` in the span
+    of A's columns on D.  If Z's rows are independent up to a constant over
+    D (the rank of :func:`_pivots`), that span is everything, and no LP runs.
+    Otherwise one homogeneous LP over p >= 0 off D, free λ on D and
+    0 <= s <= 1, with ``A p = A_D λ`` and ``s <= p``, maximizes the sum of s:
+    sums of solutions are solutions, so one marks the whole face with s = 1.
+    Of the forms measured, dual simplex without presolve, on devex pricing,
+    was the fastest.  The first call imports ``scipy.optimize`` (0.2 s).
     """
-    if incidence.nnz > FEASIBILITY_CHECK_MAX_NNZ:
-        return None
     from scipy import sparse
     m, n_out = incidence.shape
-    zeros = sparse.csr_matrix((m + 1, n_out))
-    # Columns: p, tau, s.
-    a_eq = sparse.hstack([sparse.vstack([incidence, np.ones((1, n_out))]),
-                          -np.append(targets, 1.0)[:, None], zeros], format="csr")
-    eye = sparse.identity(n_out, format="csr")
-    a_ub = sparse.hstack([-eye, sparse.csr_matrix((n_out, 1)), eye], format="csr")
-    result = linprog(
-        np.concatenate([np.zeros(n_out + 1), -np.ones(n_out)]),
-        A_ub=a_ub,
-        b_ub=np.zeros(n_out),
-        A_eq=a_eq,
+    if support.all() or _pivots(incidence[:, support])[1] == m:
+        return None
+    a = sparse.vstack([incidence, np.ones((1, n_out))], format="csc")
+    k, off = n_out - int(support.sum()), ~support
+    eye = sparse.identity(k)
+    result = linprog(  # columns: p, λ, s
+        np.concatenate([np.zeros(n_out), -np.ones(k)]),
+        A_ub=sparse.hstack([-eye, sparse.csr_matrix((k, n_out - k)), eye]),
+        b_ub=np.zeros(k),
+        A_eq=sparse.hstack([a[:, off], -a[:, support], sparse.csr_matrix((m + 1, k))]),
         b_eq=np.zeros(m + 1),
-        bounds=[(0, None)] * (n_out + 1) + [(0, 1)] * n_out,
-        method="highs",
+        bounds=[(0, None)] * k + [(None, None)] * (n_out - k) + [(0, 1)] * k,
+        method="highs-ds",
+        options={"presolve": False, "simplex_dual_edge_weight_strategy": "devex"},
     )
     if not result.success:
         return None
-    return result.x[n_out + 1:] > 0.5
+    keep = support.copy()
+    keep[off] = result.x[n_out:] > 0.5
+    return keep
 
 
 class ReducedSpace:
     """Normalizer over a reduced sample space, through the incidence matrix Z
-    of ``patterns``: log-probabilities are ``Z^T θ`` minus their log-sum-exp."""
+    of ``patterns``: log-probabilities are ``Z^T θ`` minus their log-sum-exp.
+    ``support`` marks the outcomes the fitted distribution gives mass, and
+    every face keeps them."""
 
-    def __init__(self, sample_space: SampleSpace, patterns, incidence: sparse.csr_matrix):
+    def __init__(self, sample_space: SampleSpace, patterns, incidence: sparse.csr_matrix, support):
         self.sample_space = sample_space
         self.patterns = list(patterns)
         self.incidence = incidence
+        self.support = support
         self._transposed = incidence.T
         self._rows_of = None  # the transpose, dense or CSR, built at the first Fisher step
         self.step_cost = 2 * incidence.nnz + incidence.shape[1]
@@ -346,8 +356,8 @@ class ReducedSpace:
     def closure(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:
         """The up-front face, by the rules of the module docstring, and the
         indices of the parameters that leave there, aliases then constant
-        rows; ``None`` when nothing changes or no outcome is left.  Z is
-        copied only when something changes."""
+        rows; ``None`` when nothing changes.  Z is copied only when
+        something changes."""
         row = {p: j for j, p in enumerate(self.patterns)}
         cols = _row_of(self.incidence)
         keep = np.ones(self.incidence.shape[1], dtype=bool)
@@ -360,8 +370,7 @@ class ReducedSpace:
             for s in (u[:i] + u[i + 1:] for i in range(len(u))):
                 if s in row and targets[row[s]] == targets[j]:
                     keep[np.setdiff1d(cols(row[s]), cols(j), assume_unique=True)] = False
-        if not keep.any():
-            return None
+        keep |= self.support  # outcomes of the support stay, whatever rounding does
         space, face, rows = self.sample_space, self.incidence, np.arange(len(self.patterns))
         if not keep.all():
             space, face, rows = _face(space, face, keep)
@@ -372,37 +381,33 @@ class ReducedSpace:
         elif face is self.incidence:
             return None
         leave = np.concatenate([np.setdiff1d(np.arange(len(self.patterns)), rows), rows[constant]])
-        return ReducedSpace(space, [self.patterns[j] for j in rows[~constant]], face), leave
+        pats = [self.patterns[j] for j in rows[~constant]]
+        return ReducedSpace(space, pats, face, self.support[keep]), leave
 
-    def face(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | tuple[()] | None:
-        return self.restrict(interior_feasible(self.incidence, targets))
+    def face(self) -> tuple["ReducedSpace", np.ndarray] | None:
+        return self.restrict(interior_feasible(self.incidence, self.support))
 
-    def restrict(self, keep) -> tuple["ReducedSpace", np.ndarray] | tuple[()] | None:
+    def restrict(self, keep) -> tuple["ReducedSpace", np.ndarray] | None:
         """The normalizer over the outcomes the mask ``keep`` marks (and bottom),
         and the indices of the parameters that alias there; ``None`` for no
-        mask or no proper face, and ``()`` for an empty one.
+        mask or no proper face.
 
         Past the face step's merge, the rank of G at the uniform distribution
         over the face, from pivoted Cholesky, counts the identifiable
         parameters, and its pivots are the basis kept.
         """
-        from scipy.linalg.lapack import dpstrf
         if keep is None:
             return None
-        if not keep.any():
-            return ()
         keep[0] |= self.sample_space.indptr[1] == 0  # bottom, if an outcome, stays
         if keep.all():
             return None
         space, face, rows = _face(self.sample_space, self.incidence, keep)
-        p = np.full(face.shape[1], 1.0 / face.shape[1])
-        g = fisher_matrix(face, face.T.tocsr(), p, face.dot(p))
-        _, pivots, rank, _ = dpstrf(g, tol=1e-9 * max(float(np.max(np.diag(g))), 1e-30))
+        pivots, rank = _pivots(face)
         if rank < rows.size:
-            basis = np.sort(pivots[:rank] - 1)
+            basis = np.sort(pivots[:rank])
             face, rows = face[basis], rows[basis]
-        aliases = np.setdiff1d(np.arange(len(self.patterns)), rows)
-        return ReducedSpace(space, [self.patterns[j] for j in rows], face), aliases
+        reduced = ReducedSpace(space, [self.patterns[j] for j in rows], face, self.support[keep])
+        return reduced, np.setdiff1d(np.arange(len(self.patterns)), rows)
 
     def model(self, theta: np.ndarray) -> GibbsModel:
         return GibbsModel(self.sample_space, self.patterns, theta, self.incidence)
@@ -416,10 +421,10 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
     docstring.  ``space`` is a :class:`ReducedSpace` or a
     ``baselines.FullCube``: ``fisher_solve`` factors G and returns its solve,
     ``closure`` and ``face`` the :class:`ReducedSpace` of the up-front or the
-    LP's face and the parameters that leave there, or ``None`` (``face``
-    gives ``()`` for an empty face), and ``model`` builds the fitted model
-    from θ.  Raises :class:`DomainSizeError`, before any iteration, when the
-    parameters left after the up-front face need G over the budget.
+    support's face and the parameters that leave there, or ``None``, and
+    ``model`` builds the fitted model from θ.  Raises
+    :class:`DomainSizeError`, before any iteration, when the parameters left
+    after the up-front face need G over the budget.
     """
     removed: list[Pattern] = []
     iterations = 0
@@ -511,9 +516,7 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
             or (gap <= cfg.tol and moved >= DRIFT_STEP and largest > DRIFT_GATE)
         ):
             lp_ran = True
-            found = space.face(targets)
-            if found == ():  # an empty face: no distribution matches the targets
-                break
+            found = space.face()
             if found is not None:
                 move(*found)
 
@@ -531,33 +534,35 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
 def fit_to_moments(
     space: SampleSpace,
     patterns: Sequence[Pattern],
-    targets: Sequence[float] | np.ndarray,
+    weights: Sequence[float] | np.ndarray,
     config: FitConfig | None = None,
     incidence: sparse.csr_matrix | None = None,
 ) -> tuple[GibbsModel, FitReport]:
-    """Fit parameters on ``patterns`` so model expectations match ``targets``.
+    """Fit parameters on ``patterns`` so that model expectations match those of
+    ``weights``, non-negative masses (counts or probabilities) over the
+    outcomes of ``space`` in space order: the targets ``Z w / sum(w)``.
 
     Runs :func:`ascend` over the reduced space of ``patterns`` in canonical
-    order, and returns its model over the space, or the face, it ended on
-    (uniform, and flagged in the report, if every parameter was removed).
-    A given ``incidence`` is copied only to put its rows in canonical order.
+    order and the support ``w > 0``, and returns its model over the space, or
+    the face, it ended on, which holds the support (uniform, and flagged in
+    the report, if every parameter was removed).  A given ``incidence`` is
+    copied only to put its rows in canonical order.
     """
-    cfg = config or FitConfig()
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (len(patterns),):
-        raise ValueError("targets must align with patterns")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("targets must be finite")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(space),):
+        raise ValueError("weights must align with the space's outcomes")
+    if not (np.all(weights >= 0) and 0 < weights.sum() < np.inf):
+        raise ValueError("weights must be finite, non-negative and not all zero")
     flatten_canonical(patterns, "domain")
 
     order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
     pats = [patterns[j] for j in order]
-    targets = targets[order]
     if incidence is None:
         incidence = incidence_matrix(space, pats)
     elif order != list(range(len(order))):
         incidence = incidence[np.array(order, dtype=np.intp)]
-    return ascend(ReducedSpace(space, pats, incidence), targets, cfg)
+    targets = incidence.dot(weights) / weights.sum()
+    return ascend(ReducedSpace(space, pats, incidence, weights > 0), targets, config or FitConfig())
 
 
 def empirical_targets(
@@ -629,8 +634,7 @@ def fit(
     patterns = sorted(domain, key=sort_key)
     space = build_sample_space(patterns, dataset)
     incidence = incidence_matrix(space, patterns)
-    targets = empirical_targets(dataset, space, incidence)
-    return fit_to_moments(space, patterns, targets, config, incidence=incidence)
+    return fit_to_moments(space, patterns, multiplicities(space, dataset), config, incidence)
 
 
 def fit_tbm(

@@ -38,24 +38,21 @@ def m_projection(
 ) -> tuple[GibbsModel, FitReport]:
     """Project a distribution onto the model family with the given domain.
 
-    Runs the same moment-matching ascent as data fitting, with targets taken
-    from the exact expectations of ``true_dist`` instead of a sample.  The
-    distribution must be strictly positive on its outcomes and must include
-    the empty pattern.
+    Runs the same moment-matching ascent as data fitting, on ``true_dist``
+    instead of a sample's multiplicities.  The distribution must be strictly
+    positive on its outcomes and must include the empty pattern.
     """
     if BOTTOM not in true_dist:
         raise ValueError("the distribution must cover the empty pattern")
-    probs = np.array([true_dist[x] for x in sorted(true_dist, key=sort_key)])
-    if np.any(probs <= 0):
-        raise ValueError("the distribution must be strictly positive on its outcomes")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
     space = SampleSpace.from_patterns(true_dist)
     pvec = np.array([true_dist[x] for x in space.outcomes])
+    if np.any(pvec <= 0):
+        raise ValueError("the distribution must be strictly positive on its outcomes")
+    if abs(pvec.sum() - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {pvec.sum()}, expected 1")
     patterns = sorted(domain, key=sort_key)
     incidence = incidence_matrix(space, patterns)
-    targets = incidence.dot(pvec)
-    return fit_to_moments(space, patterns, targets, config, incidence=incidence)
+    return fit_to_moments(space, patterns, pvec, config, incidence=incidence)
 
 
 def pythagorean_residual(

@@ -170,8 +170,9 @@ def test_criterion_04_miner_equals_brute_force():
 
 
 def test_criterion_05_degenerate_domain_guard():
+    # A distribution with eta(1) = eta(1, 2) = 0.4: no mass on (1,) alone.
     space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-    model, report = fit_to_moments(space, [(1,), (1, 2)], [0.4, 0.4])
+    model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.0, 0.3, 0.4])
     finite = bool(
         np.all(np.isfinite(model.log_probs)) and np.all(np.isfinite(model.theta))
     )

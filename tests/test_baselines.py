@@ -23,7 +23,7 @@ from tbmlearn import (
 )
 from tbmlearn import baselines, fitting
 from tbmlearn.baselines import FullCube, pattern_vector, subset_sums, superset_sums
-from tbmlearn.fitting import empirical_targets
+from tbmlearn.model import multiplicities
 from tbmlearn.patterns import flatten
 
 from oracles import enumerate_patterns, random_dataset, whole_domain_gap
@@ -96,8 +96,7 @@ class TestFullBM:
             )
             bm, bm_report = fit_full_bm(d, domain, cfg)
             incidence = incidence_matrix(cube, domain)
-            targets = empirical_targets(d, cube, incidence)
-            tbm, tbm_report = fit_to_moments(cube, domain, targets, cfg, incidence)
+            tbm, tbm_report = fit_to_moments(cube, domain, multiplicities(cube, d), cfg, incidence)
             assert bm_report.removed_parameters
             assert bm_report.removed_parameters == tbm_report.removed_parameters
             assert bm_report.iterations == tbm_report.iterations
@@ -171,9 +170,9 @@ class TestFullBM:
         monkeypatch.setattr(baselines, "incidence_matrix", refuse)
         # The singletons of 13 variables alone hold 13 * 2^12 nonzeros.
         cube = FullCube(13, [(i,) for i in range(13)])
-        assert cube.face(np.full(13, 0.5)) is None
+        assert cube.face() is None
 
-    # 13 variables put the cube's Z over the LP's cap, so these cubes have no
+    # 13 variables put the cube's Z over its bound, so these cubes have no
     # face: every parameter stays, and a boundary target is met to tol.  The
     # KL each reaches is the face's model's, the exact MLE on that face.
 

@@ -336,7 +336,7 @@ class TestEval:
     def test_tbm_names_the_first_transaction_outside(self, tmp_path, capsys, text, named):
         # A face without bottom: the empty line read as () lies outside it too.
         space = SampleSpace.from_patterns([(1,), (2,), (1, 2)])
-        model, report = fit_to_moments(space, [(1,), (2,)], [0.8, 0.6])
+        model, report = fit_to_moments(space, [(1,), (2,)], [0.4, 0.2, 0.4])
         model_path = tmp_path / "m.json"
         save_model(model_path, model, report)
         data = tmp_path / "d.fimi"
@@ -414,7 +414,7 @@ class TestFaces:
 
     def test_space_without_bottom(self, tmp_path, capsys):
         space = SampleSpace.from_patterns([(1,), (2,), (1, 2)])
-        model, report = fit_to_moments(space, [(1,), (2,)], [0.8, 0.6])
+        model, report = fit_to_moments(space, [(1,), (2,)], [0.4, 0.2, 0.4])
         model_path = tmp_path / "m.json"
         save_model(model_path, model, report)
         loaded, _, _ = load_model(model_path)
@@ -784,6 +784,27 @@ class TestPlumbing:
         code = run(command, "--input", worked_file, *args, option, value)
         assert code == 2
         assert f"argument {option}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, args, option",
+        [
+            ("fit-rbm", ("--hidden", "2"), "--seed"),
+            ("compare", ("--sigma", "0.45", "--k", "2"), "--seed"),
+            ("synth", ("--n-vars", "3", "--support-size", "2", "--n", "5"), "--seed"),
+            ("biasvar", ("--space-size", "10", "--n-vars", "5", "--k", "1", "--n", "50",
+                         "--trials", "2", "--sigma", "0.1"), "--seed"),
+            ("mine", ("--sigma", "0.5", "--k", "1"), "--max-domain-size"),
+        ],
+    )
+    def test_negative_seed_or_domain_cap_is_usage_error(
+        self, worked_file, tmp_path, capsys, command, args, option
+    ):
+        if command == "synth":
+            args += ("--out", tmp_path / "s.fimi", "--truth-out", tmp_path / "t.json")
+        elif command != "biasvar":
+            args = ("--input", worked_file) + args
+        assert run(command, *args, option, "-1") == 2
+        assert f"argument {option}: must be non-negative" in capsys.readouterr().err
 
     def test_missing_file_is_3(self):
         assert run("mine", "--input", "/nonexistent.fimi", "--sigma", "0.5", "--k", "1") == 3

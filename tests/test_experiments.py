@@ -172,9 +172,9 @@ class TestFaceTrials:
         fit_to_moments = experiments.fit_to_moments
         faces = []
 
-        def checked(space, patterns, targets, config, incidence):
+        def checked(space, patterns, weights, config, incidence):
             before = [a.copy() for a in (incidence.indptr, incidence.indices, incidence.data)]
-            model, report = fit_to_moments(space, patterns, targets, config, incidence=incidence)
+            model, report = fit_to_moments(space, patterns, weights, config, incidence=incidence)
             faces.append(model.space is not space)
             after = (incidence.indptr, incidence.indices, incidence.data)
             assert all(np.array_equal(a, b) for a, b in zip(before, after))

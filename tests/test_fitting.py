@@ -19,6 +19,7 @@ from tbmlearn import (
     FitConfig,
     SampleSpace,
     TransactionDataset,
+    evaluate_gibbs,
     fit,
     fit_tbm,
     fit_to_moments,
@@ -29,7 +30,9 @@ from tbmlearn import baselines, fit_full_bm, fitting
 from tbmlearn.experiments import synth_dataset
 from tbmlearn.fitting import empirical_targets, fisher_matrix, interior_feasible
 from tbmlearn.geometry import m_projection
-from tbmlearn.model import GibbsModel, build_sample_space, incidence_matrix, supports
+from tbmlearn.model import (
+    GibbsModel, build_sample_space, incidence_matrix, multiplicities, supports
+)
 from tbmlearn.patterns import sort_key
 from tbmlearn.serialize import dumps_model, model_from_dict
 
@@ -126,7 +129,7 @@ class TestGradientAndLikelihood:
         values = []
         for budget in (0, 1, 2, 4, 8, 16, 32, 64):
             cfg = FitConfig(tol=0.0, max_sweeps=budget)
-            model, _ = fit_to_moments(space, patterns, targets, cfg)
+            model, _ = fit_to_moments(space, patterns, multiplicities(space, d), cfg)
             values.append(
                 float(targets @ model.theta) - model.log_partition
             )
@@ -158,8 +161,9 @@ class TestMomentMatchingRandom:
 
 class TestDivergenceGuard:
     def test_degenerate_pair_removes_exactly_one(self):
+        # eta(1) = eta(1, 2) = 0.4: no mass on (1,) alone.
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.4, 0.4])
+        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.0, 0.3, 0.4])
         assert report.iterations < 10_000
         assert len(report.removed_parameters) == 1
         assert report.converged and not report.domain_emptied
@@ -297,14 +301,16 @@ class TestClosureFace:
         space = build_sample_space([(1,), (2,)], worked_dataset)
         z = incidence_matrix(space, [(1,), (2,)])
         targets = empirical_targets(worked_dataset, space, z)
-        assert fitting.ReducedSpace(space, [(1,), (2,)], z).closure(targets) is None
+        support = multiplicities(space, worked_dataset) > 0
+        assert fitting.ReducedSpace(space, [(1,), (2,)], z, support).closure(targets) is None
         # With a pair, the face gets its own Z and the caller's stays whole.
         d = self.implication_dataset()
         domain = sorted(mine_parameter_domain(d, 0.0, 2), key=sort_key)
         space = build_sample_space(domain, d)
         z = incidence_matrix(space, domain)
         before = z.copy()
-        face, aliases = fitting.ReducedSpace(space, domain, z).closure(
+        support = multiplicities(space, d) > 0
+        face, aliases = fitting.ReducedSpace(space, domain, z, support).closure(
             empirical_targets(d, space, z)
         )
         assert aliases.size and face.incidence.shape[1] < len(space)
@@ -331,23 +337,71 @@ class TestClosureFace:
         assert whole_domain_gap(d, domain, model) <= FitConfig().tol
 
 
+@st.composite
+def small_datasets(draw):
+    """Up to 8 distinct transactions over at most 4 items, some with
+    multiplicities up to 10^10, and a mined domain."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=8))
+    counts = st.one_of(st.integers(1, 20), st.integers(1, 10**10))
+    entries = {}
+    for row in rows:
+        x = tuple(sorted(row))
+        entries[x] = entries.get(x, 0) + draw(counts)
+    d = TransactionDataset(entries=entries, n_variables=n)
+    sigma, k = draw(st.sampled_from([0.0, 0.1, 0.3])), draw(st.integers(1, 3))
+    return d, list(mine_parameter_domain(d, sigma, k))
+
+
+class TestSupportStays:
+    """A fit keeps every transaction of its data as an outcome, whatever the
+    spread of their multiplicities."""
+
+    def test_tiny_target_keeps_its_transaction(self):
+        # The target of (2,) is 8e-10, under the LP solver's tolerance, but
+        # every outcome is observed, so no LP runs.
+        d = TransactionDataset({(): 1, (1,): 10**10, (2,): 3, (1, 2): 5}, 3)
+        model, report = fit(d, [(1,), (2,)])
+        assert model.domain == ((1,), (2,)) and report.removed_parameters == ()
+        assert (2,) in model.space and report.converged
+        evaluation = evaluate_gibbs(model, d)
+        assert np.isfinite(evaluation.kl) and np.isfinite(evaluation.log_likelihood)
+
+    def test_rounding_keeps_a_tiny_mass(self):
+        # The target of (1,) rounds to 1, whose rule would drop bottom.
+        space = SampleSpace.from_patterns([(), (1,)])
+        model, report = fit_to_moments(space, [(1,)], [1e-17, 1.0])
+        assert () in model.space and report.removed_parameters == ()
+        assert report.converged
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_datasets())
+    @example((TransactionDataset({(): 1, (1,): 10**10, (2,): 3, (1, 2): 5}, 3), [(1,), (2,)]))
+    def test_every_transaction_is_an_outcome(self, data):
+        d, domain = data
+        model, _ = fit(d, domain)
+        assert set(d.entries) <= set(model.space.outcomes)
+        model, _ = fit_full_bm(d, domain)
+        if isinstance(model, GibbsModel):  # the fit moved to a face of the cube
+            assert set(d.entries) <= set(model.space.outcomes)
+
+
 class TestInputOrder:
     """Pattern order and a precomputed incidence leave every output bit alone."""
 
     @staticmethod
-    def fits(space, patterns, targets, cfg):
+    def fits(space, patterns, weights, cfg):
         rng = np.random.default_rng(4)
         order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
         shuffled = list(rng.permutation(len(patterns)))
         for perm in (order, shuffled):
             pats = [patterns[j] for j in perm]
-            tgts = np.asarray(targets)[perm]
-            yield fit_to_moments(space, pats, tgts, cfg)
+            yield fit_to_moments(space, pats, weights, cfg)
             z = incidence_matrix(space, pats)
-            yield fit_to_moments(space, pats, tgts, cfg, incidence=z)
+            yield fit_to_moments(space, pats, weights, cfg, incidence=z)
 
-    def assert_identical(self, space, patterns, targets, cfg):
-        (model, report), *others = self.fits(space, patterns, targets, cfg)
+    def assert_identical(self, space, patterns, weights, cfg):
+        (model, report), *others = self.fits(space, patterns, weights, cfg)
         for other, other_report in others:
             assert other.domain == model.domain
             assert other.theta.tobytes() == model.theta.tobytes()
@@ -362,13 +416,13 @@ class TestInputOrder:
             d = TransactionDataset(entries=random_dataset(rng, n, 300), n_variables=n)
             patterns = list(mine_parameter_domain(d, 0.0, 2))
             space = build_sample_space(patterns, d)
-            targets = empirical_targets(d, space, incidence_matrix(space, patterns))
-            self.assert_identical(space, patterns, targets, TIGHT)
+            self.assert_identical(space, patterns, multiplicities(space, d), TIGHT)
 
     def test_boundary_removal_path(self):
+        # eta(1, 2) = eta(1) = 0.4 and eta(2) = 0.5.
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
         report = self.assert_identical(
-            space, [(1, 2), (2,), (1,)], [0.4, 0.5, 0.4], FitConfig()
+            space, [(1, 2), (2,), (1,)], [0.5, 0.0, 0.1, 0.4], FitConfig()
         )
         assert len(report.removed_parameters) == 1
 
@@ -528,10 +582,7 @@ class TestFisherSteps:
         space = SampleSpace.from_patterns(outcomes | {()})
         patterns = [(i,) for i in range(20)] + [(i, i + 1) for i in range(0, 20, 2)]
         p = rng.uniform(0.1, 1.0, size=len(space))
-        targets = incidence_matrix(space, patterns).dot(p / p.sum())
-        self.assert_same_by_form(
-            monkeypatch, lambda: fit_to_moments(space, patterns, targets, TIGHT)
-        )
+        self.assert_same_by_form(monkeypatch, lambda: fit_to_moments(space, patterns, p, TIGHT))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_with_a_fresh_pool(self):
@@ -629,7 +680,10 @@ class TestChordSteps:
         space = build_sample_space(patterns, d)
         z = incidence_matrix(space, patterns)
         targets = empirical_targets(d, space, z)
-        _, report = fitting.ascend(SpoiledReuse(space, patterns, z), targets, FitConfig(tol=1e-9))
+        support = multiplicities(space, d) > 0
+        _, report = fitting.ascend(
+            SpoiledReuse(space, patterns, z, support), targets, FitConfig(tol=1e-9)
+        )
         assert report.converged
         kinds = [kind for kind, _ in events]
         # The first reuse follows the state of an accepted step.  Its downhill
@@ -639,7 +693,8 @@ class TestChordSteps:
         assert kinds[reuse + 1:reuse + 5] == ["state", "build", "solve", "state"]
         accepted = events[reuse - 1][1]
         (_, at), (_, direction), (_, trial) = events[reuse + 2:reuse + 5]
-        assert at.tobytes() == fitting.ReducedSpace(space, patterns, z).state(accepted)[0].tobytes()
+        reference = fitting.ReducedSpace(space, patterns, z, support)
+        assert at.tobytes() == reference.state(accepted)[0].tobytes()
         assert trial.tobytes() == (accepted + direction).tobytes()
 
 
@@ -661,11 +716,10 @@ class TestDenseGate:
         d = TransactionDataset(entries=random_dataset(rng, 5, 300), n_variables=5)
         patterns = list(mine_parameter_domain(d, 0.05, 2))
         space = build_sample_space(patterns, d)
-        targets = empirical_targets(d, space, incidence_matrix(space, patterns))
         monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 8 * len(patterns) ** 2 - 1)
         message = f"{len(patterns)} parameters need .* raise sigma or lower k"
         with pytest.raises(DomainSizeError, match=message):
-            fit_to_moments(space, patterns, targets)
+            fit_to_moments(space, patterns, multiplicities(space, d))
         with pytest.raises(DomainSizeError, match=message):
             fit_full_bm(d, patterns)
 
@@ -674,80 +728,53 @@ class TestDenseGate:
         # on the up-front face and leaves, and two parameters are left for
         # the gate.
         space = build_sample_space([(1,), (2,)], worked_dataset)
-        patterns, targets = [(1,), (2,), (3,)], [0.7, 0.5, 0.3]
+        patterns, counts = [(1,), (2,), (3,)], multiplicities(space, worked_dataset)
         bm_patterns = [(0,), (1,), (2,)]
         monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 8 * 2**2)
-        _, report = fit_to_moments(space, patterns, targets)
+        _, report = fit_to_moments(space, patterns, counts)
         _, bm_report = fit_full_bm(worked_dataset, bm_patterns)
         assert report.converged and report.removed_parameters == ((3,),)
         assert bm_report.converged and bm_report.removed_parameters == ((0,),)
         monkeypatch.setattr(fitting, "FISHER_MAX_BYTES", 8 * 2**2 - 1)
         with pytest.raises(DomainSizeError, match="^2 parameters"):
-            fit_to_moments(space, patterns, targets)
+            fit_to_moments(space, patterns, counts)
         with pytest.raises(DomainSizeError, match="^2 parameters"):
             fit_full_bm(worked_dataset, bm_patterns)
 
 
 class TestInteriorFeasibility:
-    """The face LP marks the outcomes some distribution matching the targets
-    gives mass."""
+    """The face marks the outcomes that some distribution with the moments of
+    one on the support gives mass: the support, and what the LP adds."""
 
     space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
 
-    def face(self, patterns, targets):
+    def face(self, patterns, support):
         z = incidence_matrix(self.space, patterns)
-        return interior_feasible(z, np.array(targets))
+        return interior_feasible(z, np.array(support))
 
     def test_degenerate_targets_infeasible(self):
-        # eta(1) = eta(1, 2): no outcome holds 1 without 2.
-        assert self.face([(1,), (1, 2)], [0.4, 0.4]).tolist() == [True, False, True, True]
+        # eta(1) = eta(1, 2): no outcome holds 1 without 2.  Bottom's column
+        # is (2,)'s on these rows, so it joins the face.
+        assert self.face([(1,), (1, 2)], [False, False, True, True]).tolist() == [
+            True, False, True, True
+        ]
 
-    def test_interior_targets_feasible(self):
-        assert self.face([(1,), (2,)], [0.7, 0.5]).all()
+    def test_interior_targets_feasible(self, monkeypatch):
+        # A full support, or rows independent up to a constant over the
+        # support, leave every outcome on the face, and no LP runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog ran")
+
+        monkeypatch.setattr(fitting, "linprog", refuse)
+        assert self.face([(1,), (2,)], [True] * 4) is None
+        assert self.face([(1,), (2,), (1, 2)], [True] * 4) is None
+        assert self.face([(1,), (2,)], [True, True, True, False]) is None
 
     def test_bottom_can_leave_the_face(self):
         # eta(1) + eta(2) - eta(1, 2) = 1: every outcome holds 1 or 2.
-        assert self.face([(1,), (2,), (1, 2)], [0.875, 0.625, 0.5]).tolist() == [
+        assert self.face([(1,), (2,), (1, 2)], [False, True, True, True]).tolist() == [
             False, True, True, True
         ]
-
-    def test_unattainable_targets_give_an_empty_face(self):
-        assert not self.face([(1,), (1, 2)], [0.3, 0.5]).any()
-
-    def test_lp_capped_by_incidence_size(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("linprog called above the cap")
-
-        z = incidence_matrix(self.space, [(1,), (1, 2)])
-        monkeypatch.setattr(fitting, "FEASIBILITY_CHECK_MAX_NNZ", z.nnz - 1)
-        monkeypatch.setattr(fitting, "linprog", refuse)
-        assert interior_feasible(z, np.array([0.4, 0.4])) is None
-
-
-class TestUnattainableTargets:
-    def test_empty_face_keeps_the_domain(self, monkeypatch):
-        # eta(1, 2) > eta(1): no distribution matches, so the LP's face is
-        # empty.  The fit keeps its space and both parameters, and stops
-        # unconverged at the iteration the LP ran, with finite values.
-        lps = []
-        original = fitting.interior_feasible
-
-        def recording(*args):
-            lps.append(original(*args))
-            return lps[-1]
-
-        monkeypatch.setattr(fitting, "interior_feasible", recording)
-        space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5])
-        assert len(lps) == 1 and not lps[0].any()
-        assert len(model.space) == 4 and report.removed_parameters == ()
-        assert not report.converged
-        assert report.final_gap > 0.09  # no distribution comes within 0.1
-        assert np.all(np.isfinite(model.log_probs)) and np.all(np.isfinite(model.theta))
-        # One iteration fewer ends before the LP runs.
-        cfg = FitConfig(max_sweeps=report.iterations - 1)
-        fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.5], cfg)
-        assert len(lps) == 1
 
 
 class TestLpBudget:
@@ -780,7 +807,7 @@ class TestLpBudget:
     def test_criterion_5_space(self, lp_calls):
         # The closure pair (1,) ⊂ (1, 2) gives the face up front.
         space = SampleSpace.from_patterns([(), (1,), (2,), (1, 2)])
-        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.4, 0.4])
+        model, report = fit_to_moments(space, [(1,), (1, 2)], [0.3, 0.0, 0.3, 0.4])
         assert lp_calls == [] and report.converged
         assert moment_gap({(1,): 0.4, (1, 2): 0.4}, model) <= FitConfig().tol
 
@@ -796,6 +823,18 @@ class TestLpBudget:
         d, _ = synth_dataset(10, 60, 3000, seed=3)
         _, report, _ = fit_tbm(d, 0.02, 3)
         assert len(lp_calls) == 1 and report.converged
+
+    def test_boundary_fit_with_a_large_z(self, lp_calls):
+        # Z holds 36083 nonzeros.  The face is the 300 transactions and
+        # bottom, where 300 parameters stay.
+        d, _ = synth_dataset(16, 300, 20_000, seed=0)
+        domain = sorted(mine_parameter_domain(d, 0.005, 3), key=sort_key)
+        assert incidence_matrix(build_sample_space(domain, d), domain).nnz == 36083
+        model, report = fit(d, domain)
+        assert len(lp_calls) == 1 and report.converged
+        assert len(domain) == 696 and len(report.removed_parameters) == 396
+        assert len(model.domain) == 300 and report.iterations == 20
+        assert set(model.space.outcomes) == set(d.entries) | {()}
 
     def test_no_verdict_keeps_the_domain(self, monkeypatch):
         # With no face from the LP, the boundary fit keeps every parameter and
@@ -827,10 +866,9 @@ class TestLpBudget:
 
     def test_interior_fits_run_none(self, lp_calls, worked_dataset):
         fit(worked_dataset, [(1,), (2,)])
-        # The benchmark's synthetic protocol at k=1: Z is under the LP's cap.
+        # The benchmark's synthetic protocol at k=1.
         d, _ = synth_dataset(16, 1000, 20_000, seed=0)
-        model, report, _ = fit_tbm(d, 0.1, 1)
-        assert 0 < model.incidence.nnz <= fitting.FEASIBILITY_CHECK_MAX_NNZ
+        _, report, _ = fit_tbm(d, 0.1, 1)
         assert report.converged and lp_calls == []
 
 
@@ -892,7 +930,7 @@ class TestReportMatchesModel:
         # share a target; (0,) aliases there, and (1,) is constant.
         space = SampleSpace.from_patterns([(), (0,), (1,), (0, 1)])
         given = {(0,): 0.25, (1,): 1.0, (0, 1): 0.25}
-        model, report = fit_to_moments(space, list(given), list(given.values()))
+        model, report = fit_to_moments(space, list(given), [0.0, 0.0, 0.75, 0.25])
         assert report.removed_parameters == ((0,), (1,))
         targets = np.array([given[p] for p in model.domain])
         self.assert_agrees(report, targets, model.etas(), FitConfig().tol)
@@ -936,19 +974,19 @@ class TestReportMatchesModel:
 
 class TestUpFrontFilter:
     def test_pattern_outside_space_removed_first(self):
-        # No outcome contains item 3, so the row of (3,) in Z is empty and no
-        # parameter reaches its interior target.  (0,) and (0, 1) ask for
+        # No outcome contains item 3, so the row of (3,) in Z is empty and
+        # constant.  (0,) and (0, 1) share a target of 0.4, which asks for
         # p((0,)) = 0, so the closure step drops that outcome first, and
         # (0,) aliases (0, 1) on the face.
         space = SampleSpace.from_patterns([(), (0,), (0, 1)])
         patterns = [(0,), (3,), (0, 1)]
-        targets = [0.4, 0.3, 0.4]
-        model, report = fit_to_moments(space, patterns, targets)
+        weights = [0.6, 0.0, 0.4]
+        model, report = fit_to_moments(space, patterns, weights)
         assert report.removed_parameters == ((0,), (3,))
         assert report.converged and model.domain == ((0, 1),)
         assert moment_gap({(0,): 0.4, (0, 1): 0.4}, model) <= FitConfig().tol
         # Both go before the first iteration.
-        _, report = fit_to_moments(space, patterns, targets, FitConfig(max_sweeps=0))
+        _, report = fit_to_moments(space, patterns, weights, FitConfig(max_sweeps=0))
         assert report.removed_parameters == ((0,), (3,)) and report.iterations == 0
 
     def test_aliases_leave_before_constant_rows(self):
@@ -963,38 +1001,46 @@ class TestUpFrontFilter:
 
     def test_constant_rows_leave_with_no_face(self):
         # The rules rule no outcome out, so Z keeps its outcomes: (3,) holds
-        # none and (0,) every one, and both leave whatever their targets.
+        # none and (0,) every one, and both leave.
         space = SampleSpace.from_patterns([(0,), (0, 1), (0, 2)])
         patterns = [(0,), (1,), (2,), (3,)]
-        model, report = fit_to_moments(space, patterns, [0.5, 0.3, 0.4, 0.2])
+        model, report = fit_to_moments(space, patterns, [0.3, 0.3, 0.4])
         assert report.removed_parameters == ((0,), (3,))
         assert model.space is space and model.domain == ((1,), (2,))
         assert report.converged
 
     def test_interior_fit_drops_only_the_empty_row(self, worked_dataset):
         space = build_sample_space([(1,), (2,)], worked_dataset)
-        model, report = fit_to_moments(space, [(1,), (2,), (3,)], [0.7, 0.5, 0.3])
+        counts = multiplicities(space, worked_dataset)
+        model, report = fit_to_moments(space, [(1,), (2,), (3,)], counts)
         assert report.removed_parameters == ((3,),)
         assert report.converged and model.domain == ((1,), (2,))
 
 
 class TestValidation:
     def test_target_alignment(self):
+        # The weights align with the space's outcomes, not with the patterns.
         space = SampleSpace.from_patterns([(), (1,)])
-        with pytest.raises(ValueError):
-            fit_to_moments(space, [(1,)], [0.5, 0.4])
+        with pytest.raises(ValueError, match="align"):
+            fit_to_moments(space, [(1,)], [0.5])
 
     def test_nonfinite_targets(self):
         space = SampleSpace.from_patterns([(), (1,)])
-        with pytest.raises(ValueError):
-            fit_to_moments(space, [(1,)], [np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            fit_to_moments(space, [(1,)], [np.nan, 1.0])
+
+    @pytest.mark.parametrize("weights", [[-0.1, 1.1], [0.0, 0.0]], ids=["negative", "zero"])
+    def test_weights_form_a_distribution(self, weights):
+        space = SampleSpace.from_patterns([(), (1,)])
+        with pytest.raises(ValueError, match="non-negative and not all zero"):
+            fit_to_moments(space, [(1,)], weights)
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda d: fit(d, [(1, 0)]),
             lambda d: fit_full_bm(d, [(0,), (1, 0)]),
-            lambda d: fit_to_moments(SampleSpace.from_patterns([(), (0, 1)]), [(1, 0)], [0.4]),
+            lambda d: fit_to_moments(SampleSpace.from_patterns([(), (0, 1)]), [(1, 0)], [0.6, 0.4]),
             lambda d: m_projection({(): 0.5, (0, 1): 0.25, (1, 0): 0.25}, [(0,)]),
             lambda d: SampleSpace.from_patterns([(), (1, 1)]),
         ],

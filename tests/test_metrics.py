@@ -18,8 +18,7 @@ from tbmlearn import (
     mine_parameter_domain,
     reconstruction_error_proxy,
 )
-from tbmlearn.fitting import empirical_targets
-from tbmlearn.model import build_sample_space, incidence_matrix
+from tbmlearn.model import build_sample_space, incidence_matrix, multiplicities
 from tbmlearn.patterns import parse_fimi
 
 from conftest import WORKED_ENTROPY, WORKED_KL
@@ -203,17 +202,10 @@ class TestNestedDomainMonotonicity:
                 continue
             small = [p for p in big if len(p) == 1]
             space = build_sample_space(big, d)
+            counts = multiplicities(space, d)
             z_big = incidence_matrix(space, big)
-            m_big, _ = fit_to_moments(
-                space, big, empirical_targets(d, space, z_big), TIGHT, incidence=z_big
-            )
+            m_big, _ = fit_to_moments(space, big, counts, TIGHT, incidence=z_big)
             z_small = incidence_matrix(space, small)
-            m_small, _ = fit_to_moments(
-                space,
-                small,
-                empirical_targets(d, space, z_small),
-                TIGHT,
-                incidence=z_small,
-            )
+            m_small, _ = fit_to_moments(space, small, counts, TIGHT, incidence=z_small)
             p_hat = EmpiricalDistribution.from_dataset(d)
             assert kl_divergence(p_hat, m_big) <= kl_divergence(p_hat, m_small) + 1e-8
