@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitConfig, fit_to_moments
+from .fitting import FitConfig, ReducedSpace, fit_to_moments
 from .geometry import m_projection, variance_lower_bound
 from .mining import mine_parameter_domain
 from .model import SampleSpace, incidence_matrix, locate_rows, supports
@@ -188,7 +188,7 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
     bias = float(np.dot(pvec, np.log(pvec) - projection.log_probs))
     p_proj = np.exp(projection.log_probs)
 
-    incidence = incidence_matrix(space, patterns)
+    prepared = ReducedSpace.over(space, patterns, incidence_matrix(space, patterns))
     kl_true = np.zeros(cfg.trials)
     kl_proj = np.zeros(cfg.trials)
     on_face = np.zeros(cfg.trials, dtype=bool)
@@ -196,7 +196,7 @@ def bias_variance_experiment(cfg: BiasVarianceConfig) -> BiasVarianceReport:
     for trial, child in enumerate(seq.spawn(cfg.trials)):
         trial_rng = np.random.default_rng(child)
         counts = trial_rng.multinomial(cfg.n_samples, pvec)
-        fitted, fit_report = fit_to_moments(space, patterns, counts, BIAS_VARIANCE_FIT, incidence)
+        fitted, fit_report = fit_to_moments(prepared, None, counts, BIAS_VARIANCE_FIT)
         log_probs, face = fitted.log_probs, fitted.space
         on_face[trial] = face is not space
         if on_face[trial]:  # the outcomes off the face get no mass

@@ -36,30 +36,31 @@ A trial from a reused factor must raise the log-likelihood strictly;
 otherwise G is built at the same point and the full step is tried from it,
 since a stale factor near float resolution can make plateau steps forever.
 
-Over the reduced space G is ``Z diag(p) Z^T``, built from a transpose of Z
-that :class:`ReducedSpace` makes at its first Fisher step.  While the
-dense ``n_outcomes x |B|`` transpose needs at most ``FISHER_DENSE_BYTES``
-(256 KiB; a bias-variance trial's needs 32 KB), it is kept dense and G is
-one product ``Z @ (p[:, None] * Z^T)`` in the calling thread, so a small
-build costs its arithmetic rather than a sparse product's set-up.  Above
-the limit a dense transpose of a sparse Z costs more than it saves, so
-Z^T is kept in CSR form and G is one sparse product, built in blocks of
-rows on a thread pool with one worker per usable core.  Either way each
-entry of G adds the same terms p_x, over the outcomes x that both rows
-hold, in ascending x, as the serial sparse product does; the dense form
-only adds exact zeros besides (Z's rows have sorted indices and 0/1 data).
-So G has the same bits in either form and at any core count, and it is
-symmetric bit for bit as built.  LAPACK's Cholesky (``dpotrf``) factors
-it.  The solve runs in the BLAS, whose threads split its sums
-differently, so fits (and ``fit-tbm`` files) are reproducible bit for bit
+``ReducedSpace.over`` prepares a normalizer once per (space, domain), and
+each fit, as each bias-variance trial, runs on a view that holds its own
+support and shares Z^T, the closure-pair table and the transpose of Z that
+G = ``Z diag(p) Z^T`` is built from, the last two made at first use.  While
+the dense ``n_outcomes x |B|`` transpose needs at most
+``FISHER_DENSE_BYTES`` (256 KiB; a trial's needs 32 KB), G is one product
+``Z @ (p[:, None] * Z^T)`` in the calling thread, so a small build costs
+its arithmetic rather than a sparse product's set-up.  Above it a dense
+transpose costs more than it saves: Z^T is kept in CSR form and G is one
+sparse product, built in blocks of rows on a thread pool with one worker
+per usable core.  Either way each entry of G adds the same terms p_x, over
+the outcomes x that both rows hold, in ascending x, as the serial sparse
+product does (the dense form adds exact zeros besides; Z's rows have
+sorted indices and 0/1 data), so G has the same bits in either form and
+at any core count, and is symmetric as built.  LAPACK's Cholesky
+(``dpotrf``) factors it.  The solve runs in the BLAS, whose threads split
+its sums differently, so fits (and ``fit-tbm`` files) repeat bit for bit
 only at a fixed BLAS thread count.  G takes ``8 |B|^2`` bytes: parameters
 that, after the up-front face below, would need more than
 ``FISHER_MAX_BYTES`` (256 MiB, |B| up to 5792) are refused with
 :class:`~tbmlearn.mining.DomainSizeError` before any iteration.  scipy is
-imported where it runs, at the first call of each function that needs it:
-the sparse products of G and of the face step, the Cholesky and pivoted
-Cholesky factors, and the face LP.  So importing the package, or scoring a
-model, loads none of it.
+imported at the first call of each function that runs it (the sparse
+products of G and of the face step, the Cholesky and pivoted Cholesky
+factors, the face LP), so importing the package, or scoring a model, loads
+none of it.
 
 A fit matches the moments of a distribution over the space (the data's
 multiplicities, or a truth), whose support the normalizer holds.  Where
@@ -102,6 +103,7 @@ without a face takes 14 iterations to a KL of 1.1e-6.
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -326,7 +328,8 @@ class ReducedSpace:
     """Normalizer over a reduced sample space, through the incidence matrix Z
     of ``patterns``: log-probabilities are ``Z^T θ`` minus their log-sum-exp.
     ``support`` marks the outcomes the fitted distribution gives mass, and
-    every face keeps them."""
+    every face keeps them.  Prepared by :meth:`over`, it holds no support;
+    each fit runs on a :meth:`view` that holds one and shares the rest."""
 
     def __init__(self, sample_space: SampleSpace, patterns, incidence: sparse.csr_matrix, support):
         self.sample_space = sample_space
@@ -334,9 +337,28 @@ class ReducedSpace:
         self.incidence = incidence
         self.support = support
         self._transposed = incidence.T
-        self._rows_of = None  # the transpose, dense or CSR, built at the first Fisher step
+        self._built: dict[str, object] = {}  # the views' shared "rows_of" and "pairs"
         self.step_cost = 2 * incidence.nnz + incidence.shape[1]
         self.fisher_cost = incidence.nnz
+
+    @classmethod
+    def over(cls, sample_space: SampleSpace, patterns, incidence=None) -> "ReducedSpace":
+        """The normalizer of ``patterns``, checked, in canonical order; a given
+        ``incidence`` is copied only to put its rows in that order."""
+        flatten_canonical(patterns, "domain")
+        order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
+        pats = [patterns[j] for j in order]
+        if incidence is None:
+            incidence = incidence_matrix(sample_space, pats)
+        elif order != list(range(len(order))):
+            incidence = incidence[np.array(order, dtype=np.intp)]
+        return cls(sample_space, pats, incidence, None)
+
+    def view(self, support: np.ndarray) -> "ReducedSpace":
+        """This normalizer with its own ``support``, sharing all the rest."""
+        view = copy.copy(self)
+        view.support = support
+        return view
 
     def state(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
         raw = self._transposed.dot(theta)
@@ -347,29 +369,33 @@ class ReducedSpace:
         return self.incidence.dot(np.exp(log_probs))
 
     def fisher_solve(self, log_probs, etas) -> Callable[[np.ndarray], np.ndarray]:
-        if self._rows_of is None:
+        if "rows_of" not in self._built:
             m, n_out = self.incidence.shape
-            dense = 8 * m * n_out <= FISHER_DENSE_BYTES
-            self._rows_of = self._transposed.toarray() if dense else self._transposed.tocsr()
-        return natural_direction(self.incidence, self._rows_of, log_probs, etas)
+            dense, z_t = 8 * m * n_out <= FISHER_DENSE_BYTES, self._transposed
+            self._built["rows_of"] = z_t.toarray() if dense else z_t.tocsr()
+        return natural_direction(self.incidence, self._built["rows_of"], log_probs, etas)
 
     def closure(self, targets: np.ndarray) -> tuple["ReducedSpace", np.ndarray] | None:
         """The up-front face, by the rules of the module docstring, and the
         indices of the parameters that leave there, aliases then constant
-        rows; ``None`` when nothing changes.  Z is copied only when
-        something changes."""
-        row = {p: j for j, p in enumerate(self.patterns)}
+        rows; ``None`` when nothing changes.  Each rule is an array test over
+        the targets or the closure-pair table; only the rows it flags rule
+        outcomes out, in any order.  Z is copied only when something changes."""
+        if "pairs" not in self._built:  # (s, u): s ⊂ u, u one item longer
+            row = {p: j for j, p in enumerate(self.patterns)}
+            pairs = [(row[s], j) for j, u in enumerate(self.patterns)
+                     for s in (u[:i] + u[i + 1:] for i in range(len(u))) if s in row]
+            self._built["pairs"] = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        s, u = self._built["pairs"]
+        tied = targets[s] == targets[u]
         cols = _row_of(self.incidence)
         keep = np.ones(self.incidence.shape[1], dtype=bool)
-        targets = targets.tolist()  # floats compare faster than numpy scalars
-        for j, u in enumerate(self.patterns):
-            if targets[j] <= 0.0:
-                keep[cols(j)] = False
-            elif targets[j] >= 1.0:
-                keep[np.setdiff1d(np.arange(keep.size), cols(j), assume_unique=True)] = False
-            for s in (u[:i] + u[i + 1:] for i in range(len(u))):
-                if s in row and targets[row[s]] == targets[j]:
-                    keep[np.setdiff1d(cols(row[s]), cols(j), assume_unique=True)] = False
+        for j in np.flatnonzero(targets <= 0.0):
+            keep[cols(j)] = False
+        for j in np.flatnonzero(targets >= 1.0):
+            keep[np.setdiff1d(np.arange(keep.size), cols(j), assume_unique=True)] = False
+        for a, b in zip(s[tied].tolist(), u[tied].tolist()):
+            keep[np.setdiff1d(cols(a), cols(b), assume_unique=True)] = False
         keep |= self.support  # outcomes of the support stay, whatever rounding does
         space, face, rows = self.sample_space, self.incidence, np.arange(len(self.patterns))
         if not keep.all():
@@ -532,8 +558,8 @@ def ascend(space, targets: np.ndarray, cfg: FitConfig) -> tuple[object, FitRepor
 
 
 def fit_to_moments(
-    space: SampleSpace,
-    patterns: Sequence[Pattern],
+    space: SampleSpace | ReducedSpace,
+    patterns: Sequence[Pattern] | None,
     weights: Sequence[float] | np.ndarray,
     config: FitConfig | None = None,
     incidence: sparse.csr_matrix | None = None,
@@ -542,27 +568,24 @@ def fit_to_moments(
     ``weights``, non-negative masses (counts or probabilities) over the
     outcomes of ``space`` in space order: the targets ``Z w / sum(w)``.
 
-    Runs :func:`ascend` over the reduced space of ``patterns`` in canonical
-    order and the support ``w > 0``, and returns its model over the space, or
-    the face, it ended on, which holds the support (uniform, and flagged in
-    the report, if every parameter was removed).  A given ``incidence`` is
-    copied only to put its rows in canonical order.
+    ``space`` is a :class:`SampleSpace`, whose normalizer ``ReducedSpace.over``
+    prepares, or a prepared normalizer, with ``patterns`` and ``incidence``
+    ``None``.  Runs :func:`ascend` on its view with the support ``w > 0`` and
+    returns the model over the space, or the face, it ended on, which holds
+    the support (uniform, and flagged in the report, if every parameter was
+    removed).
     """
+    if not isinstance(space, ReducedSpace):
+        space = ReducedSpace.over(space, patterns, incidence)
+    elif patterns is not None or incidence is not None:
+        raise ValueError("a prepared normalizer brings its own patterns and incidence")
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(space),):
+    if weights.shape != (len(space.sample_space),):
         raise ValueError("weights must align with the space's outcomes")
     if not (np.all(weights >= 0) and 0 < weights.sum() < np.inf):
         raise ValueError("weights must be finite, non-negative and not all zero")
-    flatten_canonical(patterns, "domain")
-
-    order = sorted(range(len(patterns)), key=lambda j: sort_key(patterns[j]))
-    pats = [patterns[j] for j in order]
-    if incidence is None:
-        incidence = incidence_matrix(space, pats)
-    elif order != list(range(len(order))):
-        incidence = incidence[np.array(order, dtype=np.intp)]
-    targets = incidence.dot(weights) / weights.sum()
-    return ascend(ReducedSpace(space, pats, incidence, weights > 0), targets, config or FitConfig())
+    targets = space.incidence.dot(weights) / weights.sum()
+    return ascend(space.view(weights > 0), targets, config or FitConfig())
 
 
 def empirical_targets(
@@ -633,8 +656,7 @@ def fit(
     """Maximum-likelihood fit of a transductive model on its derived sample space or a face."""
     patterns = sorted(domain, key=sort_key)
     space = build_sample_space(patterns, dataset)
-    incidence = incidence_matrix(space, patterns)
-    return fit_to_moments(space, patterns, multiplicities(space, dataset), config, incidence)
+    return fit_to_moments(space, patterns, multiplicities(space, dataset), config)
 
 
 def fit_tbm(

@@ -8,14 +8,13 @@ with respect to parameters.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fitting import FitConfig, FitReport, fisher_matrix, fit_to_moments
 from .metrics import _prob_items, kl_divergence
-from .model import GibbsModel, SampleSpace, incidence_matrix
+from .model import GibbsModel, SampleSpace, fsum, incidence_matrix
 from .patterns import BOTTOM, Pattern, sort_key
 
 
@@ -75,7 +74,7 @@ def pythagorean_residual(
             raise ValueError(f"pattern {x} is outside the shared sample space")
     kl_data_q = kl_divergence(ref, q)
     kl_data_fit = kl_divergence(ref, p_mle)
-    kl_fit_q = math.fsum((np.exp(p_mle.log_probs) * (p_mle.log_probs - q.log_probs)).tolist())
+    kl_fit_q = fsum(np.exp(p_mle.log_probs) * (p_mle.log_probs - q.log_probs))
     return abs(kl_data_q - kl_data_fit - kl_fit_q)
 
 

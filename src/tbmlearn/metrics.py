@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .baselines import FullBMModel
-from .model import GibbsModel
+from .model import GibbsModel, fsum
 from .patterns import EmpiricalDistribution, Pattern, TransactionDataset, flatten
 
 
@@ -59,7 +59,7 @@ def _frequencies(dataset: TransactionDataset) -> np.ndarray:
 
 def _divergence(w: np.ndarray, log_q: np.ndarray) -> float:
     """The sum of ``w (log w - log_q)``."""
-    return math.fsum((w * (np.log(w) - log_q)).tolist())
+    return fsum(w * (np.log(w) - log_q))
 
 
 def kl_divergence(
@@ -86,12 +86,12 @@ def entropy(p: Mapping[Pattern, float] | EmpiricalDistribution | TransactionData
         values = _frequencies(p)
     else:
         values = np.array(list(_prob_items(p).values()), dtype=np.float64)
-    total = math.fsum(values.tolist())
+    total = fsum(values)
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     nonzero = values[values > 0]
     # From 0.0, so that a point mass reads 0.0, not -0.0.
-    return 0.0 - math.fsum((nonzero * np.log(nonzero)).tolist())
+    return 0.0 - fsum(nonzero * np.log(nonzero))
 
 
 def _proxy(energies: np.ndarray, dataset: TransactionDataset) -> float:
@@ -101,7 +101,7 @@ def _proxy(energies: np.ndarray, dataset: TransactionDataset) -> float:
         raise ValueError("model energies must be finite on the observed patterns")
     log_weights = -energies
     top = log_weights.max()
-    log_norm = top + math.log(math.fsum(np.exp(log_weights - top).tolist()))
+    log_norm = top + math.log(fsum(np.exp(log_weights - top)))
     return _divergence(_frequencies(dataset), log_weights - log_norm)
 
 
@@ -127,7 +127,7 @@ def evaluate_gibbs(model: GibbsModel | FullBMModel, dataset: TransactionDataset)
     log_probs = model.log_probs_of_rows(indptr, ids)
     return Evaluation(
         kl=_divergence(_frequencies(dataset), log_probs),
-        log_likelihood=math.fsum((counts * log_probs).tolist()),
+        log_likelihood=fsum(counts * log_probs),
         n_eval_patterns=len(counts),
         proxy_error=_proxy(-(log_probs + model.log_partition), dataset),
     )

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -64,6 +65,7 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 _SUM_ROWS = 1 << 8
+FSUM_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,6 +170,13 @@ def locate_rows(space: SampleSpace, indptr: np.ndarray, ids: np.ndarray) -> np.n
             f"pattern {row_pattern(indptr, ids, outside[0])} is outside the sample space"
         )
     return at
+
+
+def fsum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` of a 1-D float array, bit for bit, fed
+    ``FSUM_CHUNK`` elements at a time, so no list of the whole array is held."""
+    chunks = (values[i:i + FSUM_CHUNK].tolist() for i in range(0, values.size, FSUM_CHUNK))
+    return math.fsum(chain.from_iterable(chunks))
 
 
 def logsumexp(x: np.ndarray) -> float:
@@ -353,4 +362,4 @@ class GibbsModel:
 
     def negative_entropy(self) -> float:
         """Sum of p log p over the sample space (the dual potential), exactly rounded."""
-        return math.fsum((np.exp(self.log_probs) * self.log_probs).tolist())
+        return fsum(np.exp(self.log_probs) * self.log_probs)

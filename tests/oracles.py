@@ -4,7 +4,9 @@ Everything here is deliberately written against plain sets and dense numpy
 arrays, sharing no code path with the package internals it validates.  The
 exceptions are the brute-force domain, which takes the miner's support
 threshold and result type so that the two enumerations compare directly,
-and the model file's dict, which reads the models' own fields.
+the model file's dict, which reads the models' own fields, and the
+pattern-loop closure, which ends in the package's own face step so that
+the two closures compare on their rules alone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from tbmlearn import (
     TransactionDataset,
     support_threshold,
 )
+from tbmlearn.fitting import ReducedSpace, _face
 from tbmlearn.patterns import Pattern, sort_key
 from tbmlearn.serialize import SCHEMA_VERSION
 
@@ -228,3 +231,40 @@ def model_to_dict(model, report=None, meta=None) -> dict:
         out["fit_report"] = asdict(report)
         out["fit_report"]["removed_parameters"] = [list(p) for p in report.removed_parameters]
     return out
+
+
+def closure_by_pattern(normalizer: ReducedSpace, targets: np.ndarray):
+    """``normalizer.closure(targets)`` by a loop over the patterns: each
+    pattern's own rules (a target of 0 or 1), then each of its one-shorter
+    subsets in the domain with an equal target, each rule ruling outcomes
+    out in turn.  The face step and the constant rows after the rules are
+    the package's."""
+    patterns, z = normalizer.patterns, normalizer.incidence
+    row = {p: j for j, p in enumerate(patterns)}
+
+    def cols(j):
+        return z.indices[z.indptr[j]:z.indptr[j + 1]]
+
+    keep = np.ones(z.shape[1], dtype=bool)
+    targets = targets.tolist()
+    for j, u in enumerate(patterns):
+        if targets[j] <= 0.0:
+            keep[cols(j)] = False
+        elif targets[j] >= 1.0:
+            keep[np.setdiff1d(np.arange(keep.size), cols(j), assume_unique=True)] = False
+        for s in (u[:i] + u[i + 1:] for i in range(len(u))):
+            if s in row and targets[row[s]] == targets[j]:
+                keep[np.setdiff1d(cols(row[s]), cols(j), assume_unique=True)] = False
+    keep |= normalizer.support
+    space, face, rows = normalizer.sample_space, z, np.arange(len(patterns))
+    if not keep.all():
+        space, face, rows = _face(space, face, keep)
+    sizes = np.diff(face.indptr)
+    constant = (sizes == 0) | (sizes == face.shape[1])
+    if constant.any():
+        face = face[np.flatnonzero(~constant)]
+    elif face is z:
+        return None
+    leave = np.concatenate([np.setdiff1d(np.arange(len(patterns)), rows), rows[constant]])
+    kept = [patterns[j] for j in rows[~constant]]
+    return ReducedSpace(space, kept, face, normalizer.support[keep]), leave

@@ -18,6 +18,7 @@ ORACLE_NAMES = (
     "support_counts",
     "empirical_eta",
     "brute_force_domain",
+    "closure_by_pattern",
 )
 
 

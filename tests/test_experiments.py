@@ -1,5 +1,7 @@
 """Synthetic data generation and the bias-variance harness."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from tbmlearn import (
     synth_dataset,
     tune_sigma,
 )
-from tbmlearn import experiments
+from tbmlearn import experiments, fitting
+from tbmlearn.model import incidence_matrix
 
 
 class TestSynthDataset:
@@ -172,14 +175,123 @@ class TestFaceTrials:
         fit_to_moments = experiments.fit_to_moments
         faces = []
 
-        def checked(space, patterns, weights, config, incidence):
-            before = [a.copy() for a in (incidence.indptr, incidence.indices, incidence.data)]
-            model, report = fit_to_moments(space, patterns, weights, config, incidence=incidence)
-            faces.append(model.space is not space)
-            after = (incidence.indptr, incidence.indices, incidence.data)
+        def checked(prepared, patterns, weights, config):
+            z = prepared.incidence
+            before = [a.copy() for a in (z.indptr, z.indices, z.data)]
+            model, report = fit_to_moments(prepared, patterns, weights, config)
+            faces.append(model.space is not prepared.sample_space)
+            after = (z.indptr, z.indices, z.data)
+            assert prepared.incidence is z
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
             return model, report
 
         monkeypatch.setattr(experiments, "fit_to_moments", checked)
         report = bias_variance_experiment(self.cfg)
         assert len(faces) == self.cfg.trials and sum(faces) == report.n_face_trials > 0
+
+
+def _shared_arrays(prepared) -> dict[str, np.ndarray]:
+    """Copies of every array the views of a prepared normalizer share."""
+    z, zt = prepared.incidence, prepared._transposed
+    arrays = {
+        "z.indptr": z.indptr, "z.indices": z.indices, "z.data": z.data,
+        "zt.indptr": zt.indptr, "zt.indices": zt.indices, "zt.data": zt.data,
+    }
+    rows_of = prepared._built.get("rows_of")
+    if rows_of is not None:
+        arrays["rows_of"] = rows_of if isinstance(rows_of, np.ndarray) else rows_of.toarray()
+    if "pairs" in prepared._built:
+        arrays["pairs.s"], arrays["pairs.u"] = prepared._built["pairs"]
+    return {key: np.array(a, copy=True) for key, a in arrays.items()}
+
+
+class TestPreparedTrials:
+    """Trials that share one prepared normalizer fit as fresh fits do, bit for bit."""
+
+    CRITERION_7 = BiasVarianceConfig(
+        space_size=200, n_vars=20, k=2, n_samples=1_000, trials=20,
+        domain_size_range=(20, 60), seed=2718,
+    )
+
+    @pytest.mark.parametrize("cfg", [TestFaceTrials.cfg, CRITERION_7], ids=["faces", "criterion_7"])
+    def test_prepared_trials_equal_fresh_fits(self, monkeypatch, cfg):
+        fit_to_moments = experiments.fit_to_moments
+        seen = {"faces": 0, "shared": None, "prepared": None}
+
+        def compared(prepared, patterns, weights, config):
+            assert patterns is None
+            if seen["prepared"] is None:
+                seen["prepared"], seen["support"] = prepared, prepared.support
+            assert prepared is seen["prepared"]
+            model, report = fit_to_moments(prepared, None, weights, config)
+            space, pats = prepared.sample_space, list(prepared.patterns)
+            fresh, fresh_report = fit_to_moments(
+                space, pats, weights, config, incidence_matrix(space, pats)
+            )
+            assert model.theta.tobytes() == fresh.theta.tobytes()
+            assert model.log_probs.tobytes() == fresh.log_probs.tobytes()
+            assert model.domain == fresh.domain
+            for name in ("items", "indptr", "indices"):
+                assert np.array_equal(getattr(model.space, name), getattr(fresh.space, name))
+            assert report == fresh_report
+            seen["faces"] += model.space is not space
+            shared = _shared_arrays(prepared)
+            for key, before in (seen["shared"] or {}).items():
+                assert np.array_equal(shared[key], before), key
+            seen["shared"] = shared
+            return model, report
+
+        monkeypatch.setattr(experiments, "fit_to_moments", compared)
+        report = bias_variance_experiment(cfg)
+        assert seen["faces"] == report.n_face_trials
+        assert seen["prepared"].support is seen["support"] is None
+        assert {"rows_of", "pairs.s", "pairs.u"} <= set(seen["shared"])
+        if cfg is TestFaceTrials.cfg:
+            assert report.n_face_trials > 0
+
+
+class TestPerTrialCost:
+    """What only the (space, domain) pair decides is prepared once per
+    experiment, however many trials it runs: a count guard, not a clock."""
+
+    @staticmethod
+    def counts(monkeypatch, trials: int) -> dict[str, int]:
+        calls = {"flatten_canonical": 0, "over": 0}
+        transposes = []  # each dense Z^T a Fisher build used, kept so ids stay unique
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        def recording(incidence, rows_of, *args):
+            if isinstance(rows_of, np.ndarray) and all(r is not rows_of for r in transposes):
+                transposes.append(rows_of)
+            return natural_direction(incidence, rows_of, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tbmlearn") and hasattr(module, "flatten_canonical"):
+                monkeypatch.setattr(
+                    module, "flatten_canonical", counting("flatten_canonical", module.flatten_canonical)
+                )
+        natural_direction = fitting.natural_direction
+        monkeypatch.setattr(fitting, "natural_direction", recording)
+        monkeypatch.setattr(
+            fitting.ReducedSpace, "over", staticmethod(counting("over", fitting.ReducedSpace.over))
+        )
+        cfg = BiasVarianceConfig(
+            space_size=50, n_vars=12, k=2, n_samples=2000, trials=trials,
+            domain_size_range=(8, 30), seed=7,
+        )
+        report = bias_variance_experiment(cfg)
+        assert report.n_face_trials == 0
+        monkeypatch.undo()
+        return dict(calls, dense_transposes=len(transposes))
+
+    def test_prepared_work_does_not_grow_with_trials(self, monkeypatch):
+        few, many = self.counts(monkeypatch, 4), self.counts(monkeypatch, 12)
+        assert few == many
+        # The projection and the trials: one preparation and one dense
+        # transpose each.
+        assert few["over"] == 2 and few["dense_transposes"] == 2

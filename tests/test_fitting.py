@@ -38,7 +38,8 @@ from tbmlearn.serialize import dumps_model, model_from_dict
 
 from conftest import WORKED_PROBS, WORKED_PSI, WORKED_THETA1
 from oracles import (
-    brute_support, contains, enumerate_patterns, moment_gap, random_dataset, whole_domain_gap
+    brute_support, closure_by_pattern, contains, enumerate_patterns, moment_gap, random_dataset,
+    whole_domain_gap,
 )
 
 TIGHT = FitConfig(tol=1e-10, max_sweeps=200_000)
@@ -335,6 +336,56 @@ class TestClosureFace:
             assert model.log_partition == pytest.approx(-model.log_prob(()), abs=1e-12)
         assert report.converged
         assert whole_domain_gap(d, domain, model) <= FitConfig().tol
+
+
+@st.composite
+def closure_cases(draw):
+    """A small dataset, a domain of patterns that the data may not hold, and
+    targets: the data's, or drawn from {0, 1/4, 1/2, 1} for 0s, 1s and ties."""
+    n = draw(st.integers(1, 4))
+    entries = {}
+    for row in draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=8)):
+        x = tuple(sorted(row))
+        entries[x] = entries.get(x, 0) + draw(st.integers(1, 5))
+    pattern = st.sets(st.integers(0, n - 1), min_size=1, max_size=3).map(lambda p: tuple(sorted(p)))
+    domain = sorted(draw(st.lists(pattern, min_size=1, max_size=8, unique=True)), key=sort_key)
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    drawn = draw(st.none() | st.lists(values, min_size=len(domain), max_size=len(domain)))
+    return TransactionDataset(entries=entries, n_variables=n), domain, drawn
+
+
+class TestClosurePairTable:
+    """``closure``'s array rules give the per-pattern loop's face, for ``fit``'s
+    normalizer and for the full cube's."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        (face, leave), (face_want, leave_want) = got, want
+        assert face.patterns == face_want.patterns
+        assert np.array_equal(leave, leave_want)
+        for name in ("items", "indptr", "indices"):
+            assert np.array_equal(getattr(face.sample_space, name), getattr(face_want.sample_space, name))
+        assert face.incidence.shape == face_want.incidence.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(face.incidence, name), getattr(face_want.incidence, name))
+        assert np.array_equal(face.support, face_want.support)
+
+    @settings(max_examples=60, deadline=None)
+    @given(closure_cases())
+    def test_pair_table_matches_the_pattern_loop(self, case):
+        d, domain, drawn = case
+        space = build_sample_space(domain, d)
+        weights = multiplicities(space, d)
+        normalizer = fitting.ReducedSpace.over(space, domain).view(weights > 0)
+        targets = normalizer.incidence.dot(weights) / weights.sum() if drawn is None else np.array(drawn)
+        self.assert_same(normalizer.closure(targets), closure_by_pattern(normalizer, targets))
+        cube = baselines.FullCube(d.n_variables, domain, d)
+        if drawn is None:
+            targets = supports(d, domain) / d.n_samples
+        self.assert_same(cube.closure(targets), closure_by_pattern(cube._reduced(), targets))
 
 
 @st.composite
@@ -1028,6 +1079,14 @@ class TestValidation:
         space = SampleSpace.from_patterns([(), (1,)])
         with pytest.raises(ValueError, match="finite"):
             fit_to_moments(space, [(1,)], [np.nan, 1.0])
+
+    def test_prepared_normalizer_takes_no_patterns(self):
+        space = SampleSpace.from_patterns([(), (1,)])
+        prepared = fitting.ReducedSpace.over(space, [(1,)])
+        with pytest.raises(ValueError, match="prepared"):
+            fit_to_moments(prepared, [(1,)], [0.5, 0.5])
+        with pytest.raises(ValueError, match="prepared"):
+            fit_to_moments(prepared, None, [0.5, 0.5], None, prepared.incidence)
 
     @pytest.mark.parametrize("weights", [[-0.1, 1.1], [0.0, 0.0]], ids=["negative", "zero"])
     def test_weights_form_a_distribution(self, weights):

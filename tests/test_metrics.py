@@ -1,5 +1,8 @@
 """Divergence, entropy, and proxy reconstruction error."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,11 @@ from tbmlearn import (
     mine_parameter_domain,
     reconstruction_error_proxy,
 )
-from tbmlearn.model import build_sample_space, incidence_matrix, multiplicities
+from tbmlearn.metrics import _divergence
+from tbmlearn.model import FSUM_CHUNK, build_sample_space, fsum, incidence_matrix, multiplicities
 from tbmlearn.patterns import parse_fimi
 
-from conftest import WORKED_ENTROPY, WORKED_KL
+from conftest import WORKED_ENTROPY, WORKED_KL, traced_peak
 from oracles import exact_scores, random_dataset
 
 TIGHT = FitConfig(tol=1e-10, max_sweeps=200_000)
@@ -209,3 +213,44 @@ class TestNestedDomainMonotonicity:
             m_small, _ = fit_to_moments(space, small, counts, TIGHT, incidence=z_small)
             p_hat = EmpiricalDistribution.from_dataset(d)
             assert kl_divergence(p_hat, m_big) <= kl_divergence(p_hat, m_small) + 1e-8
+
+
+def _fsum_outcome(total) -> tuple:
+    """The bits of ``total()``, or the type and message of what it raised."""
+    try:
+        return ("value", struct.pack("<d", total()))
+    except (OverflowError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+SPECIAL = [math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+class TestChunkedFsum:
+    """``model.fsum`` feeds ``math.fsum`` the array in chunks: the same bits, or
+    the same error, as one list of the whole array, without holding that list."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL)), max_size=40),
+           st.integers(0, 2**32 - 1))
+    def test_same_bits_as_one_list(self, terms, seed):
+        # Spread the drawn terms over an array several chunks long, at and
+        # around chunk boundaries, among ordinary and subnormal terms.
+        rng = np.random.default_rng(seed)
+        size = 3 * FSUM_CHUNK + 17
+        a = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size=size)
+        spots = (FSUM_CHUNK * np.arange(1, 4)[:, None] + [-1, 0, 1]).ravel()
+        places = np.concatenate([spots, rng.integers(0, size, size=len(terms))])[:len(terms)]
+        a[places] = terms
+        for values in (a, a[:len(terms)], np.array(terms, dtype=np.float64)):
+            assert _fsum_outcome(lambda: fsum(values)) == _fsum_outcome(lambda: math.fsum(values.tolist()))
+
+    def test_a_score_holds_no_list_of_its_terms(self):
+        rng = np.random.default_rng(0)
+        w = rng.random(50_000)
+        w /= w.sum()
+        log_q = np.log(rng.random(50_000))
+        one_list = traced_peak(lambda: w.tolist())
+        assert traced_peak(lambda: fsum(w)) < one_list / 8
+        assert traced_peak(lambda: _divergence(w, log_q)) < one_list / 2
+        assert _divergence(w, log_q) == math.fsum((w * (np.log(w) - log_q)).tolist())
